@@ -208,11 +208,11 @@ pub struct MemorySystem {
     perf: Vec<PerfMon>,
     watched: FxHashMap<u64, usize>,
     events: Vec<MemEvent>,
-    /// Reusable buffer for the holder snapshots `coherence_fetch` and
-    /// `poststore` take before mutating directory state. Swapped out
-    /// during use (never borrowed across a `&mut self` call) and kept
-    /// around so the request path stops allocating a fresh `Vec` per
-    /// invalidation/snarf sweep.
+    /// Reusable buffer for the holder snapshots `coherence_fetch`,
+    /// `poststore` and `warm` take before mutating directory state (see
+    /// [`Self::take_holders`]). Swapped out during use (never borrowed
+    /// across a `&mut self` call) and kept around so neither the request
+    /// path nor warm-up allocates a fresh `Vec` per sweep.
     scratch_holders: Vec<(usize, SubpageState)>,
     coherent: bool,
     n_cells: usize,
@@ -315,6 +315,32 @@ impl MemorySystem {
         self.dir.set(sp, cell, to);
     }
 
+    /// Snapshot `sp`'s holder list, in insertion order, into the reusable
+    /// scratch buffer: the sweeps mutate the directory while walking the
+    /// snapshot. The caller hands the buffer back through
+    /// `self.scratch_holders`.
+    fn take_holders(&mut self, sp: u64) -> Vec<(usize, SubpageState)> {
+        let mut holders = std::mem::take(&mut self.scratch_holders);
+        holders.clear();
+        if let Some(h) = self.dir.holders(sp) {
+            holders.extend(h.iter());
+        }
+        holders
+    }
+
+    /// Debug check of the single-writer invariant on `sp`, run at the end
+    /// of every path that changes its states (purges only ever remove
+    /// copies, so they cannot break it). Suspended when a fault is seeded
+    /// on purpose, so the checker (not this assert) is what reports it.
+    fn debug_check_subpage(&self, sp: u64) {
+        debug_assert!(
+            self.options.fault.is_some() || !self.dir.violation_at(sp),
+            "ALLCACHE invariant (at most one writable copy, no Shared beside \
+             Exclusive) broken on sub-page {sp}: {:?}",
+            self.dir.holders(sp).map(|h| h.iter().collect::<Vec<_>>())
+        );
+    }
+
     /// Number of processor cells.
     #[must_use]
     pub fn n_cells(&self) -> usize {
@@ -400,17 +426,14 @@ impl MemorySystem {
         for sp in first..=last {
             self.ensure_page_costed(cell, sp * SUBPAGE_BYTES, 0);
             // Steal the sub-page from whoever holds it.
-            let holders: Vec<(usize, SubpageState)> = self
-                .dir
-                .holders(sp)
-                .map(|h| h.iter().collect())
-                .unwrap_or_default();
-            for (c, s) in holders {
-                if c != cell && s != SubpageState::Missing {
+            let holders = self.take_holders(sp);
+            for &(c, _) in &holders {
+                if c != cell {
                     self.set_state(sp, c, SubpageState::Missing, 0);
                     self.subcaches[c].invalidate_subpage(sp);
                 }
             }
+            self.scratch_holders = holders;
             self.set_state(sp, cell, SubpageState::Exclusive, 0);
             self.spilled.remove(&sp);
         }
@@ -539,14 +562,6 @@ impl MemorySystem {
         if is_write {
             self.emit(sp, t);
         }
-        // Single-writer invariant — suspended when a fault is seeded on
-        // purpose, so the checker (not this assert) is what reports it.
-        debug_assert!(
-            self.options.fault.is_some() || self.dir.find_violation().is_none(),
-            "ALLCACHE invariant (at most one writable copy, no Shared beside \
-             Exclusive) broken: {:?}",
-            self.dir.find_violation()
-        );
         Outcome::Done { done_at: t }
     }
 
@@ -555,13 +570,7 @@ impl MemorySystem {
     fn coherence_fetch(&mut self, cell: usize, sp: u64, t_req: Cycles, want: Want) -> Cycles {
         // Same-sub-page transactions serialize (hot-spot behaviour).
         let t0 = t_req.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
-        // Snapshot the holder set into the reusable scratch buffer (the
-        // sweeps below mutate the directory while iterating it).
-        let mut holders = std::mem::take(&mut self.scratch_holders);
-        holders.clear();
-        if let Some(h) = self.dir.holders(sp) {
-            holders.extend(h.iter());
-        }
+        let holders = self.take_holders(sp);
         let any_valid = holders.iter().any(|(_, s)| s.readable());
 
         let done = if !any_valid {
@@ -679,6 +688,7 @@ impl MemorySystem {
         };
         self.scratch_holders = holders;
         self.subpage_busy.insert(sp, done);
+        self.debug_check_subpage(sp);
         done
     }
 
@@ -803,6 +813,7 @@ impl MemorySystem {
             // Already exclusive here: flip to atomic locally.
             let done_at = now + self.timing.atomic_overhead;
             self.set_state(sp, cell, SubpageState::Atomic, done_at);
+            self.debug_check_subpage(sp);
             return Outcome::Done { done_at };
         }
         let done = self.coherence_fetch(cell, sp, now, Want::Atomic) + self.timing.atomic_overhead;
@@ -822,6 +833,7 @@ impl MemorySystem {
         if st == SubpageState::Atomic {
             self.set_state(sp, cell, SubpageState::Exclusive, done_at);
             self.emit(sp, done_at);
+            self.debug_check_subpage(sp);
         }
         Outcome::Done { done_at }
     }
@@ -878,13 +890,8 @@ impl MemorySystem {
         self.perf[cell].poststores += 1;
         let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
         // If any place holder lives on another leaf ring, the update must
-        // cross Ring:1. Snapshot the holders (scratch buffer — the refill
-        // sweep below mutates directory state while iterating).
-        let mut holders = std::mem::take(&mut self.scratch_holders);
-        holders.clear();
-        if let Some(h) = self.dir.holders(sp) {
-            holders.extend(h.iter());
-        }
+        // cross Ring:1.
+        let holders = self.take_holders(sp);
         let transit = match &self.fabric {
             Fabric::Ring(h) => {
                 let my_leaf = h.leaf_of(cell);
@@ -917,6 +924,7 @@ impl MemorySystem {
         self.scratch_holders = holders;
         self.subpage_busy.insert(sp, timing.response_at);
         self.emit(sp, timing.response_at);
+        self.debug_check_subpage(sp);
         // The issuing processor stalls only until the packet is launched.
         Outcome::Done {
             done_at: now + self.timing.poststore_issue + timing.slot_wait,
@@ -1092,6 +1100,52 @@ mod tests {
         m.access(1, 0, MemOp::Read, 10_000);
         assert_eq!(m.perfmon(1).ring_transactions, 1);
         assert_eq!(m.perfmon(1).remote_references, 0);
+    }
+
+    /// Known values on a 1024-cell three-level ring: every cell reads one
+    /// sub-page, then one cell writes it. The write is a single upgrade
+    /// whose sweep invalidates all 1023 other copies, in insertion order.
+    #[test]
+    fn thousand_readers_then_one_writer() {
+        use ksr_net::{RingHierarchy, RingHierarchyConfig};
+        let fabric = Fabric::Ring(
+            RingHierarchy::new(RingHierarchyConfig::ring_levels(&[32, 8, 4])).unwrap(),
+        );
+        let mut m =
+            MemorySystem::new(MemGeometry::ksr1(), CacheTiming::ksr1(), fabric, 1024, 42).unwrap();
+        let mut t = 0;
+        for cell in 0..1024 {
+            t = done(m.access(cell, 0, MemOp::Read, t));
+        }
+        let holders = m.directory().holders(0).unwrap();
+        assert!(
+            holders.iter().map(|(c, _)| c).eq(0..1024),
+            "insertion order"
+        );
+        assert!(holders.iter().all(|(_, s)| s == SubpageState::Shared));
+
+        // Cell 512 opens leaf ring 16: its read crossed the hierarchy
+        // (every earlier copy sat on leaves 0-15), its upgrade does not
+        // (cells 513-543 share its leaf).
+        let writer = 512;
+        m.access(writer, 0, MemOp::Write, t);
+        let total = m.perfmon_total();
+        assert_eq!(total.invalidations_received, 1023);
+        assert_eq!(m.perfmon(writer).invalidations_received, 0);
+        assert_eq!(m.perfmon(writer).ring_transactions, 2);
+        assert_eq!(m.perfmon(writer).remote_references, 1);
+        let holders = m.directory().holders(0).unwrap();
+        assert!(holders.iter().map(|(c, _)| c).eq(0..1024), "order kept");
+        for (c, s) in holders.iter() {
+            let want = if c == writer {
+                SubpageState::Exclusive
+            } else {
+                SubpageState::Invalid
+            };
+            assert_eq!(s, want, "cell {c}");
+        }
+        assert_eq!(holders.atomic_holder(), None);
+        assert_eq!(m.directory().find_violation(), None);
     }
 
     #[test]

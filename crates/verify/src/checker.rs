@@ -135,6 +135,47 @@ fn writable(s: TraceState) -> bool {
     matches!(s, TraceState::Exclusive | TraceState::Atomic)
 }
 
+/// The single-writer invariants over one sub-page's shadow holder set:
+/// the broken rule and its message, if any. Reads the set in place and
+/// only collects cell lists once a violation is found.
+fn holder_set_violation(sp: u64, holders: &[(usize, TraceState)]) -> Option<(Rule, String)> {
+    let writers = || {
+        holders
+            .iter()
+            .filter(|(_, s)| writable(*s))
+            .map(|(c, _)| *c)
+    };
+    match writers().count() {
+        0 => None,
+        1 => {
+            let sharers = || {
+                holders
+                    .iter()
+                    .filter(|(_, s)| *s == TraceState::Shared)
+                    .map(|(c, _)| *c)
+            };
+            sharers().next()?;
+            let writer = writers().next()?;
+            let sharers: Vec<usize> = sharers().collect();
+            Some((
+                Rule::SharedWithWriter,
+                format!(
+                    "sub-page {sp}: cell {writer} holds a writable copy while cells \
+                     {sharers:?} still hold Shared copies (invalidation not \
+                     acknowledged before the write side committed)"
+                ),
+            ))
+        }
+        n => {
+            let writers: Vec<usize> = writers().collect();
+            Some((
+                Rule::MultipleWriters,
+                format!("sub-page {sp} has {n} writable copies: cells {writers:?}"),
+            ))
+        }
+    }
+}
+
 /// Legal per-cell transitions of the ALLCACHE protocol. `Missing` never
 /// degrades straight to a place holder, and an `Atomic` copy only leaves
 /// through a release (`→ Exclusive` locally, `→ Missing` on the
@@ -278,43 +319,12 @@ impl CheckingSink {
         self.set_holder(sp, cell, to);
 
         // Global invariants over the holder set after the transition.
-        let holders = self.shadow.get(&sp).cloned().unwrap_or_default();
-        let writers: Vec<usize> = holders
-            .iter()
-            .filter(|(_, s)| writable(*s))
-            .map(|(c, _)| *c)
-            .collect();
-        if writers.len() > 1 {
-            self.report(
-                at,
-                cell,
-                sp,
-                Rule::MultipleWriters,
-                format!(
-                    "sub-page {sp} has {} writable copies: cells {writers:?}",
-                    writers.len()
-                ),
-            );
-        } else if writers.len() == 1 {
-            let sharers: Vec<usize> = holders
-                .iter()
-                .filter(|(_, s)| *s == TraceState::Shared)
-                .map(|(c, _)| *c)
-                .collect();
-            if !sharers.is_empty() {
-                self.report(
-                    at,
-                    cell,
-                    sp,
-                    Rule::SharedWithWriter,
-                    format!(
-                        "sub-page {sp}: cell {} holds a writable copy while cells \
-                         {sharers:?} still hold Shared copies (invalidation not \
-                         acknowledged before the write side committed)",
-                        writers[0]
-                    ),
-                );
-            }
+        let finding = self
+            .shadow
+            .get(&sp)
+            .and_then(|holders| holder_set_violation(sp, holders));
+        if let Some((rule, message)) = finding {
+            self.report(at, cell, sp, rule, message);
         }
     }
 
@@ -556,6 +566,7 @@ mod tests {
         assert_eq!(v.rule, Rule::MultipleWriters);
         assert_eq!(v.at, 90);
         assert_eq!(v.subpage, 7);
+        assert_eq!(v.message, "sub-page 7 has 2 writable copies: cells [0, 1]");
         assert_eq!(v.window.len(), 2, "window replays the offending events");
     }
 
@@ -566,10 +577,17 @@ mod tests {
             coh(10, 0, 3, Missing, Shared),
             coh(20, 1, 3, Missing, Exclusive), // demotion/invalidation missed
         ]);
-        assert!(sink
+        let v = sink
             .violations()
             .iter()
-            .any(|v| v.rule == Rule::SharedWithWriter && v.at == 20));
+            .find(|v| v.rule == Rule::SharedWithWriter && v.at == 20)
+            .expect("shared-with-writer violation reported");
+        assert_eq!(
+            v.message,
+            "sub-page 3: cell 1 holds a writable copy while cells [0] still hold \
+             Shared copies (invalidation not acknowledged before the write side \
+             committed)"
+        );
     }
 
     #[test]

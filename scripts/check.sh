@@ -20,6 +20,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --quiet
 
+echo "==> cargo test --manifest-path benchmark/Cargo.toml (8-cell benchmark workloads and digests)"
+# The host-speed benchmark is a package of its own, outside the
+# workspace; its tests drive the simulator through every benchmark
+# workload at eight cells, so a simulator change that breaks one fails
+# here rather than in the next benchmark run.
+cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+
 tmp_serial=$(mktemp -d)
 tmp_parallel=$(mktemp -d)
 tmp_cache=$(mktemp -d)
