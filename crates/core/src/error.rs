@@ -25,11 +25,6 @@ pub enum Error {
     /// A simulation invariant was violated (a bug in a simulated program or
     /// in the simulator itself; always worth a panic in tests).
     Protocol(String),
-    /// The host operating system could not provide a resource the
-    /// simulator needs (e.g. an OS thread for a simulated processor).
-    /// Unlike the variants above this is not a bug in the simulation —
-    /// callers may retry with a smaller machine or fewer parallel jobs.
-    Host(String),
 }
 
 impl fmt::Display for Error {
@@ -44,7 +39,6 @@ impl fmt::Display for Error {
                 write!(f, "simulated heap exhausted allocating {requested} bytes")
             }
             Self::Protocol(msg) => write!(f, "protocol invariant violated: {msg}"),
-            Self::Host(msg) => write!(f, "host resource unavailable: {msg}"),
         }
     }
 }
@@ -76,9 +70,6 @@ mod tests {
         assert!(Error::Protocol("p".into())
             .to_string()
             .contains("invariant"));
-        assert!(Error::Host("no threads".into())
-            .to_string()
-            .contains("host resource"));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! sharing" — allocators therefore default to 128 B alignment for
 //! synchronization variables.
 
+use std::ops::Range;
+
 use ksr_core::{Error, Result};
 use ksr_mem::SUBPAGE_BYTES;
 
@@ -74,6 +76,13 @@ impl Heap {
     pub fn used(&self) -> u64 {
         self.next
     }
+
+    /// The addresses handed out so far: from the end of the unmapped
+    /// zero sub-page up to [`Self::used`].
+    #[must_use]
+    pub fn mapped(&self) -> Range<u64> {
+        SUBPAGE_BYTES..self.next
+    }
 }
 
 #[cfg(test)]
@@ -111,6 +120,16 @@ mod tests {
         let mut h = Heap::new();
         assert!(h.alloc(0, 8).is_err());
         assert!(h.alloc(8, 3).is_err());
+    }
+
+    #[test]
+    fn mapped_range_covers_every_allocation() {
+        let mut h = Heap::new();
+        assert!(h.mapped().is_empty());
+        let a = h.alloc(8, 8).unwrap();
+        let b = h.alloc_subpage_aligned(1).unwrap();
+        assert_eq!(h.mapped(), SUBPAGE_BYTES..b + SUBPAGE_BYTES);
+        assert!(h.mapped().contains(&a) && !h.mapped().contains(&0));
     }
 
     #[test]

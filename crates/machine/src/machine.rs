@@ -246,17 +246,25 @@ impl Machine {
 
     /// Allocate `bytes` of shared memory with the given alignment.
     pub fn alloc(&mut self, bytes: u64, align: u64) -> Result<u64> {
-        self.heap.alloc(bytes, align)
+        self.map(|heap| heap.alloc(bytes, align))
     }
 
     /// Allocate `words` 8-byte words.
     pub fn alloc_words(&mut self, words: u64) -> Result<u64> {
-        self.heap.alloc_words(words)
+        self.map(|heap| heap.alloc_words(words))
     }
 
     /// Allocate on a fresh 128 B sub-page (no false sharing).
     pub fn alloc_subpage(&mut self, bytes: u64) -> Result<u64> {
-        self.heap.alloc_subpage_aligned(bytes)
+        self.map(|heap| heap.alloc_subpage_aligned(bytes))
+    }
+
+    /// Run one heap allocation and map the grown heap in the data plane,
+    /// so data accesses outside every allocation fail.
+    fn map(&mut self, alloc: impl FnOnce(&mut Heap) -> Result<u64>) -> Result<u64> {
+        let base = alloc(&mut self.heap)?;
+        self.mem.data_mut().set_mapped(self.heap.mapped());
+        Ok(base)
     }
 
     /// Pre-install an address range in a cell's local cache (untimed
@@ -275,8 +283,8 @@ impl Machine {
     /// Untimed data-plane store (experiment setup).
     ///
     /// # Errors
-    /// [`Error`] when `addr` is outside the mapped data plane — the same
-    /// typed error [`Machine::run`] reports, instead of a panic.
+    /// [`Error::BadAddress`] when `addr` lies outside every allocation,
+    /// [`Error::Misaligned`] when it is not 8-byte aligned.
     pub fn poke_u64(&mut self, addr: u64, value: u64) -> Result<()> {
         self.mem.data_mut().write_u64(addr, value)
     }
@@ -284,15 +292,15 @@ impl Machine {
     /// Untimed data-plane load (result verification).
     ///
     /// # Errors
-    /// [`Error`] when `addr` is outside the mapped data plane.
+    /// As [`Machine::poke_u64`].
     pub fn peek_u64(&mut self, addr: u64) -> Result<u64> {
-        self.mem.data_mut().read_u64(addr)
+        self.mem.data().read_u64(addr)
     }
 
     /// Untimed `f64` store.
     ///
     /// # Errors
-    /// [`Error`] when `addr` is outside the mapped data plane.
+    /// As [`Machine::poke_u64`].
     pub fn poke_f64(&mut self, addr: u64, value: f64) -> Result<()> {
         self.mem.data_mut().write_f64(addr, value)
     }
@@ -300,9 +308,9 @@ impl Machine {
     /// Untimed `f64` load.
     ///
     /// # Errors
-    /// [`Error`] when `addr` is outside the mapped data plane.
+    /// As [`Machine::poke_u64`].
     pub fn peek_f64(&mut self, addr: u64) -> Result<f64> {
-        self.mem.data_mut().read_f64(addr)
+        self.mem.data().read_f64(addr)
     }
 
     /// Run one program per processor to completion; returns the run's
@@ -379,14 +387,15 @@ enum Serviced {
     },
 }
 
-/// Diagnose a simulated program touching an unmapped data-plane address:
-/// a panic naming the processor, operation, address, and cycle — the
-/// program's own bug, reported like any other program panic (the run's
-/// root cause), never a bare `expect` poisoning the coordinator.
+/// Diagnose a simulated program touching an unmapped or misaligned
+/// data-plane address: a panic naming the processor, operation, address,
+/// and cycle — the program's own bug, reported like any other program
+/// panic (the run's root cause), never a bare `expect` poisoning the
+/// coordinator.
 fn data_fault(proc: usize, what: &str, addr: u64, at: Cycles, err: &Error) -> ! {
     panic!(
-        "simulated program fault: processor {proc} {what} at unmapped address \
-         {addr:#x} (cycle {at}): {err}"
+        "simulated program fault: processor {proc} {what} at address {addr:#x} \
+         (cycle {at}): {err}"
     )
 }
 
@@ -397,7 +406,7 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
         AccessOp::Read { addr } => match mem.access(p, addr, MemOp::Read, t) {
             Outcome::Done { done_at } => {
                 let value = mem
-                    .data_mut()
+                    .data()
                     .read_u64(addr)
                     .unwrap_or_else(|e| data_fault(p, "read", addr, t, &e));
                 tracer.emit_with(|| TraceEvent::DataRead {
@@ -457,7 +466,7 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
         AccessOp::FetchAdd { addr, delta } => match mem.access(p, addr, MemOp::AtomicRmw, t) {
             Outcome::Done { done_at } => {
                 let old = mem
-                    .data_mut()
+                    .data()
                     .read_u64(addr)
                     .unwrap_or_else(|e| data_fault(p, "fetch_add (read)", addr, t, &e));
                 mem.data_mut()
@@ -521,7 +530,7 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
         AccessOp::Spin { addr, mut pred } => match mem.access(p, addr, MemOp::Read, t) {
             Outcome::Done { done_at } => {
                 let value = mem
-                    .data_mut()
+                    .data()
                     .read_u64(addr)
                     .unwrap_or_else(|e| data_fault(p, "spin read", addr, t, &e));
                 if pred(value) {
@@ -943,13 +952,20 @@ mod tests {
     #[test]
     fn poke_and_peek_report_unmapped_addresses() {
         let mut m = Machine::ksr1(1).unwrap();
-        let bad = u64::MAX - 1024;
-        assert!(m.poke_u64(bad, 1).is_err(), "poke past the heap must err");
-        assert!(m.peek_u64(bad).is_err(), "peek past the heap must err");
-        assert!(m.poke_f64(bad, 1.0).is_err());
-        assert!(m.peek_f64(bad).is_err());
-        // A valid address still round-trips.
         let a = m.alloc_words(1).unwrap();
+        // 8-aligned, so only the mapping can reject them: the null
+        // sub-page, the first word past the heap, and the far end of SVA.
+        for bad in [0, a + 8, u64::MAX - 7] {
+            assert_eq!(m.poke_u64(bad, 1), Err(Error::BadAddress(bad)));
+            assert_eq!(m.peek_u64(bad), Err(Error::BadAddress(bad)));
+            assert_eq!(m.poke_f64(bad, 1.0), Err(Error::BadAddress(bad)));
+            assert_eq!(m.peek_f64(bad), Err(Error::BadAddress(bad)));
+        }
+        assert!(matches!(
+            m.peek_u64(a + 4),
+            Err(Error::Misaligned { required: 8, .. })
+        ));
+        // A valid address still round-trips.
         m.poke_u64(a, 77).unwrap();
         assert_eq!(m.peek_u64(a).unwrap(), 77);
     }
@@ -959,8 +975,8 @@ mod tests {
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut m = Machine::ksr1(1).unwrap();
             let _ = m.run(vec![program(move |mut cpu| async move {
-                // Unmapped: far past anything allocated.
-                cpu.write_u64(u64::MAX - 4096, 1).await;
+                // Unmapped (and 8-aligned): far past anything allocated.
+                cpu.write_u64(u64::MAX - 7, 1).await;
             })]);
         }))
         .expect_err("an unmapped in-run access must fail the run");
@@ -968,6 +984,10 @@ mod tests {
         assert!(
             msg.contains("processor 0") && msg.contains("write"),
             "fault diagnostic must name proc and op: {msg}"
+        );
+        assert!(
+            msg.contains("unmapped SVA address 0xfffffffffffffff8"),
+            "fault diagnostic must name the unmapped address: {msg}"
         );
     }
 

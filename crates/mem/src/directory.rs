@@ -7,6 +7,14 @@
 //! *timing* still flows through the ring model. It is the single source
 //! of truth for sub-page coherence state.
 //!
+//! **Layout.** The map is keyed by 16 KB page. Each page the simulation
+//! touches gets one chunk of [`SUBPAGES_PER_PAGE`] holder slots, so a
+//! sub-page lookup is one hash of its page plus an index, and the
+//! protocol's page-granular walks (eviction pinning, page purges) read
+//! one chunk. An empty slot and a one-holder slot allocate nothing. Host
+//! memory grows with the pages touched, never with the 1 TB SVA span; a
+//! chunk stays allocated after its slots empty.
+//!
 //! **Complexity.** Every per-cell operation ([`Holders::state_of`],
 //! [`Holders::set`], [`Holders::atomic_holder`], [`Holders::any_valid`])
 //! is O(1) expected: short lists are scanned (at most 16 entries), long
@@ -22,12 +30,12 @@
 
 use ksr_core::FxHashMap;
 
+use crate::geometry::SUBPAGES_PER_PAGE;
 use crate::state::SubpageState;
 
 /// A list that grows past this many entries turns into a [`Long`] one
 /// with a position index, and turns short again when compaction leaves
-/// it this short. Short lists are scanned. Most sub-pages have a single
-/// holder, so the common list is one bare `Vec` of 8-byte entries.
+/// it this short. Short lists are scanned.
 const INDEX_ABOVE: usize = 16;
 
 /// `Long::pos` value for a cell with no live entry.
@@ -42,20 +50,35 @@ fn cell_key(cell: usize) -> u32 {
 }
 
 /// Per-sub-page holder list, in insertion order (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Holders(Repr);
 
-#[derive(Debug, Clone)]
+/// Each list has exactly one representation for its length: no entry,
+/// one inline entry, a scanned `Vec` of 2 to [`INDEX_ABOVE`], or a long
+/// list once it outgrew that.
+#[derive(Debug, Clone, Default)]
 enum Repr {
-    /// At most [`INDEX_ABOVE`] live entries, scanned.
+    /// No holder.
+    #[default]
+    Empty,
+    /// The common case: a single holder, stored inline.
+    One(Entry),
+    /// 2 to [`INDEX_ABOVE`] entries, scanned.
     Short(Vec<Entry>),
     /// A list that outgrew [`INDEX_ABOVE`].
     Long(Box<Long>),
 }
 
-impl Default for Holders {
-    fn default() -> Self {
-        Self(Repr::Short(Vec::new()))
+impl Repr {
+    /// The representation of a tombstone-free list of at most
+    /// [`INDEX_ABOVE`] entries.
+    fn short(entries: Vec<Entry>) -> Self {
+        debug_assert!(entries.len() <= INDEX_ABOVE);
+        match entries[..] {
+            [] => Self::Empty,
+            [one] => Self::One(one),
+            _ => Self::Short(entries),
+        }
     }
 }
 
@@ -128,12 +151,13 @@ impl Long {
         self.count(cell, st, true);
     }
 
-    fn set(&mut self, cell: u32, st: SubpageState) {
+    /// Set `cell`'s state; returns its previous one.
+    fn set(&mut self, cell: u32, st: SubpageState) -> SubpageState {
         let Some(p) = self.position(cell) else {
             if st != SubpageState::Missing {
                 self.push(cell, st);
             }
-            return;
+            return SubpageState::Missing;
         };
         let old = self.entries[p].1;
         self.count(cell, old, false);
@@ -151,6 +175,7 @@ impl Long {
             // Two atomic copies (a seeded fault) just became one.
             self.atomic_cell = first_atomic(&self.entries).map_or(NO_POS, cell_key);
         }
+        old
     }
 
     /// Drop the tombstones and re-point the live cells.
@@ -174,6 +199,8 @@ impl Holders {
     /// Every entry, tombstones included.
     fn entries(&self) -> &[Entry] {
         match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(e) => std::slice::from_ref(e),
             Repr::Short(v) => v,
             Repr::Long(l) => &l.entries,
         }
@@ -184,29 +211,63 @@ impl Holders {
     pub fn state_of(&self, cell: usize) -> SubpageState {
         let cell = cell_key(cell);
         let entry = match &self.0 {
-            Repr::Short(v) => v.iter().find(|&&(c, _)| c == cell),
             Repr::Long(l) => l.position(cell).map(|p| &l.entries[p]),
+            _ => self.entries().iter().find(|&&(c, _)| c == cell),
         };
         entry.map_or(SubpageState::Missing, |&(_, s)| s)
     }
 
-    /// Set `cell`'s state; `Missing` removes the entry.
-    pub fn set(&mut self, cell: usize, st: SubpageState) {
+    /// Set `cell`'s state (`Missing` removes the entry); returns the
+    /// state it replaced.
+    pub fn set(&mut self, cell: usize, st: SubpageState) -> SubpageState {
         let cell = cell_key(cell);
-        let Repr::Short(v) = &mut self.0 else {
-            return self.set_long(cell, st);
-        };
-        if let Some(p) = v.iter().position(|&(c, _)| c == cell) {
-            if st == SubpageState::Missing {
-                v.remove(p);
-            } else {
-                v[p].1 = st;
+        let remove = st == SubpageState::Missing;
+        match &mut self.0 {
+            Repr::Empty => {
+                if !remove {
+                    self.0 = Repr::One((cell, st));
+                }
+                SubpageState::Missing
             }
-        } else if st != SubpageState::Missing {
-            v.push((cell, st));
-            if v.len() > INDEX_ABOVE {
-                self.promote();
+            Repr::One((c, s)) if *c == cell => {
+                let old = *s;
+                if remove {
+                    self.0 = Repr::Empty;
+                } else {
+                    *s = st;
+                }
+                old
             }
+            Repr::One(first) => {
+                if !remove {
+                    self.0 = Repr::Short(vec![*first, (cell, st)]);
+                }
+                SubpageState::Missing
+            }
+            Repr::Short(v) => match v.iter().position(|&(c, _)| c == cell) {
+                Some(p) => {
+                    let old = v[p].1;
+                    if !remove {
+                        v[p].1 = st;
+                    } else {
+                        v.remove(p);
+                        if v.len() == 1 {
+                            self.0 = Repr::One(v[0]);
+                        }
+                    }
+                    old
+                }
+                None => {
+                    if !remove {
+                        v.push((cell, st));
+                        if v.len() > INDEX_ABOVE {
+                            self.promote();
+                        }
+                    }
+                    SubpageState::Missing
+                }
+            },
+            Repr::Long(_) => self.set_long(cell, st),
         }
     }
 
@@ -222,13 +283,15 @@ impl Holders {
     /// compaction leaves it at most [`INDEX_ABOVE`] entries (entries only
     /// ever shrink by compaction, which leaves no tombstones behind).
     #[inline(never)]
-    fn set_long(&mut self, cell: u32, st: SubpageState) {
-        if let Repr::Long(l) = &mut self.0 {
-            l.set(cell, st);
-            if l.entries.len() <= INDEX_ABOVE {
-                self.0 = Repr::Short(std::mem::take(&mut l.entries));
-            }
+    fn set_long(&mut self, cell: u32, st: SubpageState) -> SubpageState {
+        let Repr::Long(l) = &mut self.0 else {
+            unreachable!("set_long on a short holder list");
+        };
+        let old = l.set(cell, st);
+        if l.entries.len() <= INDEX_ABOVE {
+            self.0 = Repr::short(std::mem::take(&mut l.entries));
         }
+        old
     }
 
     /// All `(cell, state)` entries, in insertion order.
@@ -254,8 +317,8 @@ impl Holders {
     #[must_use]
     pub fn any_valid(&self) -> bool {
         match &self.0 {
-            Repr::Short(v) => v.iter().any(|(_, s)| s.readable()),
             Repr::Long(l) => l.readable > 0,
+            _ => self.entries().iter().any(|(_, s)| s.readable()),
         }
     }
 
@@ -263,8 +326,9 @@ impl Holders {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         match &self.0 {
-            Repr::Short(v) => v.is_empty(),
+            Repr::Empty => true,
             Repr::Long(l) => l.live == 0,
+            Repr::One(_) | Repr::Short(_) => false,
         }
     }
 
@@ -278,10 +342,58 @@ impl Holders {
     }
 }
 
-/// The global sub-page → holders map.
+/// One page's holder slots, indexed by sub-page slot within the page.
+#[derive(Debug, Clone)]
+pub(crate) struct Chunk {
+    slots: [Holders; SUBPAGES_PER_PAGE],
+    /// `Atomic` copies across the slots. A page with none pins no cell's
+    /// frame, so the eviction check skips the slot walk: locks are rare.
+    atomics: u32,
+}
+
+impl Chunk {
+    fn new() -> Box<Self> {
+        Box::new(Self {
+            slots: std::array::from_fn(|_| Holders::default()),
+            atomics: 0,
+        })
+    }
+
+    /// The holder list of the sub-page in `slot` (possibly empty).
+    pub(crate) fn holders(&self, slot: usize) -> &Holders {
+        &self.slots[slot]
+    }
+
+    /// Set `cell`'s state in `slot`; returns the state it replaced.
+    pub(crate) fn set(&mut self, slot: usize, cell: usize, st: SubpageState) -> SubpageState {
+        let old = self.slots[slot].set(cell, st);
+        let atomic = |s: SubpageState| u32::from(s == SubpageState::Atomic);
+        self.atomics = self.atomics + atomic(st) - atomic(old);
+        old
+    }
+
+    /// Whether `cell` holds a sub-page of this page `Atomic`, which pins
+    /// the page in its local cache.
+    pub(crate) fn pins(&self, cell: usize) -> bool {
+        self.atomics > 0
+            && self
+                .slots
+                .iter()
+                .any(|h| h.state_of(cell) == SubpageState::Atomic)
+    }
+}
+
+/// Page and slot of a sub-page.
+fn split(subpage: u64) -> (u64, usize) {
+    let per_page = SUBPAGES_PER_PAGE as u64;
+    (subpage / per_page, (subpage % per_page) as usize)
+}
+
+/// The global sub-page → holders map, chunked by page (see the module
+/// docs).
 #[derive(Debug, Clone, Default)]
 pub struct Directory {
-    map: FxHashMap<u64, Holders>,
+    pages: FxHashMap<u64, Box<Chunk>>,
 }
 
 impl Directory {
@@ -294,24 +406,44 @@ impl Directory {
     /// Holder list for a sub-page (`None` if no cell holds it).
     #[must_use]
     pub fn holders(&self, subpage: u64) -> Option<&Holders> {
-        self.map.get(&subpage)
+        let (page, slot) = split(subpage);
+        self.chunk(page)
+            .map(|chunk| chunk.holders(slot))
+            .filter(|h| !h.is_empty())
     }
 
     /// State of `cell`'s copy of `subpage`.
     #[must_use]
     pub fn state_of(&self, subpage: u64, cell: usize) -> SubpageState {
-        self.map
-            .get(&subpage)
+        self.holders(subpage)
             .map_or(SubpageState::Missing, |h| h.state_of(cell))
     }
 
-    /// Set `cell`'s state for `subpage`.
-    pub fn set(&mut self, subpage: u64, cell: usize, st: SubpageState) {
-        let h = self.map.entry(subpage).or_default();
-        h.set(cell, st);
-        if h.is_empty() {
-            self.map.remove(&subpage);
+    /// Set `cell`'s state for `subpage`; returns the state it replaced.
+    /// Removing a copy from a page never touched allocates nothing.
+    pub fn set(&mut self, subpage: u64, cell: usize, st: SubpageState) -> SubpageState {
+        let (page, slot) = split(subpage);
+        if st == SubpageState::Missing {
+            return self
+                .chunk_mut(page)
+                .map_or(SubpageState::Missing, |chunk| chunk.set(slot, cell, st));
         }
+        self.chunk_or_insert(page).set(slot, cell, st)
+    }
+
+    /// The holder slots of `page`, if any sub-page of it was ever held.
+    pub(crate) fn chunk(&self, page: u64) -> Option<&Chunk> {
+        self.pages.get(&page).map(|chunk| &**chunk)
+    }
+
+    /// Mutable [`Self::chunk`], for page-granular walks.
+    pub(crate) fn chunk_mut(&mut self, page: u64) -> Option<&mut Chunk> {
+        self.pages.get_mut(&page).map(|chunk| &mut **chunk)
+    }
+
+    /// [`Self::chunk_mut`], allocating the page's slots on first use.
+    pub(crate) fn chunk_or_insert(&mut self, page: u64) -> &mut Chunk {
+        self.pages.entry(page).or_insert_with(Chunk::new)
     }
 
     /// Coherence invariant check on one sub-page: at most one writable
@@ -320,19 +452,21 @@ impl Directory {
     /// assertions run it at the end of every path that changes `subpage`.
     #[must_use]
     pub fn violation_at(&self, subpage: u64) -> bool {
-        self.map
-            .get(&subpage)
+        self.holders(subpage)
             .is_some_and(Holders::violates_single_writer)
     }
 
-    /// [`Self::violation_at`] over the whole directory: returns a
-    /// violating sub-page, if any. Used by tests.
+    /// [`Self::violation_at`] over the whole directory: returns the
+    /// lowest violating sub-page, if any. Used by tests.
     #[must_use]
     pub fn find_violation(&self) -> Option<u64> {
-        self.map
+        let per_page = SUBPAGES_PER_PAGE as u64;
+        self.pages
             .iter()
-            .find(|(_, h)| h.violates_single_writer())
-            .map(|(&sp, _)| sp)
+            .flat_map(|(&page, chunk)| (page * per_page..).zip(&chunk.slots))
+            .filter(|(_, h)| h.violates_single_writer())
+            .map(|(sp, _)| sp)
+            .min()
     }
 }
 
@@ -378,14 +512,14 @@ mod tests {
         assert!(d.holders(1).unwrap().any_valid());
     }
 
-    /// The common one-holder list must not grow: about a million
-    /// sub-pages sit in the directory of a 32-cell NAS run.
+    /// A slot is 24 bytes, so one page's chunk of 128 slots is 3 KB plus
+    /// its atomic count, allocated once per page touched: a 32-cell FIG2
+    /// machine warms 64 MB, 4096 pages. An empty or one-holder slot lives
+    /// inside those 24 bytes; only lists of two or more holders allocate.
     #[test]
     fn short_lists_stay_small() {
-        assert_eq!(
-            std::mem::size_of::<Holders>(),
-            std::mem::size_of::<Vec<Entry>>()
-        );
+        assert_eq!(std::mem::size_of::<Holders>(), 24);
+        assert_eq!(std::mem::size_of::<Chunk>(), 3 * 1024 + 8);
         assert_eq!(std::mem::size_of::<Entry>(), 8);
     }
 
@@ -418,7 +552,7 @@ mod tests {
 
     /// Today's semantics, written the obvious way: a flat insertion-order
     /// list, linear scans everywhere.
-    #[derive(Default)]
+    #[derive(Debug, Default)]
     struct Reference(Vec<(usize, SubpageState)>);
 
     impl Reference {
@@ -439,26 +573,45 @@ mod tests {
                 .find(|&&(c, _)| c == cell)
                 .map_or(SubpageState::Missing, |&(_, s)| s)
         }
+
+        fn violates_single_writer(&self) -> bool {
+            let writers = self.0.iter().filter(|(_, s)| s.writable()).count();
+            let readers = self.0.iter().filter(|(_, s)| s.readable()).count();
+            writers > 1 || (writers == 1 && readers > 1)
+        }
+    }
+
+    /// Whether `h` uses the one representation its length calls for.
+    fn canonical(h: &Holders) -> bool {
+        let live = h.iter().count();
+        match &h.0 {
+            Repr::Empty => live == 0,
+            Repr::One(_) => live == 1,
+            Repr::Short(v) => v.len() == live && (2..=INDEX_ABOVE).contains(&live),
+            Repr::Long(l) => l.entries.len() > INDEX_ABOVE,
+        }
     }
 
     /// Differential test: seeded random `set` sequences over up to 1088
     /// cells, phases alternating growth and shrinkage so lists cross the
-    /// index threshold in both directions. After every step each query
-    /// must agree with the naive reference model.
+    /// one-holder boundary and the index threshold in both directions.
+    /// After every step each query must agree with the naive reference
+    /// model, and `set` must return the state it replaced.
     #[test]
     fn holders_match_a_naive_reference_model() {
         use SubpageState::*;
         const STATES: [SubpageState; 5] = [Missing, Invalid, Shared, Exclusive, Atomic];
         let mut rng = XorShift64::new(0x4b53_5231);
-        let (mut indexed, mut unindexed) = (0, 0);
+        let (mut indexed, mut unindexed, mut to_one, mut from_one) = (0, 0, 0, 0);
         for _ in 0..6 {
             let mut h = Holders::default();
             let mut r = Reference::default();
             for _phase in 0..8 {
-                // Cell span and removal rate for this phase: narrow spans
-                // hover around the threshold, the full span grows lists
-                // to hundreds of entries, high removal rates shrink them.
-                let span = [12, 24, 40, 1088][rng.next_index(4)];
+                // Cell span and removal rate for this phase: the narrowest
+                // span hovers around one holder, the next ones around the
+                // index threshold, the full span grows lists to hundreds
+                // of entries, high removal rates shrink them.
+                let span = [3, 12, 24, 40, 1088][rng.next_index(5)];
                 let p_missing = [0.1, 0.4, 0.8][rng.next_index(3)];
                 for _ in 0..400 {
                     let cell = rng.next_index(span);
@@ -468,13 +621,20 @@ mod tests {
                         STATES[1 + rng.next_index(4)]
                     };
                     let was_indexed = matches!(h.0, Repr::Long(_));
-                    h.set(cell, st);
+                    let was_one = matches!(h.0, Repr::One(_));
+                    assert_eq!(h.set(cell, st), r.state_of(cell), "replaced state");
                     r.set(cell, st);
                     match (was_indexed, matches!(h.0, Repr::Long(_))) {
                         (false, true) => indexed += 1,
                         (true, false) => unindexed += 1,
                         _ => {}
                     }
+                    match (was_one, matches!(h.0, Repr::One(_))) {
+                        (false, true) if r.0.len() == 1 && st == Missing => to_one += 1,
+                        (true, false) if r.0.len() == 2 => from_one += 1,
+                        _ => {}
+                    }
+                    assert!(canonical(&h), "representation of {} holders", r.0.len());
                     assert!(h.iter().eq(r.0.iter().copied()), "iteration order");
                     assert_eq!(h.state_of(cell), r.state_of(cell));
                     let probe = rng.next_index(1088);
@@ -491,6 +651,122 @@ mod tests {
         assert!(
             indexed > 0 && unindexed > 0,
             "lists must cross the index threshold both ways ({indexed} up, {unindexed} down)"
+        );
+        assert!(
+            to_one > 0 && from_one > 0,
+            "lists must cross the one-holder boundary both ways ({from_one} up, {to_one} down)"
+        );
+    }
+
+    /// Differential test of the page-chunked map against a flat
+    /// `BTreeMap` keyed by sub-page. The sub-pages straddle chunk
+    /// boundaries (slots 127/128/129 of neighbouring pages) and sit above
+    /// 2^32, where a truncated page or slot index would alias; removal
+    /// rates are high enough to empty slots, which `holders` must then
+    /// report as `None`, and `find_violation` must name the absolute
+    /// sub-page. A chunk counts its `Atomic` copies exactly, and pins a
+    /// cell exactly when the cell holds one of its sub-pages `Atomic`.
+    #[test]
+    fn directory_matches_a_flat_map_model() {
+        use std::collections::{BTreeMap, BTreeSet};
+        use SubpageState::*;
+        const HIGH: u64 = (1 << 32) + 1;
+        const SUBPAGES: [u64; 10] = [
+            0,
+            127,
+            128,
+            129,
+            255,
+            256,
+            HIGH * 128 - 1,
+            HIGH * 128,
+            HIGH * 128 + 1,
+            (1 << 40) + 5,
+        ];
+        let mut rng = XorShift64::new(0x4b53_5244);
+        let mut d = Directory::new();
+        let mut model: BTreeMap<u64, Reference> = BTreeMap::new();
+        let (mut emptied, mut clean) = (0, 0);
+        let mut first_violations = BTreeSet::new();
+        for step in 0..6000 {
+            // Phases of 500 steps alternately fill and drain the slots.
+            // Copies are mostly readers and place holders, so a writer
+            // beside them (a violation) comes and goes rather than
+            // sticking.
+            let p_missing = if (step / 500) % 2 == 0 { 0.2 } else { 0.8 };
+            let sp = SUBPAGES[rng.next_index(SUBPAGES.len())];
+            let cell = rng.next_index(6);
+            let st = if rng.next_bool(p_missing) {
+                Missing
+            } else {
+                match rng.next_index(20) {
+                    0 => Exclusive,
+                    1 => Atomic,
+                    2..=7 => Invalid,
+                    _ => Shared,
+                }
+            };
+            let r = model.entry(sp).or_default();
+            let was_held = !r.0.is_empty();
+            assert_eq!(d.set(sp, cell, st), r.state_of(cell), "replaced state");
+            r.set(cell, st);
+            if r.0.is_empty() {
+                model.remove(&sp);
+                emptied += usize::from(was_held);
+            }
+            for &q in &SUBPAGES {
+                let want = model.get(&q);
+                match (d.holders(q), want) {
+                    (None, None) => {}
+                    (Some(h), Some(r)) => assert!(h.iter().eq(r.0.iter().copied()), "sp {q}"),
+                    (got, _) => panic!("sp {q}: holders {got:?}, model {want:?}"),
+                }
+                for c in 0..6 {
+                    let want = want.map_or(Missing, |r| r.state_of(c));
+                    assert_eq!(d.state_of(q, c), want, "sp {q} cell {c}");
+                }
+                let bad = want.is_some_and(Reference::violates_single_writer);
+                assert_eq!(d.violation_at(q), bad, "sp {q}");
+                let page = q / SUBPAGES_PER_PAGE as u64;
+                let atomics = model
+                    .iter()
+                    .filter(|(&sp, _)| sp / SUBPAGES_PER_PAGE as u64 == page)
+                    .flat_map(|(_, r)| &r.0)
+                    .filter(|(_, s)| *s == Atomic)
+                    .count();
+                assert_eq!(
+                    d.chunk(page).map_or(0, |chunk| chunk.atomics as usize),
+                    atomics,
+                    "page {page} atomic count"
+                );
+                for c in 0..6 {
+                    let pinned = model.iter().any(|(&sp, r)| {
+                        sp / SUBPAGES_PER_PAGE as u64 == page && r.state_of(c) == Atomic
+                    });
+                    assert_eq!(
+                        d.chunk(page).is_some_and(|chunk| chunk.pins(c)),
+                        pinned,
+                        "page {page} cell {c}"
+                    );
+                }
+            }
+            let first_bad = model
+                .iter()
+                .find(|(_, r)| r.violates_single_writer())
+                .map(|(&q, _)| q);
+            match first_bad {
+                Some(q) => {
+                    first_violations.insert(q);
+                }
+                None => clean += 1,
+            }
+            assert_eq!(d.find_violation(), first_bad);
+        }
+        assert!(emptied > 100, "slots must empty often ({emptied})");
+        assert!(clean > 100, "violations must come and go ({clean} clean)");
+        assert!(
+            first_violations.len() >= 5,
+            "violations must show up across chunks: {first_violations:?}"
         );
     }
 }

@@ -230,6 +230,25 @@ fn trace_state(s: SubpageState) -> TraceState {
     }
 }
 
+/// Emit the [`TraceEvent::Coherence`] of one directory transition that
+/// changed a state.
+fn trace_transition(
+    tracer: &Tracer,
+    at: Cycles,
+    cell: usize,
+    subpage: u64,
+    from: SubpageState,
+    to: SubpageState,
+) {
+    tracer.emit_with(|| TraceEvent::Coherence {
+        at,
+        cell,
+        subpage,
+        from: trace_state(from),
+        to: trace_state(to),
+    });
+}
+
 impl MemorySystem {
     /// Build a memory system for `n_cells` processors over `fabric`.
     /// `seed` drives the random replacement policies.
@@ -298,21 +317,25 @@ impl MemorySystem {
 
     /// Set a sub-page's directory state in one cell, emitting a
     /// [`TraceEvent::Coherence`] when the state actually changes. *Every*
-    /// transition routes through here — including warm-up (stamped at
-    /// cycle 0) and evictions — so a checking sink shadowing the event
-    /// stream reconstructs the directory exactly.
+    /// transition emits through [`trace_transition`] — here, or in the
+    /// page-granular walks of warm-up (stamped at cycle 0) and evictions
+    /// — so a checking sink shadowing the event stream reconstructs the
+    /// directory exactly.
     fn set_state(&mut self, sp: u64, cell: usize, to: SubpageState, at: Cycles) {
-        let from = self.dir.state_of(sp, cell);
+        let from = self.dir.set(sp, cell, to);
         if from != to {
-            self.tracer.emit_with(|| TraceEvent::Coherence {
-                at,
-                cell,
-                subpage: sp,
-                from: trace_state(from),
-                to: trace_state(to),
-            });
+            trace_transition(&self.tracer, at, cell, sp, from, to);
         }
-        self.dir.set(sp, cell, to);
+    }
+
+    /// The cell holding `sp` atomic, if any, and `cell`'s own state: one
+    /// directory lookup for the checks that open an access.
+    fn atomic_holder_and_state(&self, sp: u64, cell: usize) -> (Option<usize>, SubpageState) {
+        self.dir
+            .holders(sp)
+            .map_or((None, SubpageState::Missing), |h| {
+                (h.atomic_holder(), h.state_of(cell))
+            })
     }
 
     /// Snapshot `sp`'s holder list, in insertion order, into the reusable
@@ -348,6 +371,12 @@ impl MemorySystem {
     }
 
     /// The data plane (authoritative bytes).
+    #[must_use]
+    pub fn data(&self) -> &SvaStore {
+        &self.data
+    }
+
+    /// Mutable access to the data plane.
     pub fn data_mut(&mut self) -> &mut SvaStore {
         &mut self.data
     }
@@ -421,21 +450,35 @@ impl MemorySystem {
         if !self.coherent {
             return;
         }
-        let first = subpage_of(addr);
+        let per_page = SUBPAGES_PER_PAGE as u64;
         let last = subpage_of(addr + len.saturating_sub(1));
-        for sp in first..=last {
-            self.ensure_page_costed(cell, sp * SUBPAGE_BYTES, 0);
-            // Steal the sub-page from whoever holds it.
-            let holders = self.take_holders(sp);
-            for &(c, _) in &holders {
-                if c != cell {
-                    self.set_state(sp, c, SubpageState::Missing, 0);
-                    self.subcaches[c].invalidate_subpage(sp);
+        let mut first = subpage_of(addr);
+        // Page by page: one frame check and one directory lookup per
+        // page, in the same order of transitions as sub-page by sub-page.
+        while first <= last {
+            self.ensure_page_costed(cell, first * SUBPAGE_BYTES, 0);
+            let page = first / per_page;
+            let end = last.min(page * per_page + per_page - 1);
+            let chunk = self.dir.chunk_or_insert(page);
+            for sp in first..=end {
+                let slot = (sp % per_page) as usize;
+                // Steal the sub-page from whoever holds it.
+                self.scratch_holders.clear();
+                self.scratch_holders.extend(chunk.holders(slot).iter());
+                for &(c, _) in &self.scratch_holders {
+                    if c != cell {
+                        let from = chunk.set(slot, c, SubpageState::Missing);
+                        trace_transition(&self.tracer, 0, c, sp, from, SubpageState::Missing);
+                        self.subcaches[c].invalidate_subpage(sp);
+                    }
                 }
+                let from = chunk.set(slot, cell, SubpageState::Exclusive);
+                if from != SubpageState::Exclusive {
+                    trace_transition(&self.tracer, 0, cell, sp, from, SubpageState::Exclusive);
+                }
+                self.spilled.remove(&sp);
             }
-            self.scratch_holders = holders;
-            self.set_state(sp, cell, SubpageState::Exclusive, 0);
-            self.spilled.remove(&sp);
+            first = end + 1;
         }
     }
 
@@ -499,12 +542,10 @@ impl MemorySystem {
         is_write: bool,
         now: Cycles,
     ) -> Outcome {
-        if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
-            if owner != cell {
-                return Outcome::BlockedOnAtomic { subpage: sp };
-            }
+        let (owner, st) = self.atomic_holder_and_state(sp, cell);
+        if owner.is_some_and(|owner| owner != cell) {
+            return Outcome::BlockedOnAtomic { subpage: sp };
         }
-        let st = self.dir.state_of(sp, cell);
         let perm = if is_write {
             st.writable()
         } else {
@@ -605,7 +646,7 @@ impl MemorySystem {
             t
         } else {
             let transit = self.transit_for(cell, &holders);
-            let self_shared = self.dir.state_of(sp, cell) == SubpageState::Shared;
+            let self_shared = holders.contains(&(cell, SubpageState::Shared));
             let kind = match want {
                 Want::Shared => PacketKind::ReadData,
                 Want::Exclusive if self_shared => PacketKind::Invalidate,
@@ -737,9 +778,7 @@ impl MemorySystem {
     fn ensure_page_costed(&mut self, cell: usize, addr: u64, at: Cycles) -> bool {
         let dir = &self.dir;
         let alloc = self.localcaches[cell].ensure_page_with(addr, |page| {
-            let first = page * SUBPAGES_PER_PAGE as u64;
-            (first..first + SUBPAGES_PER_PAGE as u64)
-                .all(|s| dir.state_of(s, cell) != SubpageState::Atomic)
+            dir.chunk(page).is_none_or(|chunk| !chunk.pins(cell))
         });
         match alloc {
             PageAlloc::AlreadyPresent => false,
@@ -758,13 +797,15 @@ impl MemorySystem {
     /// sub-pages whose last copy this eviction removed are marked
     /// *spilled*, and cost a ring fetch to get back.
     fn purge_page(&mut self, cell: usize, page: u64, at: Cycles) {
-        let first = page * SUBPAGES_PER_PAGE as u64;
-        for sp in first..first + SUBPAGES_PER_PAGE as u64 {
-            if self.dir.state_of(sp, cell) != SubpageState::Missing {
-                let had_data = self.dir.state_of(sp, cell).readable();
-                self.set_state(sp, cell, SubpageState::Missing, at);
-                if had_data && !self.dir.holders(sp).is_some_and(|h| h.any_valid()) {
-                    self.spilled.insert(sp);
+        if let Some(chunk) = self.dir.chunk_mut(page) {
+            let first = page * SUBPAGES_PER_PAGE as u64;
+            for (sp, slot) in (first..).zip(0..SUBPAGES_PER_PAGE) {
+                let from = chunk.set(slot, cell, SubpageState::Missing);
+                if from != SubpageState::Missing {
+                    trace_transition(&self.tracer, at, cell, sp, from, SubpageState::Missing);
+                    if from.readable() && !chunk.holders(slot).any_valid() {
+                        self.spilled.insert(sp);
+                    }
                 }
             }
         }
@@ -774,7 +815,8 @@ impl MemorySystem {
     // ----- atomic sub-page operations ------------------------------------------
 
     fn get_sub_page(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
-        if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
+        let (owner, st) = self.atomic_holder_and_state(sp, cell);
+        if let Some(owner) = owner {
             if owner == cell {
                 // Re-acquire by the holder is a cheap local test.
                 return Outcome::Done {
@@ -808,7 +850,6 @@ impl MemorySystem {
             // than quadratic in the processor count).
             return Outcome::AtomicFailed { done_at };
         }
-        let st = self.dir.state_of(sp, cell);
         if st.writable() {
             // Already exclusive here: flip to atomic locally.
             let done_at = now + self.timing.atomic_overhead;
@@ -842,15 +883,13 @@ impl MemorySystem {
 
     fn prefetch(&mut self, cell: usize, sp: u64, exclusive: bool, now: Cycles) -> Outcome {
         let issue_done = now + self.timing.prefetch_issue;
-        if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
-            if owner != cell {
-                // Prefetching a locked sub-page quietly does nothing.
-                return Outcome::Done {
-                    done_at: issue_done,
-                };
-            }
+        let (owner, st) = self.atomic_holder_and_state(sp, cell);
+        if owner.is_some_and(|owner| owner != cell) {
+            // Prefetching a locked sub-page quietly does nothing.
+            return Outcome::Done {
+                done_at: issue_done,
+            };
         }
-        let st = self.dir.state_of(sp, cell);
         let satisfied = if exclusive {
             st.writable()
         } else {
