@@ -34,6 +34,7 @@
 //! progress, `[written:]` / `[summary:]` / `[check:]` / `[cache:]`
 //! status lines, errors — goes to **stderr**.
 
+use std::ffi::OsString;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -59,12 +60,22 @@ pub struct Cli {
 }
 
 /// Parse `args` (not including the program name) over environment
-/// defaults. Returns an error message for unknown or malformed flags and
-/// for inconsistent combinations (sharding without a cache, `--shard`
-/// with `--join` or `--check`).
+/// defaults. Returns an error message for unknown or malformed flags, for
+/// a malformed `KSR_SEED` or `KSR_JOBS`, and for inconsistent
+/// combinations (sharding without a cache, `--shard` with `--join` or
+/// `--check`).
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
+    parse_args_with(args, |name| std::env::var_os(name))
+}
+
+/// [`parse_args`] over the variable lookup `var` instead of the process
+/// environment (see [`RunOpts::from_vars`]).
+pub(crate) fn parse_args_with(
+    args: impl IntoIterator<Item = String>,
+    var: impl Fn(&str) -> Option<OsString>,
+) -> Result<Cli, String> {
     let mut cli = Cli {
-        opts: RunOpts::from_env(),
+        opts: RunOpts::from_vars(var)?,
         list: false,
         only: Vec::new(),
         join: false,
@@ -484,6 +495,36 @@ mod tests {
         assert!(parse_args(["--bogus".to_string()]).is_err());
         assert!(parse_args(["--seed".to_string(), "x".to_string()]).is_err());
         assert!(parse_args(["--jobs".to_string(), "x".to_string()]).is_err());
+    }
+
+    /// A set but malformed `KSR_SEED` or `KSR_JOBS` is an error, like a
+    /// malformed `--seed` or `--jobs`, instead of silently running the
+    /// default; unset or empty keeps the default.
+    #[test]
+    fn malformed_seed_or_jobs_variable_is_an_error() {
+        let parse = |vars: &[(&str, &str)]| {
+            parse_args_with(std::iter::empty(), |name| {
+                vars.iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| OsString::from(v))
+            })
+        };
+        assert_eq!(
+            parse(&[("KSR_SEED", "abc")]).unwrap_err(),
+            "bad KSR_SEED value: abc"
+        );
+        assert_eq!(
+            parse(&[("KSR_JOBS", "xyz")]).unwrap_err(),
+            "bad KSR_JOBS value: xyz"
+        );
+        assert!(parse(&[("KSR_SEED", "7"), ("KSR_JOBS", "-1")]).is_err());
+        let cli = parse(&[("KSR_SEED", ""), ("KSR_JOBS", "")]).unwrap();
+        assert_eq!(cli.opts.seed, 0);
+        assert!(cli.opts.jobs >= 1);
+        let cli = parse(&[("KSR_SEED", "7"), ("KSR_JOBS", "3")]).unwrap();
+        assert_eq!((cli.opts.seed, cli.opts.jobs), (7, 3));
+        let cli = parse(&[("KSR_JOBS", "0")]).unwrap();
+        assert_eq!(cli.opts.jobs, 1, "a zero worker count clamps to serial");
     }
 
     #[test]

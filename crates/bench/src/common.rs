@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: run options, output capture, and result
 //! files (text, CSV, and machine-readable JSON).
 
+use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,7 +13,7 @@ use ksr_core::Json;
 /// [`crate::registry::Experiment`] receives.
 ///
 /// Replaces the old bare `quick: bool` argument. Environment variables
-/// provide the defaults ([`RunOpts::from_env`]); binaries layer CLI flags
+/// provide the defaults ([`RunOpts::from_vars`]); binaries layer CLI flags
 /// on top.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOpts {
@@ -108,24 +109,50 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Options taken entirely from the environment: `KSR_QUICK`,
-    /// `KSR_SEED`, `KSR_RESULTS`, `KSR_CHECK`, `KSR_JOBS`, `KSR_CACHE`.
-    /// (Sharding is per-invocation, so `--shard` stays CLI-only.)
-    #[must_use]
-    pub fn from_env() -> Self {
-        let seed = std::env::var("KSR_SEED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        Self {
-            quick: quick_mode(),
+    /// Options taken entirely from the environment variables
+    /// `KSR_QUICK`, `KSR_SEED`, `KSR_RESULTS`, `KSR_CHECK`, `KSR_JOBS`
+    /// and `KSR_CACHE`, read through `var`: the binaries pass the process
+    /// environment, tests a fixed table (test threads share one process
+    /// environment). Sharding is per-invocation, so `--shard` stays
+    /// CLI-only. An unset or empty `KSR_SEED` or `KSR_JOBS` keeps its
+    /// default (seed 0; the host parallelism capped at
+    /// [`MAX_DEFAULT_JOBS`]); a `KSR_JOBS` of 0 means serial.
+    ///
+    /// # Errors
+    ///
+    /// `bad KSR_SEED value: ...` or `bad KSR_JOBS value: ...` for a value
+    /// that does not parse, rather than silently running the default.
+    pub fn from_vars(var: impl Fn(&str) -> Option<OsString>) -> Result<Self, String> {
+        let number = |name: &str| -> Result<Option<u64>, String> {
+            match var(name).filter(|v| !v.is_empty()) {
+                None => Ok(None),
+                Some(v) => v
+                    .to_str()
+                    .and_then(|s| s.parse().ok())
+                    .map(Some)
+                    .ok_or_else(|| format!("bad {name} value: {}", v.to_string_lossy())),
+            }
+        };
+        let on = |name: &str| var(name).is_some_and(|v| v != "0");
+        let seed = number("KSR_SEED")?.unwrap_or(0);
+        let jobs = match number("KSR_JOBS")? {
+            Some(j) => usize::try_from(j).unwrap_or(usize::MAX).max(1),
+            None => std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+                .min(MAX_DEFAULT_JOBS),
+        };
+        Ok(Self {
+            quick: on("KSR_QUICK"),
             seed,
-            results_dir: results_dir(),
-            check: check_mode(),
-            jobs: default_jobs(),
-            cache: cache_dir(),
+            results_dir: var("KSR_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from),
+            check: on("KSR_CHECK"),
+            jobs,
+            cache: var("KSR_CACHE")
+                .filter(|v| !v.is_empty())
+                .map(PathBuf::from),
             shard: None,
-        }
+        })
     }
 
     /// Quick-mode options with default seed and results directory.
@@ -375,52 +402,11 @@ pub fn write_summary(outputs: &[ExperimentOutput], opts: &RunOpts) -> std::io::R
     Ok(path)
 }
 
-/// Whether quick mode is active (smaller sweeps for CI and tests). Set
-/// with `KSR_QUICK=1`.
-#[must_use]
-pub fn quick_mode() -> bool {
-    std::env::var_os("KSR_QUICK").is_some_and(|v| v != "0")
-}
-
-/// Whether verification mode is active (see [`RunOpts::check`]). Set
-/// with `KSR_CHECK=1`.
-#[must_use]
-pub fn check_mode() -> bool {
-    std::env::var_os("KSR_CHECK").is_some_and(|v| v != "0")
-}
-
 /// Default results directory: `results/` under the workspace root (or the
 /// current directory when run elsewhere).
 #[must_use]
 pub fn results_dir() -> PathBuf {
     PathBuf::from(std::env::var_os("KSR_RESULTS").unwrap_or_else(|| "results".into()))
-}
-
-/// Default cache directory from `KSR_CACHE`; unset (or empty) disables
-/// caching.
-#[must_use]
-pub fn cache_dir() -> Option<PathBuf> {
-    std::env::var_os("KSR_CACHE")
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
-/// Default worker count: `KSR_JOBS` if set, otherwise the host's
-/// available parallelism capped at [`MAX_DEFAULT_JOBS`].
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::env::var("KSR_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map_or_else(
-            || {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(MAX_DEFAULT_JOBS)
-            },
-            |j| j.max(1),
-        )
 }
 
 /// Processor counts for a 32-cell sweep.

@@ -16,11 +16,12 @@
 //! chunk stays allocated after its slots empty.
 //!
 //! **Complexity.** Every per-cell operation ([`Holders::state_of`],
-//! [`Holders::set`], [`Holders::atomic_holder`], [`Holders::any_valid`])
-//! is O(1) expected: short lists are scanned (at most 16 entries), long
-//! lists carry an out-of-line cell → position index. An
-//! invalidation or snarf sweep over H holders therefore costs O(H), not
-//! O(H²) — at 1024 cells, a hot lock word's holder list is ~1024 long.
+//! [`Holders::set`], [`Holders::atomic_holder`], [`Holders::any_valid`],
+//! `readable_count`) is O(1) expected: short lists are scanned (at most
+//! 16 entries), long lists carry an out-of-line cell → position index
+//! and readable and atomic counts. An invalidation or snarf sweep over H
+//! holders therefore costs O(H), not O(H²) — at 1024 cells, a hot lock
+//! word's holder list is ~1024 long.
 //!
 //! **Order contract.** [`Holders::iter`] yields entries in insertion
 //! order: a cell keeps its place while its state changes, an entry set to
@@ -319,6 +320,16 @@ impl Holders {
         match &self.0 {
             Repr::Long(l) => l.readable > 0,
             _ => self.entries().iter().any(|(_, s)| s.readable()),
+        }
+    }
+
+    /// Number of readable copies. Under the single-writer invariant a
+    /// list with an `Atomic` copy has exactly one.
+    #[must_use]
+    pub(crate) fn readable_count(&self) -> usize {
+        match &self.0 {
+            Repr::Long(l) => l.readable,
+            _ => self.entries().iter().filter(|(_, s)| s.readable()).count(),
         }
     }
 
@@ -644,6 +655,10 @@ mod tests {
                         r.0.iter().find(|(_, s)| *s == Atomic).map(|&(c, _)| c)
                     );
                     assert_eq!(h.any_valid(), r.0.iter().any(|(_, s)| s.readable()));
+                    assert_eq!(
+                        h.readable_count(),
+                        r.0.iter().filter(|(_, s)| s.readable()).count()
+                    );
                     assert_eq!(h.is_empty(), r.0.is_empty());
                 }
             }

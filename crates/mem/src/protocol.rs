@@ -738,14 +738,18 @@ impl MemorySystem {
         self.transit_for_iter(cell, holders.iter().copied())
     }
 
-    /// [`Self::transit_for`] reading the directory in place — for call
-    /// sites that don't otherwise need a holder snapshot, so the request
-    /// path stays allocation-free.
-    fn transit_for_dir(&self, cell: usize, sp: u64) -> Transit {
-        self.transit_for_iter(
-            cell,
-            self.dir.holders(sp).into_iter().flat_map(|h| h.iter()),
-        )
+    /// [`Self::transit_for`] for a `get_sub_page` that `owner`'s `Atomic`
+    /// copy rejects, reading the directory in place. The single-writer
+    /// invariant leaves `owner` the list's only readable copy, and the
+    /// transit rule only looks at readable copies, so it gets that one
+    /// entry: O(1) however many place holders a hot sub-page collected.
+    /// Only a seeded [`ProtocolFault`] leaves several readable copies;
+    /// then the whole list is walked, in order.
+    fn rejection_transit(&self, cell: usize, sp: u64, owner: usize) -> Transit {
+        match self.dir.holders(sp) {
+            Some(h) if h.readable_count() > 1 => self.transit_for_iter(cell, h.iter()),
+            _ => self.transit_for_iter(cell, std::iter::once((owner, SubpageState::Atomic))),
+        }
     }
 
     fn transit_for_iter(
@@ -826,7 +830,7 @@ impl MemorySystem {
             // Rejected: the request still circulates the ring and still
             // serializes against other same-sub-page traffic.
             let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
-            let transit = self.transit_for_dir(cell, sp);
+            let transit = self.rejection_transit(cell, sp, owner);
             let timing = self
                 .fabric
                 .transact(t0, cell, transit, sp, PacketKind::GetSubPage);
@@ -1141,17 +1145,21 @@ mod tests {
         assert_eq!(m.perfmon(1).remote_references, 0);
     }
 
+    /// 1024 cells on a three-level ring: 32 leaf rings of 32 cells.
+    fn ring_1024() -> MemorySystem {
+        use ksr_net::{RingHierarchy, RingHierarchyConfig};
+        let fabric = Fabric::Ring(
+            RingHierarchy::new(RingHierarchyConfig::ring_levels(&[32, 8, 4])).unwrap(),
+        );
+        MemorySystem::new(MemGeometry::ksr1(), CacheTiming::ksr1(), fabric, 1024, 42).unwrap()
+    }
+
     /// Known values on a 1024-cell three-level ring: every cell reads one
     /// sub-page, then one cell writes it. The write is a single upgrade
     /// whose sweep invalidates all 1023 other copies, in insertion order.
     #[test]
     fn thousand_readers_then_one_writer() {
-        use ksr_net::{RingHierarchy, RingHierarchyConfig};
-        let fabric = Fabric::Ring(
-            RingHierarchy::new(RingHierarchyConfig::ring_levels(&[32, 8, 4])).unwrap(),
-        );
-        let mut m =
-            MemorySystem::new(MemGeometry::ksr1(), CacheTiming::ksr1(), fabric, 1024, 42).unwrap();
+        let mut m = ring_1024();
         let mut t = 0;
         for cell in 0..1024 {
             t = done(m.access(cell, 0, MemOp::Read, t));
@@ -1185,6 +1193,129 @@ mod tests {
         }
         assert_eq!(holders.atomic_holder(), None);
         assert_eq!(m.directory().find_violation(), None);
+    }
+
+    /// Known values for a rejection on a hot sub-page: 1023 cells hold
+    /// `Invalid` place holders and cell 530, on leaf ring 16, holds the
+    /// sub-page `Atomic`. A rejected `get_sub_page` goes to the one
+    /// readable copy: across the hierarchy (one RMR) from leaf 0, within
+    /// the leaf ring (no RMR) from leaf 16.
+    #[test]
+    fn rejection_goes_to_the_atomic_holder() {
+        let mut m = ring_1024();
+        let mut t = 0;
+        for cell in 0..1024 {
+            t = done(m.access(cell, 0, MemOp::Read, t));
+        }
+        let owner = 530;
+        t = done(m.access(owner, 0, MemOp::GetSubPage, t));
+        let holders = m.directory().holders(0).unwrap();
+        assert_eq!(holders.atomic_holder(), Some(owner));
+        assert_eq!(holders.readable_count(), 1);
+        assert_eq!(
+            holders
+                .iter()
+                .filter(|&(_, s)| s == SubpageState::Invalid)
+                .count(),
+            1023
+        );
+        for (cell, transit, rmr) in [
+            (0, Transit::CrossRing { dst_leaf: 16 }, 1),
+            (520, Transit::Local, 0),
+        ] {
+            assert_eq!(m.rejection_transit(cell, 0, owner), transit, "cell {cell}");
+            let before = *m.perfmon(cell);
+            let o = m.access(cell, 0, MemOp::GetSubPage, t);
+            assert!(matches!(o, Outcome::AtomicFailed { .. }), "{o:?}");
+            let after = m.perfmon(cell);
+            assert_eq!(after.ring_transactions - before.ring_transactions, 1);
+            assert_eq!(after.remote_references - before.remote_references, rmr);
+            assert_eq!(after.atomic_rejections - before.atomic_rejections, 1);
+        }
+    }
+
+    /// Differential test of the rejection shortcut: over seeded holder
+    /// lists on the 1024-cell ring, the transit of a rejected
+    /// `get_sub_page` equals the ordered walk over the full list. Lists
+    /// grow and shrink across the 16-entry index threshold; half the
+    /// checks first demote every other readable copy (the states a correct
+    /// protocol leaves), the rest keep them (the states a seeded fault can
+    /// leave: several readable copies beside the atomic one).
+    #[test]
+    fn rejection_transit_matches_the_full_list_walk() {
+        use SubpageState::*;
+        let mut m = ring_1024();
+        let mut rng = XorShift64::new(0x4b53_5254);
+        let (mut short, mut long, mut sole, mut several) = (0, 0, 0, 0);
+        let (mut local, mut cross) = (0, 0);
+        for phase in 0..48 {
+            // Six sub-pages, eight phases each. Cells are spread over the
+            // leaf rings. The narrow spans keep lists short, the wide ones
+            // grow them past the threshold, and high removal rates shrink
+            // them again.
+            let sp = phase / 8;
+            let span = [3, 12, 24, 40, 1024][rng.next_index(5)];
+            let p_missing = [0.1, 0.4, 0.8][rng.next_index(3)];
+            for _ in 0..300 {
+                let cell = rng.next_index(span) * 37 % 1024;
+                let st = if rng.next_bool(p_missing) {
+                    Missing
+                } else {
+                    match rng.next_index(8) {
+                        0..=4 => Invalid,
+                        5 => Shared,
+                        6 => Exclusive,
+                        _ => Atomic,
+                    }
+                };
+                m.dir.set(sp, cell, st);
+                let Some(owner) = m.dir.holders(sp).and_then(|h| h.atomic_holder()) else {
+                    continue;
+                };
+                if rng.next_bool(0.5) {
+                    let others = m.take_holders(sp);
+                    for &(c, s) in &others {
+                        if c != owner && s.readable() {
+                            m.dir.set(sp, c, Invalid);
+                        }
+                    }
+                    m.scratch_holders = others;
+                }
+                let holders = m.dir.holders(sp).unwrap();
+                if holders.iter().count() > 16 {
+                    long += 1;
+                } else {
+                    short += 1;
+                }
+                if holders.readable_count() == 1 {
+                    sole += 1;
+                } else {
+                    several += 1;
+                }
+                for _ in 0..4 {
+                    let requester = rng.next_index(1024);
+                    if requester == owner {
+                        continue;
+                    }
+                    let want = m.transit_for_iter(requester, holders.iter());
+                    assert_eq!(m.rejection_transit(requester, sp, owner), want);
+                    match want {
+                        Transit::Local => local += 1,
+                        Transit::CrossRing { .. } => cross += 1,
+                    }
+                }
+            }
+        }
+        for (what, n) in [
+            ("short lists", short),
+            ("long lists", long),
+            ("one readable copy", sole),
+            ("several readable copies", several),
+            ("local transits", local),
+            ("cross-ring transits", cross),
+        ] {
+            assert!(n > 50, "too few checks with {what}: {n}");
+        }
     }
 
     #[test]

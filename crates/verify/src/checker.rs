@@ -14,7 +14,8 @@
 //! * `get_sub_page` lands in `Atomic`, and `release_sub_page` is only
 //!   issued while the releasing cell holds the sub-page `Atomic`;
 //! * a snarf refill lands on a `Shared` copy, an invalidation leaves an
-//!   `Invalid` place holder, an atomic rejection implies a live holder;
+//!   `Invalid` place holder, an atomic rejection implies a live holder
+//!   other than the rejected cell;
 //! * a data write only commits on a cell holding write permission.
 //!
 //! Because `ksr-mem` routes *every* directory transition (including
@@ -47,7 +48,7 @@ pub enum Rule {
     SnarfState,
     /// An invalidation event on a cell not left `Invalid`.
     InvalidationState,
-    /// A `get_sub_page` rejection while no cell holds the sub-page
+    /// A `get_sub_page` rejection while no other cell holds the sub-page
     /// atomic.
     RejectionWithoutHolder,
     /// A `get_sub_page` that did not land in the state it promises
@@ -120,60 +121,91 @@ impl Default for CheckerConfig {
 }
 
 /// A [`TraceSink`] asserting the ALLCACHE invariants online.
+///
+/// **Shadow layout.** Two flat maps hold the shadow: each cell's copy of
+/// each sub-page, keyed by (sub-page, cell), and per-sub-page counts of
+/// live, writable, `Shared` and `Atomic` copies. Every per-event step —
+/// a cell's state, a transition, the holder-set invariants, the
+/// rejection check — is therefore O(1) expected however many cells hold
+/// a hot sub-page, and a sub-page held by one cell allocates nothing of
+/// its own. Cell lists are only built for a reported violation: each
+/// copy carries the stamp of its latest transition, and sorting by it
+/// lists cells in the order of their latest transitions.
+///
+/// The shadow deliberately shares no code with `ksr_mem::directory`: the
+/// checker is the protocol's oracle, so a bug in the directory's holder
+/// lists must not be able to hide from it.
 #[derive(Debug)]
 pub struct CheckingSink {
     cfg: CheckerConfig,
-    /// Per-sub-page non-`Missing` holder states.
-    shadow: FxHashMap<u64, Vec<(usize, TraceState)>>,
+    /// Every non-`Missing` copy, keyed by (sub-page, cell).
+    copies: FxHashMap<(u64, usize), Held>,
+    /// Copy counts of every sub-page with a non-`Missing` copy.
+    counts: FxHashMap<u64, Counts>,
+    /// Transitions applied so far; the last one's [`Held::stamp`].
+    transitions: u64,
+    /// The highest cell that ever held a copy: report-time cell lists
+    /// probe the cells up to it.
+    max_cell: usize,
     recent: RingBufferSink,
     violations: Vec<Violation>,
     truncated: u64,
     events_seen: u64,
 }
 
-fn writable(s: TraceState) -> bool {
-    matches!(s, TraceState::Exclusive | TraceState::Atomic)
+/// One cell's copy of one sub-page.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    state: TraceState,
+    /// When the copy last changed state, counted in transitions.
+    stamp: u64,
 }
 
-/// The single-writer invariants over one sub-page's shadow holder set:
-/// the broken rule and its message, if any. Reads the set in place and
-/// only collects cell lists once a violation is found.
-fn holder_set_violation(sp: u64, holders: &[(usize, TraceState)]) -> Option<(Rule, String)> {
-    let writers = || {
-        holders
-            .iter()
-            .filter(|(_, s)| writable(*s))
-            .map(|(c, _)| *c)
-    };
-    match writers().count() {
-        0 => None,
-        1 => {
-            let sharers = || {
-                holders
-                    .iter()
-                    .filter(|(_, s)| *s == TraceState::Shared)
-                    .map(|(c, _)| *c)
-            };
-            sharers().next()?;
-            let writer = writers().next()?;
-            let sharers: Vec<usize> = sharers().collect();
-            Some((
-                Rule::SharedWithWriter,
-                format!(
-                    "sub-page {sp}: cell {writer} holds a writable copy while cells \
-                     {sharers:?} still hold Shared copies (invalidation not \
-                     acknowledged before the write side committed)"
-                ),
-            ))
+/// Copy counts of one sub-page.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    /// Non-`Missing` copies, place holders included.
+    live: u32,
+    /// `Exclusive` and `Atomic` copies.
+    writable: u32,
+    shared: u32,
+    atomic: u32,
+}
+
+impl Counts {
+    /// Count a copy in state `s` entering (`true`) or leaving the set.
+    fn count(&mut self, s: TraceState, entering: bool) {
+        let step = |n: &mut u32| {
+            if entering {
+                *n += 1;
+            } else {
+                *n -= 1;
+            }
+        };
+        step(&mut self.live);
+        if writable(s) {
+            step(&mut self.writable);
         }
-        n => {
-            let writers: Vec<usize> = writers().collect();
-            Some((
-                Rule::MultipleWriters,
-                format!("sub-page {sp} has {n} writable copies: cells {writers:?}"),
-            ))
+        match s {
+            TraceState::Shared => step(&mut self.shared),
+            TraceState::Atomic => step(&mut self.atomic),
+            _ => {}
         }
     }
+
+    /// The single-writer rule these counts break, if any.
+    fn violation(self) -> Option<Rule> {
+        match self.writable {
+            0 => None,
+            1 if self.shared == 0 => None,
+            1 => Some(Rule::SharedWithWriter),
+            _ => Some(Rule::MultipleWriters),
+        }
+    }
+}
+
+fn writable(s: TraceState) -> bool {
+    matches!(s, TraceState::Exclusive | TraceState::Atomic)
 }
 
 /// Legal per-cell transitions of the ALLCACHE protocol. `Missing` never
@@ -202,7 +234,10 @@ impl CheckingSink {
     pub fn new(cfg: CheckerConfig) -> Self {
         Self {
             cfg,
-            shadow: FxHashMap::default(),
+            copies: FxHashMap::default(),
+            counts: FxHashMap::default(),
+            transitions: 0,
+            max_cell: 0,
             recent: RingBufferSink::new(cfg.window),
             violations: Vec::new(),
             truncated: 0,
@@ -243,27 +278,99 @@ impl CheckingSink {
     }
 
     fn holder_state(&self, sp: u64, cell: usize) -> TraceState {
-        self.shadow
-            .get(&sp)
-            .and_then(|h| h.iter().find(|(c, _)| *c == cell))
-            .map_or(TraceState::Missing, |(_, s)| *s)
+        self.copies
+            .get(&(sp, cell))
+            .map_or(TraceState::Missing, |h| h.state)
     }
 
-    fn set_holder(&mut self, sp: u64, cell: usize, to: TraceState) {
-        let holders = self.shadow.entry(sp).or_default();
-        holders.retain(|(c, _)| *c != cell);
-        if to != TraceState::Missing {
-            holders.push((cell, to));
-        } else if holders.is_empty() {
-            self.shadow.remove(&sp);
+    /// Whether any cell holds a copy of `sp`, place holders included.
+    fn any_holder(&self, sp: u64) -> bool {
+        self.counts.contains_key(&sp)
+    }
+
+    /// Apply one transition of `cell`'s copy of `sp`. Returns the state
+    /// it replaced and `sp`'s counts afterwards (`None` once no copy is
+    /// left).
+    fn set_holder(&mut self, sp: u64, cell: usize, to: TraceState) -> (TraceState, Option<Counts>) {
+        let old = if to == TraceState::Missing {
+            self.copies.remove(&(sp, cell))
+        } else {
+            self.transitions += 1;
+            self.max_cell = self.max_cell.max(cell);
+            let held = Held {
+                state: to,
+                stamp: self.transitions,
+            };
+            self.copies.insert((sp, cell), held)
+        };
+        let from = old.map_or(TraceState::Missing, |h| h.state);
+        if old.is_none() && to == TraceState::Missing {
+            return (from, self.counts.get(&sp).copied());
         }
+        let counts = self.counts.entry(sp).or_default();
+        if old.is_some() {
+            counts.count(from, false);
+        }
+        if to != TraceState::Missing {
+            counts.count(to, true);
+        }
+        let after = *counts;
+        if after.live == 0 {
+            self.counts.remove(&sp);
+            return (from, None);
+        }
+        (from, Some(after))
     }
 
-    fn report(&mut self, at: Cycles, cell: usize, subpage: u64, rule: Rule, message: String) {
+    /// The cells holding `sp` in a state `keep` accepts, in the order of
+    /// their latest transitions. Probes every cell up to
+    /// [`Self::max_cell`], so only a reported violation builds one.
+    fn cells_holding(&self, sp: u64, keep: impl Fn(TraceState) -> bool) -> Vec<usize> {
+        let mut held: Vec<(u64, usize)> = (0..=self.max_cell)
+            .filter_map(|c| {
+                self.copies
+                    .get(&(sp, c))
+                    .filter(|h| keep(h.state))
+                    .map(|h| (h.stamp, c))
+            })
+            .collect();
+        held.sort_unstable();
+        held.into_iter().map(|(_, c)| c).collect()
+    }
+
+    /// The message of a broken single-writer rule on `sp`.
+    fn holder_set_message(&self, sp: u64, rule: Rule) -> String {
+        let writers = self.cells_holding(sp, writable);
+        if rule == Rule::MultipleWriters {
+            return format!(
+                "sub-page {sp} has {} writable copies: cells {writers:?}",
+                writers.len()
+            );
+        }
+        let sharers = self.cells_holding(sp, |s| s == TraceState::Shared);
+        format!(
+            "sub-page {sp}: cell {} holds a writable copy while cells \
+             {sharers:?} still hold Shared copies (invalidation not \
+             acknowledged before the write side committed)",
+            writers[0]
+        )
+    }
+
+    /// Record a violation. The message is only built for a violation
+    /// that is kept: past the cap, a seeded fault's cascade only counts.
+    fn report(
+        &mut self,
+        at: Cycles,
+        cell: usize,
+        subpage: u64,
+        rule: Rule,
+        message: impl FnOnce(&Self) -> String,
+    ) {
         if self.violations.len() >= self.cfg.max_violations {
             self.truncated += 1;
             return;
         }
+        let message = message(self);
         self.violations.push(Violation {
             at,
             cell,
@@ -282,21 +389,17 @@ impl CheckingSink {
         from: TraceState,
         to: TraceState,
     ) {
-        let shadowed = self.holder_state(sp, cell);
+        let (shadowed, counts) = self.set_holder(sp, cell, to);
         if shadowed != from {
-            self.report(
-                at,
-                cell,
-                sp,
-                Rule::StaleTransition,
+            self.report(at, cell, sp, Rule::StaleTransition, |_| {
                 format!(
                     "cell {cell} reports transition {} -> {} on sub-page {sp}, but the \
                      event stream implies it held {}",
                     from.label(),
                     to.label(),
                     shadowed.label()
-                ),
-            );
+                )
+            });
         }
         if !legal_transition(from, to) {
             let rule = if from == TraceState::Atomic {
@@ -304,27 +407,17 @@ impl CheckingSink {
             } else {
                 Rule::IllegalTransition
             };
-            self.report(
-                at,
-                cell,
-                sp,
-                rule,
+            self.report(at, cell, sp, rule, |_| {
                 format!(
                     "illegal transition {} -> {} on sub-page {sp} in cell {cell}",
                     from.label(),
                     to.label()
-                ),
-            );
+                )
+            });
         }
-        self.set_holder(sp, cell, to);
-
         // Global invariants over the holder set after the transition.
-        let finding = self
-            .shadow
-            .get(&sp)
-            .and_then(|holders| holder_set_violation(sp, holders));
-        if let Some((rule, message)) = finding {
-            self.report(at, cell, sp, rule, message);
+        if let Some(rule) = counts.and_then(Counts::violation) {
+            self.report(at, cell, sp, rule, |me| me.holder_set_message(sp, rule));
         }
     }
 
@@ -340,51 +433,46 @@ impl CheckingSink {
             TraceEvent::Snarf { at, cell, subpage } => {
                 let st = self.holder_state(subpage, cell);
                 if st != TraceState::Shared {
-                    self.report(
-                        at,
-                        cell,
-                        subpage,
-                        Rule::SnarfState,
+                    self.report(at, cell, subpage, Rule::SnarfState, |_| {
                         format!(
                             "snarf refill on sub-page {subpage} left cell {cell} in {}, \
                              not Shared",
                             st.label()
-                        ),
-                    );
+                        )
+                    });
                 }
             }
             TraceEvent::Invalidation { at, cell, subpage } => {
                 let st = self.holder_state(subpage, cell);
                 if st != TraceState::Invalid {
-                    self.report(
-                        at,
-                        cell,
-                        subpage,
-                        Rule::InvalidationState,
+                    self.report(at, cell, subpage, Rule::InvalidationState, |_| {
                         format!(
                             "invalidation of sub-page {subpage} left cell {cell} in {}, \
                              not Invalid",
                             st.label()
-                        ),
-                    );
+                        )
+                    });
                 }
             }
             TraceEvent::AtomicRejection { at, cell, subpage } => {
-                let holder_exists = self
-                    .shadow
-                    .get(&subpage)
-                    .is_some_and(|h| h.iter().any(|(_, s)| *s == TraceState::Atomic));
-                if !holder_exists {
-                    self.report(
-                        at,
-                        cell,
-                        subpage,
-                        Rule::RejectionWithoutHolder,
-                        format!(
-                            "cell {cell} was rejected from sub-page {subpage} but no \
-                             cell holds it Atomic"
-                        ),
-                    );
+                // The holder's own get_sub_page re-acquires, so only
+                // another cell's Atomic copy can reject a request.
+                let atomics = self.counts.get(&subpage).map_or(0, |c| c.atomic);
+                let own = atomics > 0 && self.holder_state(subpage, cell) == TraceState::Atomic;
+                if atomics == u32::from(own) {
+                    self.report(at, cell, subpage, Rule::RejectionWithoutHolder, |_| {
+                        if own {
+                            format!(
+                                "cell {cell} was rejected from sub-page {subpage}, which \
+                                 only it holds Atomic"
+                            )
+                        } else {
+                            format!(
+                                "cell {cell} was rejected from sub-page {subpage} but no \
+                                 cell holds it Atomic"
+                            )
+                        }
+                    });
                 }
             }
             TraceEvent::SyncAcquire {
@@ -398,32 +486,23 @@ impl CheckingSink {
                     // A native RMW needs write permission, but only where
                     // caches exist at all (the cache-less machines leave
                     // no holder entries to check against).
-                    let any_holder = self.shadow.contains_key(&subpage);
-                    if any_holder && !writable(st) {
-                        self.report(
-                            at,
-                            cell,
-                            subpage,
-                            Rule::AcquireWithoutOwnership,
+                    if self.any_holder(subpage) && !writable(st) {
+                        self.report(at, cell, subpage, Rule::AcquireWithoutOwnership, |_| {
                             format!(
                                 "native RMW on sub-page {subpage} committed while cell \
                                  {cell} held {}",
                                 st.label()
-                            ),
-                        );
+                            )
+                        });
                     }
                 } else if st != TraceState::Atomic {
-                    self.report(
-                        at,
-                        cell,
-                        subpage,
-                        Rule::AcquireWithoutOwnership,
+                    self.report(at, cell, subpage, Rule::AcquireWithoutOwnership, |_| {
                         format!(
                             "get_sub_page granted sub-page {subpage} to cell {cell} but \
                              left it in {}",
                             st.label()
-                        ),
-                    );
+                        )
+                    });
                 }
             }
             TraceEvent::SyncRelease {
@@ -437,37 +516,28 @@ impl CheckingSink {
                 // Atomic state and share the acquire-side check.
                 let st = self.holder_state(subpage, cell);
                 if !rmw && st != TraceState::Atomic {
-                    self.report(
-                        at,
-                        cell,
-                        subpage,
-                        Rule::ReleaseWithoutAtomic,
+                    self.report(at, cell, subpage, Rule::ReleaseWithoutAtomic, |_| {
                         format!(
                             "cell {cell} released sub-page {subpage} while holding {} \
                              (release_sub_page is only legal from Atomic)",
                             st.label()
-                        ),
-                    );
+                        )
+                    });
                 }
             }
             TraceEvent::DataWrite { at, cell, addr } => {
                 let sp = subpage_of(addr);
                 // Only checkable where caches exist: the cache-less
                 // machines never register holders for plain accesses.
-                let any_holder = self.shadow.contains_key(&sp);
                 let st = self.holder_state(sp, cell);
-                if any_holder && !writable(st) {
-                    self.report(
-                        at,
-                        cell,
-                        sp,
-                        Rule::WriteWithoutOwnership,
+                if self.any_holder(sp) && !writable(st) {
+                    self.report(at, cell, sp, Rule::WriteWithoutOwnership, |_| {
                         format!(
                             "write to {addr:#x} committed while cell {cell} held \
                              sub-page {sp} in {}",
                             st.label()
-                        ),
-                    );
+                        )
+                    });
                 }
             }
             TraceEvent::RingSlot { .. }
@@ -488,7 +558,13 @@ impl TraceSink for CheckingSink {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use ksr_core::XorShift64;
+
+    use super::reference::FlatChecker;
     use super::*;
 
     fn coh(at: Cycles, cell: usize, sp: u64, from: TraceState, to: TraceState) -> TraceEvent {
@@ -663,6 +739,25 @@ mod tests {
         assert_eq!(sink.violations()[0].rule, Rule::RejectionWithoutHolder);
     }
 
+    /// The protocol answers a holder's own `get_sub_page` with a
+    /// re-acquire, so a rejection whose only `Atomic` holder is the
+    /// rejected cell is a protocol bug.
+    #[test]
+    fn self_rejection_needs_another_holder() {
+        let sink = checked(&[
+            coh(1, 2, 1, TraceState::Missing, TraceState::Atomic),
+            TraceEvent::AtomicRejection {
+                at: 5,
+                cell: 2,
+                subpage: 1,
+            },
+        ]);
+        let v = &sink.violations()[0];
+        assert_eq!(v.rule, Rule::RejectionWithoutHolder);
+        assert_eq!((v.at, v.cell, v.subpage), (5, 2, 1));
+        assert_eq!(sink.violations().len(), 1);
+    }
+
     #[test]
     fn violation_cap_counts_overflow() {
         use TraceState::{Exclusive, Missing};
@@ -679,5 +774,118 @@ mod tests {
         assert_eq!(sink.violations().len(), 2);
         assert!(sink.truncated() > 0);
         assert!(!sink.is_clean());
+    }
+
+    /// One random event over `cells` cells and the sub-pages in `sps`.
+    /// Coherence events mostly start from the state the stream implies
+    /// (`state`), so streams mix legal runs with every kind of violation.
+    fn random_event(
+        rng: &mut XorShift64,
+        at: Cycles,
+        cells: usize,
+        sps: &[u64],
+        state: impl Fn(u64, usize) -> TraceState,
+    ) -> TraceEvent {
+        use TraceState::{Atomic, Exclusive, Invalid, Missing, Shared};
+        const TO: [TraceState; 16] = [
+            Missing, Missing, Missing, Invalid, Invalid, Invalid, Invalid, Shared, Shared, Shared,
+            Shared, Shared, Exclusive, Exclusive, Atomic, Atomic,
+        ];
+        let cell = rng.next_index(cells);
+        let subpage = sps[rng.next_index(sps.len())];
+        let rmw = rng.next_bool(0.5);
+        match rng.next_index(20) {
+            0..=10 => {
+                let from = if rng.next_bool(0.9) {
+                    state(subpage, cell)
+                } else {
+                    TO[rng.next_index(TO.len())]
+                };
+                coh(at, cell, subpage, from, TO[rng.next_index(TO.len())])
+            }
+            11 => TraceEvent::Snarf { at, cell, subpage },
+            12 => TraceEvent::Invalidation { at, cell, subpage },
+            13 | 14 => TraceEvent::AtomicRejection { at, cell, subpage },
+            15 => TraceEvent::SyncAcquire {
+                at,
+                cell,
+                subpage,
+                rmw,
+            },
+            16 => TraceEvent::SyncRelease {
+                at,
+                cell,
+                subpage,
+                rmw,
+            },
+            17 | 18 => TraceEvent::DataWrite {
+                at,
+                cell,
+                addr: subpage * 128 + 8 * rng.next_below(16),
+            },
+            _ => TraceEvent::DataRead {
+                at,
+                cell,
+                addr: subpage * 128,
+            },
+        }
+    }
+
+    /// Differential test of the flat-map shadow against the flat-list
+    /// checker it replaced: seeded streams of legal and illegal events
+    /// over four sub-pages and 40 cells, with a cap that truncates and one
+    /// that keeps everything. Both checkers must report the same
+    /// violations, field for field, and truncate the same number; every
+    /// rule must fire.
+    #[test]
+    fn shadow_matches_the_flat_list_checker() {
+        const SPS: [u64; 4] = [0, 1, 127, 128];
+        let mut rng = XorShift64::new(0x4b53_5256);
+        let mut fired = Vec::new();
+        for stream in 0..12 {
+            let cfg = CheckerConfig {
+                window: [4, 24][stream % 2],
+                max_violations: [64, 1 << 20][(stream / 2) % 2],
+            };
+            let mut sink = CheckingSink::new(cfg);
+            let mut flat = FlatChecker::new(cfg);
+            let mut at = 0;
+            for _ in 0..4000 {
+                at += rng.next_below(3);
+                let event = random_event(&mut rng, at, 40, &SPS, |sp, c| flat.holder_state(sp, c));
+                sink.record(&event);
+                flat.record(&event);
+            }
+            assert_eq!(sink.truncated(), flat.truncated, "stream {stream}");
+            assert_eq!(
+                sink.violations().len(),
+                flat.violations.len(),
+                "stream {stream}"
+            );
+            for (got, want) in sink.violations().iter().zip(&flat.violations) {
+                assert_eq!(
+                    (got.rule, got.at, got.cell, got.subpage, &got.message),
+                    (want.rule, want.at, want.cell, want.subpage, &want.message),
+                    "stream {stream}"
+                );
+                assert_eq!(got.window, want.window, "stream {stream}");
+            }
+            fired.extend(sink.violations().iter().map(|v| v.rule));
+        }
+        for rule in [
+            Rule::MultipleWriters,
+            Rule::SharedWithWriter,
+            Rule::StaleTransition,
+            Rule::IllegalTransition,
+            Rule::AtomicLost,
+            Rule::SnarfState,
+            Rule::InvalidationState,
+            Rule::RejectionWithoutHolder,
+            Rule::AcquireWithoutOwnership,
+            Rule::ReleaseWithoutAtomic,
+            Rule::WriteWithoutOwnership,
+        ] {
+            assert!(fired.contains(&rule), "{} never fired", rule.label());
+        }
     }
 }

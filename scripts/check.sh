@@ -35,10 +35,9 @@ tmp_shard_cache=$(mktemp -d)
 tmp_join=$(mktemp -d)
 tmp_warm2=$(mktemp -d)
 tmp_check=$(mktemp -d)
-tmp_check_net=$(mktemp -d)
-tmp_check_lck=$(mktemp -d)
+tmp_check_full=$(mktemp -d)
 trap 'rm -rf "$tmp_serial" "$tmp_parallel" "$tmp_cache" "$tmp_warm" "$tmp_warm2" \
-    "$tmp_shard_cache" "$tmp_join" "$tmp_check" "$tmp_check_net" "$tmp_check_lck"' EXIT
+    "$tmp_shard_cache" "$tmp_join" "$tmp_check" "$tmp_check_full"' EXIT
 
 # Compare every artifact of two result dirs, excluding the wall-clock
 # files (timings.json, bench.json — legitimately nondeterministic).
@@ -134,20 +133,12 @@ echo "==> run_all --check --quick (coherence + race + predictive + lint verifica
 cargo run --quiet --release -p ksr-bench --bin run_all -- \
     --check --quick --results "$tmp_check" > "$tmp_check/stdout.txt"
 
-echo "==> run_all --check --quick --only LAD,SCB,CMB (interconnect surface under the checker)"
-# The N-level LCA routing and ARD-combining experiments exercise shadow
-# state the checker models specially (merged GetSubPage/ReadData grants);
-# gate them explicitly so a combining regression can't hide behind the
-# aggregate run.
+echo "==> run_all --check --full --only CMB,LCK (1024-cell hot spot and lock storms under the checker)"
+# The aggregate quick run above already checks every experiment. This
+# run checks the full-size hot spot and lock storms, where one sub-page's
+# holder list reaches every one of 1024 cells: the sizes at which an
+# O(holders) step per event in the protocol or the checker would show.
 cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --check --quick --only LAD,SCB,CMB --results "$tmp_check_net" > "$tmp_check_net/stdout.txt"
-
-echo "==> run_all --check --quick --only LCK (hierarchical cohort locks under the checker)"
-# The cohort lock keeps all queue state on gsp'd or head-spun sub-pages
-# and never holds two gsp sub-pages at once; gate it explicitly so a
-# lockset or lock-order regression in the hierarchy can't hide behind
-# the aggregate run.
-cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --check --quick --only LCK --results "$tmp_check_lck" > "$tmp_check_lck/stdout.txt"
+    --check --full --only CMB,LCK --results "$tmp_check_full" > "$tmp_check_full/stdout.txt"
 
 echo "==> all checks passed"
