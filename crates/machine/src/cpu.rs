@@ -14,10 +14,14 @@
 //! deposits `(issue time, op)` and returns `Pending`; the event-loop
 //! coordinator takes the request, deposits the reply, and polls again.
 //! Coordinator and future live on the same thread (the event core is
-//! single-threaded by construction), so the slot is a plain
-//! `Rc<RefCell>` — no atomics, no locks, no rendezvous.
+//! single-threaded by construction), and each side only ever moves a
+//! whole value into or out of the slot, so the slot is three plain
+//! `Cell`s behind an `Rc` — no borrow flag, no atomics, no locks, no
+//! rendezvous. Every access is one hand-written [`Roundtrip`] future:
+//! its first poll deposits the request, its second takes the reply and
+//! advances the local clock.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -183,36 +187,31 @@ impl Reply {
 /// coordinator. Access strictly alternates (the coordinator never polls
 /// without first depositing the awaited reply, and the future never
 /// suspends without first depositing its request) and both sides live on
-/// the coordinator's thread, so a `RefCell` borrow is never held across
-/// the hand-off.
+/// the coordinator's thread; each side moves a whole value in or out, so
+/// plain `Cell`s suffice and no borrow is ever taken.
 #[derive(Default)]
 pub(crate) struct Slot {
-    inner: RefCell<SlotInner>,
-}
-
-#[derive(Default)]
-struct SlotInner {
     /// Deposited by the program future just before it suspends.
-    request: Option<(Cycles, AccessOp)>,
+    request: Cell<Option<(Cycles, AccessOp)>>,
     /// Deposited by the coordinator just before it polls.
-    reply: Option<Reply>,
+    reply: Cell<Option<Reply>>,
     /// Deposited by [`Cpu`]'s `Drop` when the program's future completes
     /// (the `Cpu` is owned by the future, so it drops exactly then):
     /// final local time and FLOP count.
-    finished: Option<(Cycles, u64)>,
+    finished: Cell<Option<(Cycles, u64)>>,
 }
 
 impl Slot {
     pub(crate) fn put_reply(&self, reply: Reply) {
-        self.inner.borrow_mut().reply = Some(reply);
+        self.reply.set(Some(reply));
     }
 
     pub(crate) fn take_request(&self) -> Option<(Cycles, AccessOp)> {
-        self.inner.borrow_mut().request.take()
+        self.request.take()
     }
 
     pub(crate) fn take_finished(&self) -> Option<(Cycles, u64)> {
-        self.inner.borrow_mut().finished.take()
+        self.finished.take()
     }
 }
 
@@ -248,7 +247,7 @@ impl Drop for Cpu {
         // future completes (or is torn down mid-run after a peer's
         // failure): record the final clock and FLOP count for the
         // machine's run report.
-        self.slot.inner.borrow_mut().finished = Some((self.local, self.flops));
+        self.slot.finished.set(Some((self.local, self.flops)));
     }
 }
 
@@ -347,21 +346,11 @@ impl Cpu {
     }
 
     /// Yield `op` to the coordinator and suspend until it replies.
-    async fn roundtrip(&mut self, op: AccessOp) -> Reply {
-        let reply = YieldAccess {
-            slot: &self.slot,
-            request: Some((self.local, op)),
+    fn roundtrip(&mut self, op: AccessOp) -> Roundtrip<'_> {
+        Roundtrip {
+            cpu: self,
+            op: Some(op),
         }
-        .await;
-        self.local = reply.at();
-        // Interrupts that would have fired during the stall are treated as
-        // overlapped with it: skip them without extra charge.
-        if let Some((cfg, next)) = &mut self.interrupts {
-            while *next <= self.local {
-                *next += cfg.quantum_cycles;
-            }
-        }
-        reply
     }
 
     /// Load a 64-bit word from shared memory.
@@ -476,29 +465,39 @@ impl Cpu {
     }
 }
 
-/// The suspension point: first poll deposits the request and returns
-/// `Pending` (the program's driver then sees the yielded op); the next
-/// poll — issued only after the driver has deposited the reply — resolves
-/// to that reply.
-struct YieldAccess<'a> {
-    slot: &'a Slot,
-    request: Option<(Cycles, AccessOp)>,
+/// The suspension point of every access: the first poll deposits
+/// `(local, op)` and returns `Pending` (the program's driver then sees
+/// the yielded op); the next poll — issued only after the driver has
+/// deposited the reply — takes the reply, moves the local clock to its
+/// completion time, and resolves to it.
+struct Roundtrip<'a> {
+    cpu: &'a mut Cpu,
+    op: Option<AccessOp>,
 }
 
-impl Future for YieldAccess<'_> {
+impl Future for Roundtrip<'_> {
     type Output = Reply;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Reply> {
         let this = self.get_mut();
-        let mut slot = this.slot.inner.borrow_mut();
-        if let Some(req) = this.request.take() {
-            slot.request = Some(req);
+        let cpu = &mut *this.cpu;
+        if let Some(op) = this.op.take() {
+            cpu.slot.request.set(Some((cpu.local, op)));
             return Poll::Pending;
         }
-        let reply = slot
+        let reply = cpu
+            .slot
             .reply
             .take()
             .expect("program polled without a pending reply");
+        cpu.local = reply.at();
+        // Interrupts that would have fired during the stall are treated as
+        // overlapped with it: skip them without extra charge.
+        if let Some((cfg, next)) = &mut cpu.interrupts {
+            while *next <= cpu.local {
+                *next += cfg.quantum_cycles;
+            }
+        }
         Poll::Ready(reply)
     }
 }

@@ -319,9 +319,9 @@ impl Machine {
     /// multi-phase experiments separate warm-up from measurement.
     ///
     /// # Errors
-    /// None today — the event core spawns nothing that can fail. The
-    /// `Result` stays so future host resources can report typed errors
-    /// without touching every call site.
+    /// [`Error::Config`] when `programs` is empty or holds more programs
+    /// than the machine has cells; the machine is left untouched (its
+    /// clock does not advance).
     ///
     /// # Panics
     /// Re-raises a simulated program's own panic as the run's root
@@ -330,12 +330,15 @@ impl Machine {
     /// the simulated program.
     pub fn run(&mut self, mut programs: Vec<Box<dyn Program + '_>>) -> Result<RunReport> {
         let n = programs.len();
-        assert!(n >= 1, "need at least one program");
-        assert!(
-            n <= self.cfg.cells,
-            "{n} programs exceed the machine's {} cells",
-            self.cfg.cells
-        );
+        if n == 0 {
+            return Err(Error::Config("need at least one program".into()));
+        }
+        if n > self.cfg.cells {
+            return Err(Error::Config(format!(
+                "{n} programs exceed the machine's {} cells",
+                self.cfg.cells
+            )));
+        }
         let start = self.epoch;
         let cpus = self.build_cpus(n, start);
         let (proc_end, proc_flops) = coordinate_event(
@@ -563,10 +566,22 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
 /// everyone else parked/done): the sole ready entry is held in `direct`
 /// and never touches the heap. Invariant: when `direct` is `Some`, the
 /// heap is empty — so `direct` is trivially the global minimum.
+///
+/// The heap orders one packed `u128` key, `(at << 64) | proc`: a single
+/// integer compare that orders exactly as the `(at, proc)` tuple for
+/// every `u64` time and every proc id below 2^64.
 #[derive(Default)]
 struct ReadyQueue {
     direct: Option<(Cycles, usize)>,
-    heap: BinaryHeap<Reverse<(Cycles, usize)>>,
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+fn pack(at: Cycles, p: usize) -> u128 {
+    (u128::from(at) << 64) | p as u128
+}
+
+fn unpack(key: u128) -> (Cycles, usize) {
+    ((key >> 64) as Cycles, key as u64 as usize)
 }
 
 impl ReadyQueue {
@@ -574,17 +589,17 @@ impl ReadyQueue {
         if self.direct.is_none() && self.heap.is_empty() {
             self.direct = Some((at, p));
         } else {
-            if let Some(d) = self.direct.take() {
-                self.heap.push(Reverse(d));
+            if let Some((d_at, d_p)) = self.direct.take() {
+                self.heap.push(Reverse(pack(d_at, d_p)));
             }
-            self.heap.push(Reverse((at, p)));
+            self.heap.push(Reverse(pack(at, p)));
         }
     }
 
     fn pop(&mut self) -> Option<(Cycles, usize)> {
         self.direct
             .take()
-            .or_else(|| self.heap.pop().map(|Reverse(x)| x))
+            .or_else(|| self.heap.pop().map(|Reverse(k)| unpack(k)))
     }
 
     /// Pop the next runnable processor, letting `oracle` (when installed)
@@ -602,15 +617,16 @@ impl ReadyQueue {
         if let Some(d) = self.direct.take() {
             return Some(d);
         }
-        let Reverse((t, first)) = self.heap.pop()?;
-        if self.heap.peek().is_none_or(|Reverse((t2, _))| *t2 != t) {
+        let (t, first) = unpack(self.heap.pop()?.0);
+        if self.heap.peek().is_none_or(|r| unpack(r.0).0 != t) {
             return Some((t, first));
         }
         // Two or more requests share the minimal timestamp: collect the
         // whole tie (heap pops ascend by (t, p), so `tied` is in
         // ascending proc-id order), ask the oracle, re-queue the rest.
         let mut tied = vec![first];
-        while let Some(&Reverse((t2, p))) = self.heap.peek() {
+        while let Some(&Reverse(k)) = self.heap.peek() {
+            let (t2, p) = unpack(k);
             if t2 != t {
                 break;
             }
@@ -619,7 +635,7 @@ impl ReadyQueue {
         }
         let chosen = tied.swap_remove(oracle.pick(t, &tied).min(tied.len() - 1));
         for p in tied {
-            self.heap.push(Reverse((t, p)));
+            self.heap.push(Reverse(pack(t, p)));
         }
         Some((t, chosen))
     }
@@ -880,6 +896,131 @@ mod tests {
     }
 
     #[test]
+    fn bad_program_counts_are_config_errors() {
+        let mut m = Machine::ksr1(1).unwrap();
+        let a = m.alloc_words(1).unwrap();
+        m.run(vec![program(move |mut cpu| async move {
+            cpu.write_u64(a, 1).await;
+        })])
+        .expect("run");
+        let epoch = m.epoch;
+        assert!(epoch > 0);
+        assert_eq!(
+            m.run(Vec::new()).unwrap_err(),
+            Error::Config("need at least one program".into())
+        );
+        let cells = m.config().cells;
+        let too_many = (0..=cells)
+            .map(|_| program(|mut cpu| async move { cpu.compute(1) }))
+            .collect();
+        assert_eq!(
+            m.run(too_many).unwrap_err(),
+            Error::Config(format!(
+                "{} programs exceed the machine's {cells} cells",
+                cells + 1
+            ))
+        );
+        assert_eq!(m.epoch, epoch, "a rejected run must not advance the clock");
+    }
+
+    /// A `ScheduleOracle` that picks a seeded index and records every tie
+    /// it is shown.
+    struct RecordingOracle {
+        rng: ksr_core::XorShift64,
+        seen: Vec<(Cycles, Vec<usize>, usize)>,
+    }
+
+    impl ScheduleOracle for RecordingOracle {
+        fn pick(&mut self, at: Cycles, tied: &[usize]) -> usize {
+            let i = self.rng.next_below(tied.len() as u64) as usize;
+            self.seen.push((at, tied.to_vec(), i));
+            i
+        }
+    }
+
+    /// Seeded push/pop sequences over equal times, times near
+    /// `u64::MAX` and procs up to 1023. With `oracle`, every pop goes
+    /// through `pop_with`, and each tie it reports must be exactly the
+    /// reference's minimal-time entries in ascending proc order.
+    fn ready_queue_matches_reference(seed: u64, with_oracle: bool) {
+        let mut rng = ksr_core::XorShift64::new(seed);
+        let mut q = ReadyQueue::default();
+        let mut reference: BinaryHeap<Reverse<(Cycles, usize)>> = BinaryHeap::new();
+        let mut oracle = RecordingOracle {
+            rng: ksr_core::XorShift64::new(seed ^ 0x5eed),
+            seen: Vec::new(),
+        };
+        let bases = [0, 1 << 32, u64::MAX - 64];
+        // Each proc is queued at most once, as in the coordinator.
+        let mut queued = vec![false; 1024];
+        for _ in 0..20_000 {
+            if rng.next_below(5) < 3 {
+                let p = rng.next_below(1024) as usize;
+                if queued[p] {
+                    continue;
+                }
+                let base = bases[rng.next_below(bases.len() as u64) as usize];
+                let at = base + rng.next_below(8) * rng.next_below(8);
+                queued[p] = true;
+                q.push(at, p);
+                reference.push(Reverse((at, p)));
+                continue;
+            }
+            let (got, want) = if with_oracle {
+                let before = oracle.seen.len();
+                let got = q.pop_with(Some(&mut oracle));
+                // Replay the oracle's decision, if any, on the reference.
+                let want = if let Some((at, tied, i)) = oracle.seen.get(before) {
+                    let mut ties = Vec::new();
+                    while let Some(&Reverse((t, p))) = reference.peek() {
+                        if t != *at {
+                            break;
+                        }
+                        reference.pop();
+                        ties.push(p);
+                    }
+                    assert_eq!(&ties, tied, "tie at {at} not in ascending proc order");
+                    let chosen = ties.remove(*i);
+                    for p in ties {
+                        reference.push(Reverse((*at, p)));
+                    }
+                    Some((*at, chosen))
+                } else {
+                    reference.pop().map(|Reverse(x)| x)
+                };
+                (got, want)
+            } else {
+                (q.pop(), reference.pop().map(|Reverse(x)| x))
+            };
+            assert_eq!(got, want, "seed {seed}");
+            if let Some((_, p)) = got {
+                queued[p] = false;
+            }
+        }
+        if with_oracle {
+            assert!(
+                oracle.seen.len() > 100,
+                "too few ties: {}",
+                oracle.seen.len()
+            );
+        }
+    }
+
+    #[test]
+    fn ready_queue_pops_in_reference_order() {
+        for seed in 1..=4 {
+            ready_queue_matches_reference(seed, false);
+        }
+    }
+
+    #[test]
+    fn ready_queue_ties_reach_the_oracle_in_ascending_proc_order() {
+        for seed in 1..=4 {
+            ready_queue_matches_reference(seed, true);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "deadlock")]
     fn deadlock_is_detected() {
         let mut m = Machine::ksr1(1).unwrap();
@@ -1016,6 +1157,46 @@ mod tests {
         // ~10 interrupts of 100 cycles land inside 10k cycles of work.
         assert!(r.duration_cycles() >= 10_900, "{}", r.duration_cycles());
         assert!(r.duration_cycles() <= 11_200, "{}", r.duration_cycles());
+    }
+
+    #[test]
+    fn timer_ticks_inside_a_stall_are_skipped_uncharged() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        use crate::config::InterruptConfig;
+        let cfg = MachineConfig::ksr1(7).with_interrupts(InterruptConfig {
+            quantum_cycles: 1_000,
+            duration_cycles: 100,
+        });
+        let mut m = Machine::new(cfg).unwrap();
+        let a = m.alloc_subpage(8).unwrap();
+        let after_read = Rc::new(Cell::new(0));
+        let seen = Rc::clone(&after_read);
+        let r = m
+            .run(vec![
+                program(move |mut cpu| async move {
+                    // Processor 0 ticks at 1, 1001, 2001, ...
+                    cpu.compute(500);
+                    // Blocks on the atomic sub-page for ~10 quanta.
+                    cpu.read_u64(a).await;
+                    seen.set(cpu.now());
+                    cpu.compute(2_000);
+                }),
+                program(move |mut cpu| async move {
+                    cpu.acquire_sub_page(a).await;
+                    cpu.compute(10_000);
+                    cpu.release_sub_page(a).await;
+                }),
+            ])
+            .expect("run");
+        // The read resumes at its completion time: none of the ten ticks
+        // that fell inside the stall (1001 ..= 11001) is charged.
+        assert_eq!(after_read.get(), 11_544);
+        // The next tick is the first one after the stall on processor
+        // 0's phase, 12001; it and the one at 13001 land inside the
+        // 2000-cycle compute.
+        assert_eq!(r.proc_end[0], 11_544 + 2_000 + 2 * 100);
     }
 
     #[test]

@@ -88,6 +88,11 @@ impl MemGeometry {
     }
 
     /// Validate the geometry.
+    ///
+    /// # Errors
+    /// [`Error::Config`] when an associativity is zero, a capacity is not
+    /// a whole number of sets, or a cache's set count is not a power of
+    /// two (zero included).
     pub fn validate(&self) -> Result<()> {
         if self.subcache_ways == 0 || self.localcache_ways == 0 {
             return Err(Error::Config("associativity must be non-zero".into()));
@@ -108,8 +113,17 @@ impl MemGeometry {
                 self.localcache_bytes, self.localcache_ways, PAGE_BYTES
             )));
         }
-        if self.subcache_sets() == 0 || self.localcache_sets() == 0 {
-            return Err(Error::Config("each cache needs at least one set".into()));
+        // The caches pick a set with `index & (sets - 1)`; this also
+        // rejects a cache with no sets.
+        for (cache, sets) in [
+            ("sub-cache", self.subcache_sets()),
+            ("local-cache", self.localcache_sets()),
+        ] {
+            if !sets.is_power_of_two() {
+                return Err(Error::Config(format!(
+                    "{cache} set count {sets} is not a power of two"
+                )));
+            }
         }
         Ok(())
     }
@@ -187,6 +201,47 @@ mod tests {
         assert_eq!(g.localcache_ways, 16);
         assert!(g.subcache_sets() >= 1);
         assert!(g.localcache_sets() >= 1);
+    }
+
+    #[test]
+    fn set_counts_must_be_powers_of_two() {
+        // 12 KB / (2 KB blocks x 2 ways) = 3 sets.
+        let g = MemGeometry {
+            subcache_bytes: 12 * 1024,
+            ..MemGeometry::ksr1()
+        };
+        assert_eq!(
+            g.validate(),
+            Err(Error::Config(
+                "sub-cache set count 3 is not a power of two".into()
+            ))
+        );
+        // 48 KB / (16 KB pages x 1 way) = 3 sets.
+        let g = MemGeometry {
+            localcache_bytes: 48 * 1024,
+            localcache_ways: 1,
+            ..MemGeometry::ksr1()
+        };
+        assert_eq!(
+            g.validate(),
+            Err(Error::Config(
+                "local-cache set count 3 is not a power of two".into()
+            ))
+        );
+        let g = MemGeometry {
+            subcache_bytes: 0,
+            ..MemGeometry::ksr1()
+        };
+        assert_eq!(
+            g.validate(),
+            Err(Error::Config(
+                "sub-cache set count 0 is not a power of two".into()
+            ))
+        );
+        // Every shipped geometry passes: 64/128 sets and 1/2 sets.
+        MemGeometry::ksr1().validate().unwrap();
+        let g = MemGeometry::scaled(64);
+        assert_eq!((g.subcache_sets(), g.localcache_sets()), (1, 2));
     }
 
     #[test]

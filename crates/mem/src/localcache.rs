@@ -29,7 +29,9 @@ pub enum PageAlloc {
 /// One cell's local-cache page-frame directory.
 #[derive(Debug, Clone)]
 pub struct LocalCache {
-    sets: usize,
+    /// `sets - 1`: the set count is a power of two (see
+    /// [`MemGeometry::validate`]), so `page & set_mask` picks the set.
+    set_mask: u64,
     ways: usize,
     tags: Vec<u64>,
     rng: XorShift64,
@@ -37,12 +39,20 @@ pub struct LocalCache {
 
 impl LocalCache {
     /// Build an empty local cache; `rng` drives random replacement.
+    ///
+    /// # Panics
+    /// Panics unless the geometry's local-cache set count is a power of
+    /// two, which [`MemGeometry::validate`] guarantees.
     #[must_use]
     pub fn new(geom: &MemGeometry, rng: XorShift64) -> Self {
         let sets = geom.localcache_sets();
+        assert!(
+            sets.is_power_of_two(),
+            "local-cache set count {sets} is not a power of two"
+        );
         let ways = geom.localcache_ways;
         Self {
-            sets,
+            set_mask: sets as u64 - 1,
             ways,
             tags: vec![EMPTY_TAG; sets * ways],
             rng,
@@ -50,7 +60,7 @@ impl LocalCache {
     }
 
     fn set_of(&self, page: u64) -> usize {
-        (page % self.sets as u64) as usize
+        (page & self.set_mask) as usize
     }
 
     /// Whether the page containing `addr` is resident.

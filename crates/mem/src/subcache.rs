@@ -41,7 +41,9 @@ pub enum SubCacheFill {
 /// the paper's experiments are data-access bound).
 #[derive(Debug, Clone)]
 pub struct SubCache {
-    sets: usize,
+    /// `sets - 1`: the set count is a power of two (see
+    /// [`MemGeometry::validate`]), so `block & set_mask` picks the set.
+    set_mask: u64,
     ways: usize,
     entries: Vec<BlockWay>,
     rng: XorShift64,
@@ -50,12 +52,20 @@ pub struct SubCache {
 impl SubCache {
     /// Build an empty sub-cache for the given geometry; `rng` drives the
     /// random replacement policy.
+    ///
+    /// # Panics
+    /// Panics unless the geometry's sub-cache set count is a power of
+    /// two, which [`MemGeometry::validate`] guarantees.
     #[must_use]
     pub fn new(geom: &MemGeometry, rng: XorShift64) -> Self {
         let sets = geom.subcache_sets();
+        assert!(
+            sets.is_power_of_two(),
+            "sub-cache set count {sets} is not a power of two"
+        );
         let ways = geom.subcache_ways;
         Self {
-            sets,
+            set_mask: sets as u64 - 1,
             ways,
             entries: vec![
                 BlockWay {
@@ -69,7 +79,7 @@ impl SubCache {
     }
 
     fn set_of(&self, block: u64) -> usize {
-        (block % self.sets as u64) as usize
+        (block & self.set_mask) as usize
     }
 
     fn ways_of(&mut self, set: usize) -> &mut [BlockWay] {

@@ -27,6 +27,27 @@ echo "==> cargo test --manifest-path benchmark/Cargo.toml (8-cell benchmark work
 # here rather than in the next benchmark run.
 cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark at full size: every workload at --seed 0 must reproduce benchmark/digests.txt"
+# The digests are pinned at full size (1024-cell storms, 32-cell apps),
+# which the 8-cell tests above never reach. A seed-0 run compares every
+# part's digest with digests.txt and checks each part's invariants and
+# results; any mismatch shows as "correct":false and a non-zero
+# "failed" on the run's last stdout line.
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+bench_err=$(mktemp)
+for w in lock_handoff_1024 atomic_hotspot_1024 apps_32 checked_mix; do
+    last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$w" --seed 0 --seconds 1 2> "$bench_err" | tail -n 1)
+    correct=$(printf '%s\n' "$last" | sed -n 's/.*"correct": *\([a-z]*\).*/\1/p')
+    failed=$(printf '%s\n' "$last" | sed -n 's/.*"failed": *\([0-9][0-9]*\).*/\1/p')
+    if [ "$correct" != true ] || [ "$failed" != 0 ]; then
+        cat "$bench_err" >&2
+        echo "benchmark gate: $w at --seed 0 reported: $last" >&2
+        exit 1
+    fi
+done
+rm -f "$bench_err"
+
 tmp_serial=$(mktemp -d)
 tmp_parallel=$(mktemp -d)
 tmp_cache=$(mktemp -d)

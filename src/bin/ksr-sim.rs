@@ -7,6 +7,11 @@
 //! ksr-sim lock     [--procs N] [--read-pct P]
 //! ksr-sim ep|cg|is|sp [--procs N]       # one kernel run, verified
 //! ```
+//!
+//! `--procs` takes 1..=32 (`barriers`: 2..=32, or 2..=64 on `ksr2`) and
+//! `--read-pct` 0..=100. An unknown command or option, a missing or
+//! unparsable value, a value out of range, or an unknown `--machine`
+//! prints `error: ...` and the usage line and exits with status 2.
 
 use std::process::ExitCode;
 
@@ -19,37 +24,161 @@ use ksr1_repro::nas::{
 };
 use ksr1_repro::sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode, HwLock, LockMode, SwRwLock};
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: ksr-sim <info|latency|barriers|lock|ep|cg|is|sp> \
+                     [--procs N] [--machine ksr1|ksr2|symmetry|butterfly] [--read-pct P]";
+
+/// The machines `barriers` can run on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MachineKind {
+    Ksr1,
+    Ksr2,
+    Symmetry,
+    Butterfly,
 }
 
-fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
-    flag(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+impl MachineKind {
+    const ALL: [Self; 4] = [Self::Ksr1, Self::Ksr2, Self::Symmetry, Self::Butterfly];
+
+    fn name(self) -> &'static str {
+        match self {
+            Self::Ksr1 => "ksr1",
+            Self::Ksr2 => "ksr2",
+            Self::Symmetry => "symmetry",
+            Self::Butterfly => "butterfly",
+        }
+    }
+
+    fn max_procs(self) -> usize {
+        if self == Self::Ksr2 {
+            64
+        } else {
+            32
+        }
+    }
+
+    fn build(self, procs: usize) -> ksr1_repro::core::Result<Machine> {
+        match self {
+            Self::Ksr1 => Machine::ksr1(7),
+            Self::Ksr2 => Machine::ksr2(7),
+            Self::Symmetry => Machine::symmetry(procs, 7),
+            Self::Butterfly => Machine::butterfly(procs, 7),
+        }
+    }
+}
+
+/// A parsed, range-checked command line.
+#[derive(Debug, PartialEq, Eq)]
+enum Cmd {
+    Info,
+    Latency { procs: usize },
+    Barriers { machine: MachineKind, procs: usize },
+    Lock { procs: usize, read_pct: u64 },
+    Ep { procs: usize },
+    Cg { procs: usize },
+    Is { procs: usize },
+    Sp { procs: usize },
+}
+
+/// The `--name value` options of one command, restricted to `allowed`.
+struct Flags<'a>(Vec<(&'a str, &'a str)>);
+
+impl<'a> Flags<'a> {
+    fn parse(args: &'a [String], allowed: &[&str]) -> Result<Self, String> {
+        let mut pairs = Vec::new();
+        let mut it = args.iter();
+        while let Some(name) = it.next() {
+            if !allowed.contains(&name.as_str()) {
+                return Err(format!("unknown option {name}"));
+            }
+            let value = it.next().ok_or_else(|| format!("{name} needs a value"))?;
+            pairs.push((name.as_str(), value.as_str()));
+        }
+        Ok(Self(pairs))
+    }
+
+    fn get(&self, name: &str) -> Option<&'a str> {
+        self.0
+            .iter()
+            .rev()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
+    }
+
+    /// The integer value of `name` (or `default`), which must lie in
+    /// `lo..=hi`.
+    fn int(&self, name: &str, default: usize, lo: usize, hi: usize) -> Result<usize, String> {
+        let Some(v) = self.get(name) else {
+            return Ok(default);
+        };
+        v.parse()
+            .ok()
+            .filter(|n| (lo..=hi).contains(n))
+            .ok_or_else(|| format!("{name} must be an integer in {lo}..={hi}, got {v:?}"))
+    }
+}
+
+fn parse(args: &[String]) -> Result<Cmd, String> {
+    let (cmd, rest) = args.split_first().ok_or("no command given")?;
+    let procs_only = |default| Flags::parse(rest, &["--procs"])?.int("--procs", default, 1, 32);
+    Ok(match cmd.as_str() {
+        "info" => {
+            Flags::parse(rest, &[])?;
+            Cmd::Info
+        }
+        "latency" => Cmd::Latency {
+            procs: procs_only(1)?,
+        },
+        "barriers" => {
+            let flags = Flags::parse(rest, &["--procs", "--machine"])?;
+            let name = flags.get("--machine").unwrap_or("ksr1");
+            let machine = MachineKind::ALL
+                .into_iter()
+                .find(|m| m.name() == name)
+                .ok_or_else(|| format!("unknown machine {name:?}"))?;
+            let procs = flags.int("--procs", 16, 2, machine.max_procs())?;
+            Cmd::Barriers { machine, procs }
+        }
+        "lock" => {
+            let flags = Flags::parse(rest, &["--procs", "--read-pct"])?;
+            Cmd::Lock {
+                procs: flags.int("--procs", 8, 1, 32)?,
+                read_pct: flags.int("--read-pct", 0, 0, 100)? as u64,
+            }
+        }
+        "ep" => Cmd::Ep {
+            procs: procs_only(8)?,
+        },
+        "cg" => Cmd::Cg {
+            procs: procs_only(8)?,
+        },
+        "is" => Cmd::Is {
+            procs: procs_only(8)?,
+        },
+        "sp" => Cmd::Sp {
+            procs: procs_only(8)?,
+        },
+        other => return Err(format!("unknown command {other:?}")),
+    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
-        eprintln!("usage: ksr-sim <info|latency|barriers|lock|ep|cg|is|sp> [options]");
-        return ExitCode::FAILURE;
-    };
-    match cmd.as_str() {
-        "info" => info(),
-        "latency" => latency(&args),
-        "barriers" => barriers(&args),
-        "lock" => lock(&args),
-        "ep" => ep(&args),
-        "cg" => cg(&args),
-        "is" => is(&args),
-        "sp" => sp(&args),
-        other => {
-            eprintln!("unknown command: {other}");
-            return ExitCode::FAILURE;
+    let cmd = match parse(&args) {
+        Ok(cmd) => cmd,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
+    };
+    match cmd {
+        Cmd::Info => info(),
+        Cmd::Latency { procs } => latency(procs),
+        Cmd::Barriers { machine, procs } => barriers(machine, procs),
+        Cmd::Lock { procs, read_pct } => lock(procs, read_pct),
+        Cmd::Ep { procs } => ep(procs),
+        Cmd::Cg { procs } => cg(procs),
+        Cmd::Is { procs } => is(procs),
+        Cmd::Sp { procs } => sp(procs),
     }
     ExitCode::SUCCESS
 }
@@ -69,8 +198,7 @@ fn info() {
     println!("  page-alloc stride   +60% / +60%");
 }
 
-fn latency(args: &[String]) {
-    let procs = flag_usize(args, "--procs", 1).clamp(1, 32);
+fn latency(procs: usize) {
     let mut m = Machine::ksr1(1).expect("machine");
     let arrays: Vec<u64> = (0..procs)
         .map(|_| m.alloc(1 << 20, 16384).expect("alloc"))
@@ -112,27 +240,11 @@ fn latency(args: &[String]) {
     println!("  remote write {wr} cycles");
 }
 
-fn barriers(args: &[String]) {
-    let machine_name = flag(args, "--machine").unwrap_or_else(|| "ksr1".into());
-    let max = match machine_name.as_str() {
-        "ksr2" => 64,
-        _ => 32,
-    };
-    let procs = flag_usize(args, "--procs", 16).clamp(2, max);
-    println!("{machine_name}, {procs} processors, us per episode:");
+fn barriers(machine: MachineKind, procs: usize) {
+    println!("{}, {procs} processors, us per episode:", machine.name());
     let mut rows: Vec<(f64, &str)> = Vec::new();
     for kind in BarrierKind::ALL {
-        let mut m = match machine_name.as_str() {
-            "ksr1" => Machine::ksr1(7),
-            "ksr2" => Machine::ksr2(7),
-            "symmetry" => Machine::symmetry(procs, 7),
-            "butterfly" => Machine::butterfly(procs, 7),
-            other => {
-                eprintln!("unknown machine: {other}");
-                return;
-            }
-        }
-        .expect("machine");
+        let mut m = machine.build(procs).expect("machine");
         if !m.mem().fabric().has_coherent_caches() && kind.needs_coherent_caches() {
             continue;
         }
@@ -164,9 +276,7 @@ fn barriers(args: &[String]) {
     }
 }
 
-fn lock(args: &[String]) {
-    let procs = flag_usize(args, "--procs", 8).clamp(1, 32);
-    let read_pct = flag_usize(args, "--read-pct", 0).min(100) as u64;
+fn lock(procs: usize, read_pct: u64) {
     let mut m = Machine::ksr1(9).expect("machine");
     let hw = HwLock::alloc(&mut m).expect("alloc");
     let sw = SwRwLock::alloc(&mut m).expect("alloc");
@@ -213,8 +323,7 @@ fn lock(args: &[String]) {
     }
 }
 
-fn ep(args: &[String]) {
-    let procs = flag_usize(args, "--procs", 8).clamp(1, 32);
+fn ep(procs: usize) {
     let cfg = EpConfig {
         pairs: 1 << 16,
         ..EpConfig::default()
@@ -231,8 +340,7 @@ fn ep(args: &[String]) {
     );
 }
 
-fn cg(args: &[String]) {
-    let procs = flag_usize(args, "--procs", 8).clamp(1, 32);
+fn cg(procs: usize) {
     let cfg = CgConfig {
         n: 700,
         offdiag_per_row: 72,
@@ -259,8 +367,7 @@ fn cg(args: &[String]) {
     );
 }
 
-fn is(args: &[String]) {
-    let procs = flag_usize(args, "--procs", 8).clamp(1, 32);
+fn is(procs: usize) {
     let cfg = IsConfig {
         keys: 1 << 14,
         max_key: 1 << 10,
@@ -280,8 +387,7 @@ fn is(args: &[String]) {
     );
 }
 
-fn sp(args: &[String]) {
-    let procs = flag_usize(args, "--procs", 8).clamp(1, 32);
+fn sp(procs: usize) {
     let cfg = SpConfig {
         n: 16,
         iterations: 2,
@@ -295,4 +401,61 @@ fn sp(args: &[String]) {
         r.seconds() / cfg.iterations as f64,
         n = cfg.n
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Cmd, String> {
+        parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    #[test]
+    fn defaults_and_in_range_values_parse() {
+        assert_eq!(parse_line("latency"), Ok(Cmd::Latency { procs: 1 }));
+        assert_eq!(
+            parse_line("lock"),
+            Ok(Cmd::Lock {
+                procs: 8,
+                read_pct: 0
+            })
+        );
+        assert_eq!(
+            parse_line("lock --read-pct 100 --procs 32"),
+            Ok(Cmd::Lock {
+                procs: 32,
+                read_pct: 100
+            })
+        );
+        assert_eq!(
+            parse_line("barriers --machine ksr2 --procs 64"),
+            Ok(Cmd::Barriers {
+                machine: MachineKind::Ksr2,
+                procs: 64
+            })
+        );
+        assert_eq!(parse_line("sp --procs 1"), Ok(Cmd::Sp { procs: 1 }));
+    }
+
+    #[test]
+    fn range_errors_name_the_range() {
+        assert_eq!(
+            parse_line("barriers --procs 33"),
+            Err("--procs must be an integer in 2..=32, got \"33\"".into())
+        );
+        assert_eq!(
+            parse_line("lock --read-pct -1"),
+            Err("--read-pct must be an integer in 0..=100, got \"-1\"".into())
+        );
+        assert_eq!(
+            parse_line("barriers --machine nope"),
+            Err("unknown machine \"nope\"".into())
+        );
+    }
 }
