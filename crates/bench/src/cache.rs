@@ -1,7 +1,7 @@
 //! The content-addressed results cache behind `--cache DIR`.
 //!
 //! Every [`Job`](crate::exec::Job) carries a canonical
-//! [`JobDesc`](crate::exec::JobDesc); its 128-bit
+//! [`JobDesc`]; its 128-bit
 //! [`Fingerprint`](ksr_core::Fingerprint) names one JSON file under the
 //! cache directory holding the job's serialized [`MetricRow`]s. Because
 //! jobs are pure functions of their descriptor, a hit can substitute

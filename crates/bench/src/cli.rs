@@ -1,10 +1,12 @@
-//! Command-line plumbing shared by `run_all` and the per-figure
-//! binaries.
+//! Command-line plumbing for `run_all`, the harness's one front end.
 //!
-//! Every binary accepts the same flags, layered over the environment
-//! defaults (`KSR_QUICK`, `KSR_SEED`, `KSR_RESULTS`, `KSR_JOBS`,
-//! `KSR_CACHE`):
+//! Its flags layer over the environment defaults (`KSR_QUICK`,
+//! `KSR_SEED`, `KSR_RESULTS`, `KSR_JOBS`, `KSR_CACHE`):
 //!
+//! * `--list` — print the registry and exit;
+//! * `--only ID[,ID...]` — run a subset (case-insensitive ids, repeats
+//!   dropped) and write only those experiments' files: no `summary.json`
+//!   or `timings.json`, which index a whole run;
 //! * `--quick` / `--full` — force reduced or full sweeps;
 //! * `--seed N` — perturb every machine seed;
 //! * `--results DIR` — where result files go;
@@ -22,12 +24,10 @@
 //!   list into the cache (requires `--cache`; writes no artifacts);
 //! * `--join` — assemble artifacts from a cache the shards populated:
 //!   a warm run that should execute nothing (requires `--cache`; warns
-//!   about any job it still had to run).
-//!
-//! `run_all` additionally understands `--list` (print the registry and
-//! exit), `--only ID[,ID...]` (run a subset), and `--prune` (delete
-//! cache entries from dead generations — stale schemas, removed
-//! experiments, corrupt files — then exit; requires `--cache`).
+//!   about any job it still had to run);
+//! * `--prune` — delete cache entries from dead generations (stale
+//!   schemas, removed experiments, corrupt files), then exit (requires
+//!   `--cache`).
 //!
 //! Output discipline: rendered experiment results go to **stdout** (so
 //! runs pipe cleanly into files and diffs); everything else — per-job
@@ -42,16 +42,17 @@ use ksr_core::{Json, Progress};
 
 use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard};
 use crate::exec::{self, CacheStats};
-use crate::registry::{find, Experiment, FnExperiment, REGISTRY};
+use crate::registry::{find, Experiment, REGISTRY};
 
-/// Parsed command line: run options plus `run_all`'s selection flags.
+/// Parsed command line: run options plus the selection flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
     /// Effective run options (environment defaults + flags).
     pub opts: RunOpts,
     /// `--list`: print the registry instead of running.
     pub list: bool,
-    /// `--only`: ids to run (empty means all).
+    /// `--only`: ids to run, upper-cased, each once in first-seen
+    /// order (empty means all).
     pub only: Vec<String>,
     /// `--join`: expect a fully-populated cache and only reduce.
     pub join: bool,
@@ -60,10 +61,10 @@ pub struct Cli {
 }
 
 /// Parse `args` (not including the program name) over environment
-/// defaults. Returns an error message for unknown or malformed flags, for
-/// a malformed `KSR_SEED` or `KSR_JOBS`, and for inconsistent
-/// combinations (sharding without a cache, `--shard` with `--join` or
-/// `--check`).
+/// defaults. Returns an error message for unknown or malformed flags
+/// (including an `--only` that names no id), for a malformed `KSR_SEED`
+/// or `KSR_JOBS`, and for inconsistent combinations (sharding without a
+/// cache, `--shard` with `--join` or `--check`).
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     parse_args_with(args, |name| std::env::var_os(name))
 }
@@ -113,11 +114,19 @@ pub(crate) fn parse_args_with(
                 let v = args
                     .next()
                     .ok_or("--only needs a comma-separated id list")?;
-                cli.only.extend(
-                    v.split(',')
-                        .filter(|s| !s.is_empty())
-                        .map(str::to_uppercase),
-                );
+                let ids: Vec<String> = v
+                    .split(',')
+                    .filter(|s| !s.is_empty())
+                    .map(str::to_uppercase)
+                    .collect();
+                if ids.is_empty() {
+                    return Err(format!("--only names no experiment id: {v:?}"));
+                }
+                for id in ids {
+                    if !cli.only.contains(&id) {
+                        cli.only.push(id);
+                    }
+                }
             }
             other => return Err(format!("unknown argument: {other}")),
         }
@@ -150,9 +159,9 @@ pub(crate) fn parse_args_with(
     Ok(cli)
 }
 
-fn usage(program: &str) -> String {
+fn usage() -> String {
     format!(
-        "usage: {program} [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
+        "usage: run_all [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
          [--cache DIR] [--shard i/N] [--join] [--list] [--only ID,ID...] [--prune]\n\
          ids: {}",
         crate::registry::ids().join(", ")
@@ -168,35 +177,20 @@ fn print_registry_to_stderr() {
     }
 }
 
-/// Run one experiment and persist its artifacts; prints the rendering.
-pub fn emit(exp: &FnExperiment, opts: &RunOpts) -> ExperimentOutput {
-    let out = exp.run(opts);
-    println!("{}", out.render());
-    match out.write_to(&opts.results_dir) {
-        Ok(path) => eprintln!("[written: {}]", path.display()),
-        Err(e) => eprintln!("[warning: could not write results file: {e}]"),
-    }
-    out
-}
-
-/// The unified run path: plan every selected experiment, execute all
-/// jobs over the worker pool, then print/persist the outputs in
-/// selection order. With `summary` set, `summary.json` and
-/// `timings.json` are written too (the `run_all` mode); single-figure
-/// binaries skip both. Under `--check`, the per-experiment coherence
-/// results are merged in job order and [`crate::check::finalize`] runs
-/// the race/lint suites and writes `violations.json`.
+/// The run path: plan every selected experiment, execute all jobs over
+/// the worker pool, then print/persist the outputs in selection order.
+/// With `summary` set (a run without `--only`), `summary.json` and
+/// `timings.json` are written too; an `--only` run writes just the
+/// selected experiments' files. Under `--check`, the per-experiment
+/// coherence results are merged in job order and
+/// [`crate::check::finalize`] runs the race/lint suites and writes
+/// `violations.json`.
 ///
 /// With `opts.shard` set this is a shard run instead: execute this
 /// process's slice of the job list into the cache and stop — no
-/// rendering, no artifacts except `timings.json` (which carries the
-/// hit/miss/skip counters).
-fn run_selection(
-    selected: &[&FnExperiment],
-    opts: &RunOpts,
-    summary: bool,
-    join: bool,
-) -> ExitCode {
+/// rendering, no artifacts except, with `summary` set, `timings.json`
+/// (which carries the hit/miss/skip counters).
+fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool, join: bool) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
     let (progress, drainer) = Progress::stderr();
@@ -356,7 +350,7 @@ pub fn run_all_main() -> ExitCode {
     let cli = match parse_args(std::env::args().skip(1)) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("error: {e}\n{}", usage("run_all"));
+            eprintln!("error: {e}\n{}", usage());
             return ExitCode::from(2);
         }
     };
@@ -373,7 +367,7 @@ pub fn run_all_main() -> ExitCode {
     if cli.prune {
         return prune_cache(&cli.opts);
     }
-    let selected: Vec<&FnExperiment> = if cli.only.is_empty() {
+    let selected: Vec<&Experiment> = if cli.only.is_empty() {
         REGISTRY.iter().collect()
     } else {
         let mut sel = Vec::new();
@@ -389,7 +383,7 @@ pub fn run_all_main() -> ExitCode {
         }
         sel
     };
-    run_selection(&selected, &cli.opts, true, cli.join)
+    run_selection(&selected, &cli.opts, cli.only.is_empty(), cli.join)
 }
 
 /// Delete cache entries no current experiment generation can ever hit:
@@ -425,34 +419,6 @@ fn prune_cache(opts: &RunOpts) -> ExitCode {
     }
 }
 
-/// Entry point for a single-experiment binary: run `id` with the shared
-/// flags (selection flags are rejected).
-#[must_use]
-pub fn run_single_main(id: &str) -> ExitCode {
-    let cli = match parse_args(std::env::args().skip(1)) {
-        Ok(cli) if cli.list || cli.prune || !cli.only.is_empty() => {
-            eprintln!(
-                "error: --list/--only/--prune are run_all flags\n{}",
-                usage(&id.to_lowercase())
-            );
-            return ExitCode::from(2);
-        }
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("error: {e}\n{}", usage(&id.to_lowercase()));
-            return ExitCode::from(2);
-        }
-    };
-    let Some(exp) = find(id) else {
-        // A build/registry mismatch, not a user error: say which binary
-        // is mis-wired and what actually exists, then fail cleanly.
-        eprintln!("error: this binary is wired to unregistered experiment id {id}");
-        print_registry_to_stderr();
-        return ExitCode::FAILURE;
-    };
-    run_selection(&[exp], &cli.opts, false, cli.join)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,6 +446,14 @@ mod tests {
         assert_eq!(cli.opts.jobs, 4);
         assert_eq!(cli.only, ["FIG4", "TAB1"]);
         assert!(!cli.join);
+        let cli =
+            parse_args(["--only", "SEC31A,sec31a", "--only", "tab1,Sec31a"].map(String::from))
+                .unwrap();
+        assert_eq!(
+            cli.only,
+            ["SEC31A", "TAB1"],
+            "a repeated id runs once, at its first position"
+        );
     }
 
     #[test]
@@ -495,6 +469,11 @@ mod tests {
         assert!(parse_args(["--bogus".to_string()]).is_err());
         assert!(parse_args(["--seed".to_string(), "x".to_string()]).is_err());
         assert!(parse_args(["--jobs".to_string(), "x".to_string()]).is_err());
+        assert!(
+            parse_args(["--only", ","].map(String::from)).is_err(),
+            "an --only that names no id"
+        );
+        assert!(parse_args(["--only", ""].map(String::from)).is_err());
     }
 
     /// A set but malformed `KSR_SEED` or `KSR_JOBS` is an error, like a

@@ -138,12 +138,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// CMB (serial convenience form of [`plan`]).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,11 +10,10 @@ use ksr_core::table::{series_to_csv, Series};
 use ksr_core::Json;
 
 /// Options for one experiment run — the single parameter every
-/// [`crate::registry::Experiment`] receives.
+/// [`crate::registry::Experiment`] planner receives.
 ///
-/// Replaces the old bare `quick: bool` argument. Environment variables
-/// provide the defaults ([`RunOpts::from_vars`]); binaries layer CLI flags
-/// on top.
+/// Environment variables provide the defaults ([`RunOpts::from_vars`]);
+/// `run_all` layers its CLI flags on top.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOpts {
     /// Reduced sweeps for CI and tests (`KSR_QUICK=1`).
@@ -111,7 +110,7 @@ impl Default for RunOpts {
 impl RunOpts {
     /// Options taken entirely from the environment variables
     /// `KSR_QUICK`, `KSR_SEED`, `KSR_RESULTS`, `KSR_CHECK`, `KSR_JOBS`
-    /// and `KSR_CACHE`, read through `var`: the binaries pass the process
+    /// and `KSR_CACHE`, read through `var`: `run_all` passes the process
     /// environment, tests a fixed table (test threads share one process
     /// environment). Sharding is per-invocation, so `--shard` stays
     /// CLI-only. An unset or empty `KSR_SEED` or `KSR_JOBS` keeps its

@@ -365,12 +365,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Produce the EXPLORE artifact (serial convenience form).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -158,12 +158,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Run both wish-list experiments (serial convenience form of [`plan`]).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -193,12 +193,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Run the Figure 2 sweep (serial convenience form of [`plan`]).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
-}
-
 /// Plan the §3.1 stride experiments (SEC31A): one job per stride point.
 #[must_use]
 pub fn plan_strides(opts: &RunOpts) -> ExperimentPlan {
@@ -293,12 +287,6 @@ pub fn plan_strides(opts: &RunOpts) -> ExperimentPlan {
         ));
         out
     })
-}
-
-/// Run the §3.1 stride experiments (serial form of [`plan_strides`]).
-#[must_use]
-pub fn run_strides(opts: &RunOpts) -> ExperimentOutput {
-    plan_strides(opts).run_serial()
 }
 
 #[cfg(test)]

@@ -214,12 +214,6 @@ pub fn plan_fig4(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Figure 4 (serial convenience form of [`plan_fig4`]).
-#[must_use]
-pub fn run_fig4(opts: &RunOpts) -> ExperimentOutput {
-    plan_fig4(opts).run_serial()
-}
-
 /// Plan Figure 5: the nine barriers on the 64-node KSR-2 (two-level
 /// ring).
 #[must_use]
@@ -282,12 +276,6 @@ pub fn plan_fig5(opts: &RunOpts) -> ExperimentPlan {
         out.rows_from_series("barrier_episode_seconds", "procs", "s");
         out
     })
-}
-
-/// Figure 5 (serial convenience form of [`plan_fig5`]).
-#[must_use]
-pub fn run_fig5(opts: &RunOpts) -> ExperimentOutput {
-    plan_fig5(opts).run_serial()
 }
 
 /// Plan §3.2.3: the same barrier code on the Symmetry and the
@@ -388,12 +376,6 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
         );
         out
     })
-}
-
-/// §3.2.3 (serial convenience form of [`plan_sec323`]).
-#[must_use]
-pub fn run_sec323(opts: &RunOpts) -> ExperimentOutput {
-    plan_sec323(opts).run_serial()
 }
 
 #[cfg(test)]

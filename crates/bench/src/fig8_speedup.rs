@@ -80,19 +80,13 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Run the Figure 8 sweep (serial convenience form of [`plan`]).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn both_curves_rise_in_quick_mode() {
-        let out = run(&RunOpts::quick());
+        let out = plan(&RunOpts::quick()).run_serial();
         for s in &out.series {
             let first = s.points.first().unwrap().1;
             let last = s.points.last().unwrap().1;

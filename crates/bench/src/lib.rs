@@ -4,12 +4,12 @@
 //! Study of the KSR-1"*, each regenerating the same rows or curves the
 //! paper reports (see the per-experiment index in `DESIGN.md`).
 //!
-//! Experiments are [`registry::Experiment`]s: look them up in
-//! [`registry::REGISTRY`]. Each experiment describes itself as an
-//! [`exec::ExperimentPlan`] — a list of pure [`exec::Job`]s (config +
-//! seed + program factory → typed [`MetricRow`]s) plus an ordered
-//! reduce — and [`exec::execute`] schedules the jobs of many plans over
-//! a pool of worker threads (`--jobs N` / `KSR_JOBS`). Because every
+//! Experiments are [`Experiment`]s: look them up in [`REGISTRY`]. Each
+//! experiment describes itself as an [`exec::ExperimentPlan`] — a list
+//! of pure [`exec::Job`]s (config + seed + program factory → typed
+//! [`MetricRow`]s) plus an ordered reduce — and [`exec::execute`]
+//! schedules the jobs of many plans over a pool of worker threads
+//! (`--jobs N` / `KSR_JOBS`). Because every
 //! job is pure and the reduce runs in job order, `results/*.json` and
 //! `summary.json` are byte-identical at any worker count.
 //!
@@ -25,8 +25,8 @@
 //! figure series, and typed [`MetricRow`]s; `write_to` persists
 //! `<id>.txt` / `<id>.csv` / `<id>.json`, and [`common::write_summary`]
 //! indexes a whole run in `summary.json`. The `run_all` binary is the
-//! CLI front end (`--list`, `--only FIG4,TAB1`, `--quick`, `--jobs`);
-//! the per-figure binaries route through the same registry.
+//! one CLI front end (`--list`, `--only FIG4,TAB1`, `--quick`, `--jobs`;
+//! see [`cli`]): `run_all --only ID` regenerates a single artifact.
 //! `KSR_QUICK=1`, `KSR_SEED`, `KSR_RESULTS`, and `KSR_JOBS` provide the
 //! [`RunOpts`] defaults.
 
@@ -61,29 +61,4 @@ pub use exec::{
     execute, execute_shard, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc,
     JobResults, ShardReport,
 };
-pub use registry::{Experiment, FnExperiment, REGISTRY};
-
-/// Run every registered experiment, in the DESIGN.md index order.
-#[must_use]
-pub fn run_all(opts: &RunOpts) -> Vec<ExperimentOutput> {
-    REGISTRY.iter().map(|e| e.run(opts)).collect()
-}
-
-/// Deprecated shim for the pre-registry API.
-#[deprecated(note = "use run_all(&RunOpts) or the registry directly")]
-#[must_use]
-pub fn run_all_quick(quick: bool) -> Vec<ExperimentOutput> {
-    run_all(&RunOpts {
-        quick,
-        ..RunOpts::default()
-    })
-}
-
-/// Print an experiment and persist it under the results directory.
-pub fn emit(out: &ExperimentOutput, opts: &RunOpts) {
-    println!("{}", out.render());
-    match out.write_to(&opts.results_dir) {
-        Ok(path) => eprintln!("[written: {}]", path.display()),
-        Err(e) => eprintln!("[warning: could not write results file: {e}]"),
-    }
-}
+pub use registry::{Experiment, REGISTRY};

@@ -3,58 +3,46 @@
 //! Every paper artifact the harness can regenerate is an
 //! [`Experiment`]: an id (the DESIGN.md index key), a human title, and a
 //! planner taking [`RunOpts`] and returning an [`ExperimentPlan`] — the
-//! experiment's pure jobs plus its ordered reduce. The built-in
-//! experiments are plain planner functions wrapped in [`FnExperiment`]
-//! and listed in [`REGISTRY`] in DESIGN.md index order; binaries and
-//! `run_all` resolve them through [`find`] rather than hard-coding call
-//! sites, and the executor (`crate::exec`) schedules the plans' jobs
+//! experiment's pure jobs plus its ordered reduce. [`REGISTRY`] lists
+//! them in DESIGN.md index order; `run_all` resolves `--only` ids through
+//! [`find`], and the executor (`crate::exec`) schedules the plans' jobs
 //! over its worker pool.
 
-use crate::common::{ExperimentOutput, RunOpts};
+use crate::common::RunOpts;
 use crate::exec::ExperimentPlan;
 
-/// One runnable paper artifact (a table, figure, or text measurement).
-pub trait Experiment {
-    /// Stable id from the DESIGN.md index (e.g. `"FIG4"`).
-    fn id(&self) -> &'static str;
-    /// Human title.
-    fn title(&self) -> &'static str;
-    /// The experiment as pure data: jobs + ordered reduce.
-    fn plan(&self, opts: &RunOpts) -> ExperimentPlan;
-    /// Produce the artifact under the given options — the serial
-    /// convenience form, byte-identical to executing the plan at any
-    /// worker count.
-    fn run(&self, opts: &RunOpts) -> ExperimentOutput {
-        self.plan(opts).run_serial()
-    }
-}
-
-/// An [`Experiment`] backed by a free planner function — the shape of
-/// every built-in experiment.
+/// One runnable paper artifact (a table, figure, or text measurement),
+/// backed by a free planner function.
 #[derive(Clone, Copy)]
-pub struct FnExperiment {
+pub struct Experiment {
     id: &'static str,
     title: &'static str,
     planner: fn(&RunOpts) -> ExperimentPlan,
 }
 
-impl Experiment for FnExperiment {
-    fn id(&self) -> &'static str {
+impl Experiment {
+    /// Stable id from the DESIGN.md index (e.g. `"FIG4"`).
+    #[must_use]
+    pub fn id(&self) -> &'static str {
         self.id
     }
 
-    fn title(&self) -> &'static str {
+    /// Human title.
+    #[must_use]
+    pub fn title(&self) -> &'static str {
         self.title
     }
 
-    fn plan(&self, opts: &RunOpts) -> ExperimentPlan {
+    /// The experiment as pure data: jobs + ordered reduce.
+    #[must_use]
+    pub fn plan(&self, opts: &RunOpts) -> ExperimentPlan {
         (self.planner)(opts)
     }
 }
 
-impl std::fmt::Debug for FnExperiment {
+impl std::fmt::Debug for Experiment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FnExperiment")
+        f.debug_struct("Experiment")
             .field("id", &self.id)
             .finish_non_exhaustive()
     }
@@ -62,7 +50,7 @@ impl std::fmt::Debug for FnExperiment {
 
 macro_rules! entry {
     ($id:expr, $title:expr, $planner:path) => {
-        FnExperiment {
+        Experiment {
             id: $id,
             title: $title,
             planner: $planner,
@@ -71,7 +59,7 @@ macro_rules! entry {
 }
 
 /// Every built-in experiment, in DESIGN.md index order.
-pub const REGISTRY: &[FnExperiment] = &[
+pub const REGISTRY: &[Experiment] = &[
     entry!(
         crate::fig2_latency::ID_FIG2,
         crate::fig2_latency::TITLE_FIG2,
@@ -171,7 +159,7 @@ pub const REGISTRY: &[FnExperiment] = &[
 
 /// Look an experiment up by id, case-insensitively.
 #[must_use]
-pub fn find(id: &str) -> Option<&'static FnExperiment> {
+pub fn find(id: &str) -> Option<&'static Experiment> {
     REGISTRY.iter().find(|e| e.id.eq_ignore_ascii_case(id))
 }
 

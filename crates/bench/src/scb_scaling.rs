@@ -7,14 +7,14 @@
 //! smallest ring tree that holds its processor count, so the curve
 //! reflects the machine a buyer would actually configure:
 //!
-//! | cells | topology      | levels |
-//! |-------|---------------|--------|
-//! | 32    | ring[32]      | 1      |
-//! | 64    | ring[32x2]    | 2      |
-//! | 128   | ring[32x4]    | 2      |
-//! | 256   | ring[32x8]    | 2      |
-//! | 512   | ring[32x8x2]  | 3      |
-//! | 1024  | ring[32x8x4]  | 3      |
+//! | cells | topology        | levels |
+//! |-------|-----------------|--------|
+//! | 32    | `ring[32]`      | 1      |
+//! | 64    | `ring[32x2]`    | 2      |
+//! | 128   | `ring[32x4]`    | 2      |
+//! | 256   | `ring[32x8]`    | 2      |
+//! | 512   | `ring[32x8x2]`  | 3      |
+//! | 1024  | `ring[32x8x4]`  | 3      |
 //!
 //! Log-depth barriers (tournament, tree, MCS) pay O(log p) rounds, but
 //! on a ring hierarchy the later rounds span wider LCA crossings — the
@@ -151,12 +151,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         out.rows_from_series("barrier_episode_seconds", "cells", "s");
         out
     })
-}
-
-/// SCB (serial convenience form of [`plan`]).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
 }
 
 #[cfg(test)]

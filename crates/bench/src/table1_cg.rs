@@ -143,12 +143,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Run Table 1 (serial convenience form of [`plan`]).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +158,7 @@ mod tests {
 
     #[test]
     fn quick_table_is_well_formed() {
-        let out = run(&RunOpts::quick());
+        let out = plan(&RunOpts::quick()).run_serial();
         assert!(out.text.contains("Speedup"));
         assert!(out.text.lines().count() >= 5);
         assert!(out.rows.iter().any(|r| r.metric == "cg_run_seconds"));

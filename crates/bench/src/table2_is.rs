@@ -121,12 +121,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Run Table 2 (serial convenience form of [`plan`]).
-#[must_use]
-pub fn run(opts: &RunOpts) -> ExperimentOutput {
-    plan(opts).run_serial()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,7 +136,7 @@ mod tests {
 
     #[test]
     fn serial_fraction_rises_in_quick_table() {
-        let out = run(&RunOpts::quick());
+        let out = plan(&RunOpts::quick()).run_serial();
         assert!(out.text.contains("Serial Fraction"));
         assert!(out
             .rows

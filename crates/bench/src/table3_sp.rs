@@ -124,12 +124,6 @@ pub fn plan_table3(opts: &RunOpts) -> ExperimentPlan {
     })
 }
 
-/// Run Table 3 (serial convenience form of [`plan_table3`]).
-#[must_use]
-pub fn run_table3(opts: &RunOpts) -> ExperimentOutput {
-    plan_table3(opts).run_serial()
-}
-
 /// Plan Table 4 (the optimisation ladder at 30 processors): one job per
 /// rung.
 #[must_use]
@@ -198,12 +192,6 @@ pub fn plan_table4(opts: &RunOpts) -> ExperimentPlan {
         );
         out
     })
-}
-
-/// Run Table 4 (serial convenience form of [`plan_table4`]).
-#[must_use]
-pub fn run_table4(opts: &RunOpts) -> ExperimentOutput {
-    plan_table4(opts).run_serial()
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use ksr_bench::common::write_summary;
-use ksr_bench::registry::{find, Experiment};
+use ksr_bench::registry::find;
 use ksr_bench::{check, exec, RunOpts};
 use ksr_core::Progress;
 

@@ -2,9 +2,10 @@
 //! run → `<id>.json` → `summary.json`.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use ksr_bench::common::{write_summary, RunOpts};
-use ksr_bench::registry::{find, Experiment, REGISTRY};
+use ksr_bench::registry::{find, REGISTRY};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ksr_pipeline_{tag}_{}", std::process::id()))
@@ -52,7 +53,7 @@ fn quick_run_writes_typed_json_results() {
         ..RunOpts::default()
     };
     let exp = find("SEC31A").expect("registered");
-    let out = exp.run(&opts);
+    let out = exp.plan(&opts).run_serial();
     assert_eq!(out.id, "SEC31A");
     assert!(!out.rows.is_empty(), "experiments must emit typed rows");
     out.write_to(&opts.results_dir).unwrap();
@@ -75,4 +76,32 @@ fn seed_perturbs_machine_seeds() {
     };
     assert_eq!(base.machine_seed(500), 500);
     assert_ne!(perturbed.machine_seed(500), 500);
+}
+
+/// `run_all --only` writes the selected experiments' files and nothing
+/// else: the `summary.json` of an earlier whole run in the same
+/// directory stays byte-identical, and no `timings.json` appears.
+#[test]
+fn only_run_leaves_the_whole_run_index_alone() {
+    let dir = temp_dir("only");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let summary = b"{\"experiments\": \"from an earlier whole run\"}\n";
+    std::fs::write(dir.join("summary.json"), summary).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--quick", "--only", "SEC31A", "--results"])
+        .arg(&dir)
+        .env_remove("KSR_CHECK")
+        .env_remove("KSR_CACHE")
+        .output()
+        .expect("spawn run_all");
+    assert!(
+        out.status.success(),
+        "run_all --only failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(dir.join("sec31a.json").exists());
+    assert_eq!(std::fs::read(dir.join("summary.json")).unwrap(), summary);
+    assert!(!dir.join("timings.json").exists());
+    let _ = std::fs::remove_dir_all(dir);
 }

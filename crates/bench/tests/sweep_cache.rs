@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 use ksr_bench::common::write_summary;
 use ksr_bench::registry::find;
-use ksr_bench::{exec, CacheStats, Experiment, RunOpts, Shard};
+use ksr_bench::{exec, CacheStats, RunOpts, Shard};
 use ksr_core::Progress;
 
 const IDS: [&str; 2] = ["TAB3", "TAB4"];

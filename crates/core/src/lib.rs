@@ -37,8 +37,9 @@
 //! * [`hash`] — a deterministic FxHash-style hasher and the
 //!   [`hash::FxHashMap`]/[`hash::FxHashSet`] aliases used by every
 //!   integer-keyed table on the simulator's memory-access hot path.
-//! * [`fingerprint`] — stable 128-bit content fingerprints (two salted
-//!   FxHash lanes) keying the sweep harness's results cache.
+//! * [`fingerprint`](mod@fingerprint) — stable 128-bit content
+//!   fingerprints (two salted FxHash lanes) keying the sweep harness's
+//!   results cache.
 //! * [`error`] — the shared error type.
 
 #![warn(missing_docs)]

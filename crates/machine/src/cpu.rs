@@ -10,14 +10,14 @@
 //! barrier looks like a function call with `.await` — while the
 //! coordinator keeps the whole machine deterministic.
 //!
-//! The yield handshake is a per-processor [`Slot`]: the access future
+//! The yield handshake is a per-processor `Slot`: the access future
 //! deposits `(issue time, op)` and returns `Pending`; the event-loop
 //! coordinator takes the request, deposits the reply, and polls again.
 //! Coordinator and future live on the same thread (the event core is
 //! single-threaded by construction), and each side only ever moves a
 //! whole value into or out of the slot, so the slot is three plain
 //! `Cell`s behind an `Rc` — no borrow flag, no atomics, no locks, no
-//! rendezvous. Every access is one hand-written [`Roundtrip`] future:
+//! rendezvous. Every access is one hand-written `Roundtrip` future:
 //! its first poll deposits the request, its second takes the reply and
 //! advances the local clock.
 

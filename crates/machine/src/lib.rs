@@ -14,8 +14,8 @@
 //! * [`cpu`] — the processor handle: timed reads/writes,
 //!   `get_sub_page`/`release_sub_page`, `prefetch`, `poststore`, private
 //!   compute, FLOP accounting, and fast-forwarded spin loops.
-//! * [`program`] — the resumable-state-machine contract ([`Program`],
-//!   [`Step`](program::Step)) that simulated programs compile down to,
+//! * [`program`](mod@program) — the resumable-state-machine contract
+//!   ([`Program`], [`Step`]) that simulated programs compile down to,
 //!   written as ordinary `async` closures.
 //! * [`machine`] — the coordinator that serializes all shared-memory
 //!   operations in global virtual-time order (fully deterministic runs):

@@ -923,6 +923,14 @@ mod tests {
         assert_eq!(m.epoch, epoch, "a rejected run must not advance the clock");
     }
 
+    #[test]
+    fn empty_ring_spec_is_a_config_error() {
+        assert!(matches!(
+            Machine::new(MachineConfig::ksr_ring(0, &[])),
+            Err(Error::Config(_))
+        ));
+    }
+
     /// A `ScheduleOracle` that picks a seeded index and records every tie
     /// it is shown.
     struct RecordingOracle {

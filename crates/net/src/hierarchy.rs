@@ -111,17 +111,17 @@ impl RingHierarchyConfig {
     /// Upper rings use the 4 GB/s Ring:1 geometry; every ARD costs the
     /// standard 130 cycles per direction.
     ///
-    /// # Panics
-    /// On an empty spec; bad shapes (zero or oversized entries) are
-    /// reported by [`RingHierarchyConfig::validate`], not here.
+    /// Bad shapes are reported by [`RingHierarchyConfig::validate`], not
+    /// here: an empty spec gives zero cells per leaf, and zero, oversized
+    /// or overflowing entries fail validation too.
     #[must_use]
     pub fn ring_levels(spec: &[usize]) -> Self {
-        assert!(!spec.is_empty(), "ring shape spec needs at least one level");
         Self {
             leaf: RingConfig::ksr1_leaf(),
-            cells_per_leaf: spec[0],
-            levels: spec[1..]
+            cells_per_leaf: spec.first().copied().unwrap_or(0),
+            levels: spec
                 .iter()
+                .skip(1)
                 .map(|&fanout| RingLevel {
                     ring: RingConfig::ksr1_top(fanout),
                     fanout,
@@ -151,16 +151,20 @@ impl RingHierarchyConfig {
         self.levels.len() + 1
     }
 
-    /// Number of leaf rings.
+    /// Number of leaf rings (saturating at `usize::MAX`, which
+    /// [`RingHierarchyConfig::validate`] rejects).
     #[must_use]
     pub fn n_leaves(&self) -> usize {
-        self.levels.iter().map(|l| l.fanout).product()
+        self.levels
+            .iter()
+            .fold(1, |n: usize, l| n.saturating_mul(l.fanout))
     }
 
-    /// Total processor cells.
+    /// Total processor cells (saturating at `usize::MAX`, which
+    /// [`RingHierarchyConfig::validate`] rejects).
     #[must_use]
     pub fn total_cells(&self) -> usize {
-        self.n_leaves() * self.cells_per_leaf
+        self.n_leaves().saturating_mul(self.cells_per_leaf)
     }
 
     /// Validate the configuration.
@@ -199,6 +203,19 @@ impl RingHierarchyConfig {
                     i + 1
                 )));
             }
+        }
+        let cells = self
+            .levels
+            .iter()
+            .try_fold(self.cells_per_leaf, |n, l| n.checked_mul(l.fanout));
+        if cells.is_none() {
+            return Err(Error::Config(format!(
+                "a {}-level ring tree with {} cells per leaf holds more than \
+                 {} cells",
+                self.depth(),
+                self.cells_per_leaf,
+                usize::MAX
+            )));
         }
         Ok(())
     }

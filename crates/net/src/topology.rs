@@ -225,6 +225,31 @@ mod tests {
         assert_eq!(Topology::butterfly(8).describe(), "butterfly[8]");
     }
 
+    /// Seeded fuzz of the shape builder: no spec may panic in
+    /// `validate()` or `capacity()`, and a spec that validates holds
+    /// exactly the product of its entries.
+    #[test]
+    fn ring_shape_specs_validate_without_panicking() {
+        let mut rng = ksr_core::XorShift64::new(0x5EC);
+        let mut valid = 0;
+        for _ in 0..4096 {
+            let len = rng.next_index(17);
+            let spec: Vec<usize> = (0..len).map(|_| rng.next_index(41)).collect();
+            let t = Topology::ring_levels(&spec);
+            let capacity = t.capacity();
+            let product = spec.iter().try_fold(1usize, |n, &e| n.checked_mul(e));
+            if t.validate().is_ok() {
+                valid += 1;
+                assert_eq!(capacity, product, "{spec:?}");
+            }
+        }
+        assert!(valid > 0, "the fuzz must reach valid shapes too");
+        let overflowing = Topology::ring_levels(&[32; 16]);
+        assert!(overflowing.validate().is_err());
+        assert_eq!(overflowing.capacity(), Some(usize::MAX));
+        assert!(Topology::ring_levels(&[]).validate().is_err());
+    }
+
     #[test]
     fn invalid_shapes_rejected_before_build() {
         let mut cfg = RingHierarchyConfig::ring_levels(&[32, 2]);

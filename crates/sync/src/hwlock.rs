@@ -13,53 +13,18 @@
 use ksr_core::Result;
 use ksr_machine::{Cpu, Machine};
 
-/// Deterministic bounded exponential backoff between `get_sub_page`
-/// retries: after the `n`-th consecutive rejection the requester
-/// computes `min(base << n, cap)` cycles before retrying, relieving
-/// ring pressure at high contention. Purely a function of the retry
-/// count, so runs stay deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffConfig {
-    /// Pause after the first rejection, in cycles.
-    pub base: u64,
-    /// Upper bound on any single pause, in cycles.
-    pub cap: u64,
-}
-
-impl BackoffConfig {
-    /// A mild default: start near one ring round-trip, cap at ~16×.
-    #[must_use]
-    pub fn ksr1() -> Self {
-        Self {
-            base: 128,
-            cap: 2_048,
-        }
-    }
-}
-
 /// An exclusive lock occupying one private sub-page.
 #[derive(Debug, Clone, Copy)]
 pub struct HwLock {
     addr: u64,
-    backoff: Option<BackoffConfig>,
 }
 
 impl HwLock {
-    /// Allocate the lock's sub-page. Backoff is off by default: every
-    /// retry hits the ring immediately, exactly like the hardware the
-    /// paper measured (and exactly the FIG3 artifact's behavior).
+    /// Allocate the lock's sub-page.
     pub fn alloc(m: &mut Machine) -> Result<Self> {
         Ok(Self {
             addr: m.alloc_subpage(8)?,
-            backoff: None,
         })
-    }
-
-    /// Enable (or, with `None`, explicitly disable) retry backoff.
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Option<BackoffConfig>) -> Self {
-        self.backoff = backoff;
-        self
     }
 
     /// Sub-page address (diagnostics).
@@ -69,20 +34,10 @@ impl HwLock {
     }
 
     /// Spin until the sub-page is acquired atomically. Each retry is a
-    /// fresh ring transaction, exactly like hardware spinning on
-    /// `get_sub_page`; with a [`BackoffConfig`] the retries are paced
-    /// by a deterministic bounded exponential pause.
+    /// fresh ring transaction issued at once, exactly like hardware
+    /// spinning on `get_sub_page`.
     pub async fn acquire(&self, cpu: &mut Cpu) {
-        match self.backoff {
-            None => cpu.acquire_sub_page(self.addr).await,
-            Some(b) => {
-                let mut pause = b.base;
-                while !cpu.get_sub_page(self.addr).await {
-                    cpu.compute(pause.min(b.cap));
-                    pause = pause.saturating_mul(2);
-                }
-            }
-        }
+        cpu.acquire_sub_page(self.addr).await;
     }
 
     /// One acquisition attempt.
@@ -153,56 +108,6 @@ mod tests {
             }),
         ])
         .expect("run");
-    }
-
-    /// One contended run, returning (duration, total atomic rejections).
-    fn contended_run(configure: fn(HwLock) -> HwLock) -> (u64, u64) {
-        let mut m = Machine::ksr1(17).unwrap();
-        let lock = configure(HwLock::alloc(&mut m).unwrap());
-        let counter = m.alloc_subpage(8).unwrap();
-        let r = m
-            .run(
-                (0..16)
-                    .map(|_| {
-                        program(move |mut cpu| async move {
-                            for _ in 0..5 {
-                                lock.acquire(&mut cpu).await;
-                                let v = cpu.read_u64(counter).await;
-                                cpu.compute(500);
-                                cpu.write_u64(counter, v + 1).await;
-                                lock.release(&mut cpu).await;
-                            }
-                        })
-                    })
-                    .collect(),
-            )
-            .expect("run");
-        assert_eq!(m.peek_u64(counter).unwrap(), 80);
-        (r.duration_cycles(), m.perfmon_total().atomic_rejections)
-    }
-
-    /// `with_backoff(None)` must be indistinguishable from a lock that
-    /// never saw the builder — the artifact-stability guarantee behind
-    /// the committed FIG3 results.
-    #[test]
-    fn disabled_backoff_is_identical_to_default() {
-        assert_eq!(
-            contended_run(|lock| lock),
-            contended_run(|lock| lock.with_backoff(None))
-        );
-    }
-
-    /// Pacing the retries must cut rejected ring transactions without
-    /// losing any increments.
-    #[test]
-    fn backoff_reduces_atomic_rejections() {
-        let (_, rejections_plain) = contended_run(|lock| lock);
-        let (_, rejections_paced) =
-            contended_run(|lock| lock.with_backoff(Some(BackoffConfig::ksr1())));
-        assert!(
-            rejections_paced < rejections_plain / 2,
-            "backoff must relieve ring pressure: {rejections_paced} vs {rejections_plain}"
-        );
     }
 
     #[test]

@@ -34,6 +34,6 @@ pub use barrier::{
     SystemBarrier, TournamentBarrier, TreeBarrier,
 };
 pub use cohort::{CohortLock, CohortRwLock, CohortTicket, DEFAULT_HANDOFF_BUDGET};
-pub use hwlock::{BackoffConfig, HwLock};
+pub use hwlock::HwLock;
 pub use mutants::{LockOrderMutant, MissedInvalidationProbe, RacyHandoff};
 pub use rwlock::{LockMode, SwRwLock, Ticket};

@@ -17,6 +17,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (broken or ambiguous doc links fail)"
+# The workspace's `warnings = deny` lint turns every rustdoc warning into
+# an error, so a doc link left pointing at a renamed or deleted item
+# fails here.
+cargo doc --workspace --no-deps --offline --quiet
+
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --quiet
 

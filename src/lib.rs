@@ -18,8 +18,9 @@
 //! * [`verify`] — trace-driven coherence checking, happens-before race
 //!   detection, predictive lockset/lock-order analysis, small-scope
 //!   schedule exploration, and static schedule lints (`run_all --check`).
-//! * [`bench`] — the experiment registry, executor, and `--check`
-//!   harness behind every `results/` artifact.
+//! * [`bench`](mod@bench) — the experiment registry, executor, and
+//!   `--check` harness behind every `results/` artifact, driven by the
+//!   `run_all` binary.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the experiment
 //! index.
