@@ -21,10 +21,10 @@
 //!   executes and populates the cache (bypassed under `--check`, whose
 //!   point is observing execution);
 //! * `--shard i/N` — run only shard `i` of `N` of the flattened job
-//!   list into the cache (requires `--cache`; writes no artifacts);
-//! * `--join` — assemble artifacts from a cache the shards populated:
-//!   a warm run that should execute nothing (requires `--cache`; warns
-//!   about any job it still had to run);
+//!   list into the cache (requires `--cache`; writes no artifacts). A
+//!   plain `--cache` run after every shard has finished executes nothing
+//!   and writes the artifacts; its `[cache: ...]` line counts as misses
+//!   any jobs a missing shard left out;
 //! * `--prune` — delete cache entries from dead generations (stale
 //!   schemas, removed experiments, corrupt files), then exit (requires
 //!   `--cache`).
@@ -42,7 +42,7 @@ use ksr_core::{Json, Progress};
 
 use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard};
 use crate::exec::{self, CacheStats};
-use crate::registry::{find, Experiment, REGISTRY};
+use crate::registry::{find, live_schemas, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus the selection flags.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,8 +54,6 @@ pub struct Cli {
     /// `--only`: ids to run, upper-cased, each once in first-seen
     /// order (empty means all).
     pub only: Vec<String>,
-    /// `--join`: expect a fully-populated cache and only reduce.
-    pub join: bool,
     /// `--prune`: drop dead cache generations instead of running.
     pub prune: bool,
 }
@@ -64,7 +62,7 @@ pub struct Cli {
 /// defaults. Returns an error message for unknown or malformed flags
 /// (including an `--only` that names no id), for a malformed `KSR_SEED`
 /// or `KSR_JOBS`, and for inconsistent combinations (sharding without a
-/// cache, `--shard` with `--join` or `--check`).
+/// cache, `--shard` with `--check`).
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     parse_args_with(args, |name| std::env::var_os(name))
 }
@@ -79,7 +77,6 @@ pub(crate) fn parse_args_with(
         opts: RunOpts::from_vars(var)?,
         list: false,
         only: Vec::new(),
-        join: false,
         prune: false,
     };
     let mut args = args.into_iter();
@@ -89,7 +86,6 @@ pub(crate) fn parse_args_with(
             "--full" => cli.opts.quick = false,
             "--check" => cli.opts.check = true,
             "--list" => cli.list = true,
-            "--join" => cli.join = true,
             "--prune" => cli.prune = true,
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
@@ -137,9 +133,6 @@ pub(crate) fn parse_args_with(
                  communicate through the cache"
                 .into());
         }
-        if cli.join {
-            return Err("--shard and --join are different phases: shard first, then join".into());
-        }
         if cli.opts.check {
             return Err(
                 "--shard conflicts with --check: checked runs bypass the cache, \
@@ -147,9 +140,6 @@ pub(crate) fn parse_args_with(
                     .into(),
             );
         }
-    }
-    if cli.join && cli.opts.cache.is_none() {
-        return Err("--join requires --cache DIR (or KSR_CACHE): it reduces from the cache".into());
     }
     if cli.prune && cli.opts.cache.is_none() {
         return Err(
@@ -162,7 +152,7 @@ pub(crate) fn parse_args_with(
 fn usage() -> String {
     format!(
         "usage: run_all [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
-         [--cache DIR] [--shard i/N] [--join] [--list] [--only ID,ID...] [--prune]\n\
+         [--cache DIR] [--shard i/N] [--list] [--only ID,ID...] [--prune]\n\
          ids: {}",
         crate::registry::ids().join(", ")
     )
@@ -190,41 +180,33 @@ fn print_registry_to_stderr() {
 /// process's slice of the job list into the cache and stop — no
 /// rendering, no artifacts except, with `summary` set, `timings.json`
 /// (which carries the hit/miss/skip counters).
-fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool, join: bool) -> ExitCode {
+fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
     let (progress, drainer) = Progress::stderr();
+    let report = exec::execute(plans, opts, &progress);
+    drop(progress);
+    drainer.join();
+    let wall_seconds = wall_start.elapsed().as_secs_f64();
+    let cache = report.cache.map(|stats| (stats, report.total_jobs));
 
     if let Some(shard) = opts.shard {
-        let report = exec::execute_shard(plans, opts, &progress);
-        drop(progress);
-        drainer.join();
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
+        let stats = report.cache.expect("--shard requires --cache");
         let cache_dir = opts.cache.as_deref().expect("--shard requires --cache");
         eprintln!(
             "[shard {shard}: {} executed, {} already cached, {} left to other shards → {}]",
-            report.cache.misses,
-            report.cache.hits,
-            report.cache.skipped,
+            stats.misses,
+            stats.hits,
+            stats.skipped,
             cache_dir.display(),
         );
         if summary {
-            if let Err(e) = write_timings(
-                &report.timings,
-                wall_seconds,
-                opts,
-                Some((report.cache, report.total_jobs)),
-            ) {
+            if let Err(e) = write_timings(&report.timings, wall_seconds, opts, cache) {
                 eprintln!("[warning: could not write timings: {e}]");
             }
         }
         return ExitCode::SUCCESS;
     }
-
-    let report = exec::execute(plans, opts, &progress);
-    drop(progress);
-    drainer.join();
-    let wall_seconds = wall_start.elapsed().as_secs_f64();
 
     if let Some(stats) = report.cache {
         let cache_dir = opts.cache.as_deref().expect("stats imply a cache");
@@ -235,20 +217,12 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool, join: 
             report.total_jobs,
             cache_dir.display(),
         );
-        if join && stats.misses > 0 {
-            eprintln!(
-                "[warning: --join executed {} job(s) missing from the cache — \
-                 did every shard finish?]",
-                stats.misses
-            );
-        }
     } else if opts.cache.is_some() && opts.check {
         eprintln!("[cache: bypassed under --check (violations are observed, not cached)]");
     }
 
     let mut outputs: Vec<ExperimentOutput> = Vec::with_capacity(report.results.len());
     let mut checks = Vec::new();
-    let mut timings = Vec::new();
     for (exp, result) in selected.iter().zip(report.results) {
         println!("{}", result.output.render());
         match result.output.write_to(&opts.results_dir) {
@@ -265,7 +239,6 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool, join: 
             );
             checks.push((exp.id(), check));
         }
-        timings.push((exp.id(), result.seconds));
         outputs.push(result.output);
     }
 
@@ -277,8 +250,7 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool, join: 
                 return ExitCode::FAILURE;
             }
         }
-        let cache = report.cache.map(|stats| (stats, report.total_jobs));
-        if let Err(e) = write_timings(&timings, wall_seconds, opts, cache) {
+        if let Err(e) = write_timings(&report.timings, wall_seconds, opts, cache) {
             eprintln!("[warning: could not write timings: {e}]");
         }
     }
@@ -383,26 +355,15 @@ pub fn run_all_main() -> ExitCode {
         }
         sel
     };
-    run_selection(&selected, &cli.opts, cli.only.is_empty(), cli.join)
+    run_selection(&selected, &cli.opts, cli.only.is_empty())
 }
 
 /// Delete cache entries no current experiment generation can ever hit:
-/// every registered experiment's (id, schema) pairs are live, anything
-/// else — stale schemas, removed experiments, corrupt files — goes.
-/// The live set spans the whole registry regardless of `--only`, so a
-/// prune never deletes entries a differently-scoped run still wants.
+/// the [`live_schemas`] stay, anything else — stale schemas, removed
+/// experiments, corrupt files — goes.
 fn prune_cache(opts: &RunOpts) -> ExitCode {
     let dir = opts.cache.clone().expect("parse_args enforces --cache");
-    let mut live: Vec<(&'static str, u32)> = Vec::new();
-    for e in REGISTRY {
-        for job in e.plan(opts).jobs() {
-            let pair = (job.desc().experiment(), job.desc().schema());
-            if !live.contains(&pair) {
-                live.push(pair);
-            }
-        }
-    }
-    match crate::cache::ResultsCache::new(&dir).prune(&live) {
+    match crate::cache::ResultsCache::new(&dir).prune(&live_schemas(opts)) {
         Ok(stats) => {
             eprintln!(
                 "[prune: {} entries removed, {} kept → {}]",
@@ -445,7 +406,6 @@ mod tests {
         assert_eq!(cli.opts.results_dir, std::path::PathBuf::from("out"));
         assert_eq!(cli.opts.jobs, 4);
         assert_eq!(cli.only, ["FIG4", "TAB1"]);
-        assert!(!cli.join);
         let cli =
             parse_args(["--only", "SEC31A,sec31a", "--only", "tab1,Sec31a"].map(String::from))
                 .unwrap();
@@ -511,9 +471,6 @@ mod tests {
         let cli = parse_args(["--cache", "cdir", "--shard", "2/4"].map(String::from)).unwrap();
         assert_eq!(cli.opts.cache, Some(std::path::PathBuf::from("cdir")));
         assert_eq!(cli.opts.shard, Some(Shard { index: 2, count: 4 }));
-        let cli = parse_args(["--cache", "cdir", "--join"].map(String::from)).unwrap();
-        assert!(cli.join);
-        assert!(cli.opts.shard.is_none());
     }
 
     #[test]
@@ -531,14 +488,6 @@ mod tests {
         assert!(
             parse_args(["--shard", "1/2"].map(String::from)).is_err(),
             "--shard without --cache"
-        );
-        assert!(
-            parse_args(["--join"].map(String::from)).is_err(),
-            "--join without --cache"
-        );
-        assert!(
-            parse_args(["--cache", "c", "--shard", "1/2", "--join"].map(String::from)).is_err(),
-            "--shard with --join"
         );
         assert!(
             parse_args(["--cache", "c", "--shard", "1/2", "--check"].map(String::from)).is_err(),

@@ -401,13 +401,6 @@ pub fn write_summary(outputs: &[ExperimentOutput], opts: &RunOpts) -> std::io::R
     Ok(path)
 }
 
-/// Default results directory: `results/` under the workspace root (or the
-/// current directory when run elsewhere).
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    PathBuf::from(std::env::var_os("KSR_RESULTS").unwrap_or_else(|| "results".into()))
-}
-
 /// Processor counts for a 32-cell sweep.
 #[must_use]
 pub fn proc_sweep_32(quick: bool) -> Vec<usize> {

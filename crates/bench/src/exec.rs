@@ -29,7 +29,7 @@
 //! Hence `results/*.json` and `summary.json` are byte-identical at any
 //! `-j`, cold or warm. Wall-clock timings (the only nondeterministic
 //! signal) are kept out of result files and reported separately via
-//! [`ExperimentResult::seconds`] and [`CacheStats`].
+//! [`ExecReport::timings`] and [`CacheStats`].
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -324,16 +324,12 @@ impl std::fmt::Debug for ExperimentPlan {
     }
 }
 
-/// One executed experiment: its output plus execution metadata that
-/// deliberately stays out of the byte-compared result files.
+/// One executed experiment: its output plus the coherence-checking
+/// results, which stay out of the byte-compared result files.
 #[derive(Debug)]
 pub struct ExperimentResult {
     /// The reduced output (identical to `plan.run_serial()`).
     pub output: ExperimentOutput,
-    /// Summed wall-clock seconds of the experiment's jobs (for
-    /// `timings.json`; nondeterministic by nature). Cache hits count as
-    /// zero.
-    pub seconds: f64,
     /// Aggregated coherence-checking results, merged in job order —
     /// `Some` exactly when `opts.check` was set.
     pub check: Option<ExpCheck>,
@@ -355,25 +351,16 @@ pub struct CacheStats {
 /// execution metadata.
 #[derive(Debug)]
 pub struct ExecReport {
-    /// One entry per plan, in plan order.
+    /// One entry per plan, in plan order — empty for a shard run, which
+    /// reduces nothing.
     pub results: Vec<ExperimentResult>,
+    /// Summed wall-clock seconds of each plan's executed jobs, in plan
+    /// order (for `timings.json`; nondeterministic by nature). Cache hits
+    /// and jobs left to other shards count as zero.
+    pub timings: Vec<(&'static str, f64)>,
     /// Cache counters — `Some` exactly when a cache was in use (i.e.
     /// `opts.cache` set and not bypassed by `opts.check`).
     pub cache: Option<CacheStats>,
-    /// Total jobs across every plan.
-    pub total_jobs: usize,
-}
-
-/// What [`execute_shard`] returns: counters only — a shard run produces
-/// cache entries, not artifacts.
-#[derive(Debug)]
-pub struct ShardReport {
-    /// Cache counters: `hits` were already present, `misses` were
-    /// executed and stored, `skipped` belong to other shards.
-    pub cache: CacheStats,
-    /// Summed wall-clock seconds of this shard's jobs, per experiment
-    /// (in plan order; zero for experiments with no jobs in the shard).
-    pub timings: Vec<(&'static str, f64)>,
     /// Total jobs across every plan (all shards together).
     pub total_jobs: usize,
 }
@@ -432,21 +419,32 @@ fn run_job(item: Job, check: bool, cache: Option<&ResultsCache>, progress: &Prog
 /// [`ExecReport::cache`]. Progress (start/finish/cached per job) goes
 /// through `progress`; nothing here touches stdout, and the only
 /// filesystem traffic is the cache directory.
+///
+/// With `opts.shard` set this is a shard run: only the jobs the shard
+/// [owns](crate::common::Shard::owns) run (the rest count as
+/// `skipped`), their rows go to the cache, and no reduce runs. After
+/// every shard of a sweep has run, a plain run over the same cache
+/// executes nothing and reduces artifacts byte-identical to an
+/// unsharded run.
 #[must_use]
 pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) -> ExecReport {
     let total: usize = plans.iter().map(|p| p.jobs.len()).sum();
-    let workers = opts.jobs.max(1).min(total.max(1));
     let cache = active_cache(opts);
 
     // Split every plan into its queue items and its reduce.
     let mut reduces = Vec::with_capacity(plans.len());
     let mut queue = VecDeque::with_capacity(total);
     let mut slots: Vec<Vec<Option<JobSlot>>> = Vec::with_capacity(plans.len());
+    let mut skipped = 0;
     let mut index = 0;
     for (pi, plan) in plans.into_iter().enumerate() {
         slots.push((0..plan.jobs.len()).map(|_| None).collect());
         for (ji, item) in plan.jobs.into_iter().enumerate() {
             index += 1;
+            if opts.shard.is_some_and(|shard| !shard.owns(index - 1)) {
+                skipped += 1;
+                continue;
+            }
             queue.push_back(QueueItem {
                 plan: pi,
                 job: ji,
@@ -454,12 +452,16 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                 item,
             });
         }
-        reduces.push((plan.id, plan.title, plan.reduce));
+        reduces.push((plan.id, plan.reduce));
     }
 
+    let workers = opts.jobs.max(1).min(queue.len().max(1));
     let queue = Mutex::new(queue);
     let slots = Mutex::new(slots);
-    let stats = Mutex::new(CacheStats::default());
+    let stats = Mutex::new(CacheStats {
+        skipped,
+        ..CacheStats::default()
+    });
     let check = opts.check;
     std::thread::scope(|s| {
         for _ in 0..workers {
@@ -492,118 +494,40 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
     });
 
     let slots = slots.into_inner().expect("result slots poisoned");
-    let results = reduces
-        .into_iter()
-        .zip(slots)
-        .map(|((_, _, reduce), plan_slots)| {
-            let mut rows = Vec::with_capacity(plan_slots.len());
-            let mut seconds = 0.0;
-            let mut merged: Option<ExpCheck> = if check {
-                Some(ExpCheck::default())
-            } else {
-                None
-            };
-            for slot in plan_slots {
-                let slot = slot.expect("executor finished with an unfilled job slot");
-                rows.push(slot.rows);
-                seconds += slot.seconds;
-                if let (Some(acc), Some(jc)) = (merged.as_mut(), slot.check) {
-                    acc.merge(jc);
-                }
-            }
-            ExperimentResult {
-                output: reduce(JobResults::new(rows)),
-                seconds,
-                check: merged,
-            }
-        })
+    let timings = reduces
+        .iter()
+        .zip(&slots)
+        .map(|((id, _), plan_slots)| (*id, plan_slots.iter().flatten().map(|s| s.seconds).sum()))
         .collect();
+    let results = if opts.shard.is_some() {
+        Vec::new()
+    } else {
+        reduces
+            .into_iter()
+            .zip(slots)
+            .map(|((_, reduce), plan_slots)| {
+                let mut rows = Vec::with_capacity(plan_slots.len());
+                let mut merged = check.then(ExpCheck::default);
+                for slot in plan_slots {
+                    let slot = slot.expect("executor finished with an unfilled job slot");
+                    rows.push(slot.rows);
+                    if let (Some(acc), Some(jc)) = (merged.as_mut(), slot.check) {
+                        acc.merge(jc);
+                    }
+                }
+                ExperimentResult {
+                    output: reduce(JobResults::new(rows)),
+                    check: merged,
+                }
+            })
+            .collect()
+    };
     ExecReport {
         results,
+        timings,
         cache: cache
             .is_some()
             .then(|| *stats.lock().expect("cache stats poisoned")),
-        total_jobs: total,
-    }
-}
-
-/// Execute only this process's share of the flattened job list and
-/// populate the cache — no reduces, no artifacts. Shard `i/N` owns the
-/// jobs whose 0-based global index `idx` satisfies `idx % N == i - 1`
-/// (round-robin, so each shard gets an even slice of every experiment's
-/// sweep rather than whole experiments). Jobs already present in the
-/// cache are not re-executed.
-///
-/// Requires `opts.shard` and `opts.cache` to be set (the CLI enforces
-/// this); after all N shards complete, a `--join` run over the same
-/// cache executes nothing and reduces to artifacts byte-identical to an
-/// unsharded run.
-#[must_use]
-pub fn execute_shard(
-    plans: Vec<ExperimentPlan>,
-    opts: &RunOpts,
-    progress: &Progress,
-) -> ShardReport {
-    let shard = opts.shard.expect("execute_shard requires opts.shard");
-    let cache = ResultsCache::new(
-        opts.cache
-            .as_deref()
-            .expect("execute_shard requires opts.cache"),
-    );
-    let total: usize = plans.iter().map(|p| p.jobs.len()).sum();
-    let workers = opts.jobs.max(1).min(total.max(1));
-
-    let mut timings: Vec<(&'static str, f64)> = Vec::with_capacity(plans.len());
-    let mut queue = VecDeque::new();
-    let mut skipped = 0;
-    let mut index = 0;
-    for (pi, plan) in plans.into_iter().enumerate() {
-        timings.push((plan.id, 0.0));
-        for item in plan.jobs {
-            if shard.owns(index) {
-                queue.push_back(QueueItem {
-                    plan: pi,
-                    job: 0, // unused: shard runs fill no reduce slots
-                    index: index + 1,
-                    item,
-                });
-            } else {
-                skipped += 1;
-            }
-            index += 1;
-        }
-    }
-
-    let queue = Mutex::new(queue);
-    let stats = Mutex::new(CacheStats {
-        skipped,
-        ..CacheStats::default()
-    });
-    let timings = Mutex::new(timings);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let Some(next) = queue.lock().expect("job queue poisoned").pop_front() else {
-                    break;
-                };
-                let label = next.item.label().to_string();
-                if cache.load(next.item.desc()).is_some() {
-                    progress.cached(&label, next.index, total);
-                    stats.lock().expect("cache stats poisoned").hits += 1;
-                    continue;
-                }
-                progress.started(&label, next.index, total);
-                let slot = run_job(next.item, false, Some(&cache), progress);
-                progress.finished(&label, next.index, total, (slot.seconds * 1000.0) as u64);
-                stats.lock().expect("cache stats poisoned").misses += 1;
-                timings.lock().expect("shard timings poisoned")[next.plan].1 += slot.seconds;
-            });
-        }
-    });
-
-    ShardReport {
-        cache: stats.into_inner().expect("cache stats poisoned"),
-        timings: timings.into_inner().expect("shard timings poisoned"),
         total_jobs: total,
     }
 }
@@ -680,7 +604,8 @@ mod tests {
         assert_eq!(report.results[0].output.id, "A");
         assert_eq!(report.results[1].output.id, "B");
         assert!(report.results[1].output.text.contains("v[1] = 4"));
-        assert!(report.results.iter().all(|r| r.seconds >= 0.0));
+        assert_eq!(report.timings.len(), 2);
+        assert!(report.timings.iter().all(|&(_, seconds)| seconds >= 0.0));
     }
 
     #[test]
@@ -838,12 +763,18 @@ mod tests {
                 shard: Some(crate::common::Shard { index, count: 2 }),
                 ..RunOpts::default()
             };
-            let report = execute_shard(mk(), &opts, &Progress::disabled());
+            let report = execute(mk(), &opts, &Progress::disabled());
             assert_eq!(report.total_jobs, 5);
+            assert!(report.results.is_empty(), "a shard run reduces nothing");
             let own = if index == 1 { 3 } else { 2 }; // indices {0,2,4} vs {1,3}
-            assert_eq!(report.cache.misses, own);
-            assert_eq!(report.cache.skipped, 5 - own);
-            assert_eq!(report.cache.hits, 0);
+            assert_eq!(
+                report.cache,
+                Some(CacheStats {
+                    hits: 0,
+                    misses: own,
+                    skipped: 5 - own
+                })
+            );
         }
         // Re-running a shard is all hits, no re-execution.
         let opts = RunOpts {
@@ -851,9 +782,15 @@ mod tests {
             shard: Some(crate::common::Shard { index: 1, count: 2 }),
             ..RunOpts::default()
         };
-        let rerun = execute_shard(mk(), &opts, &Progress::disabled());
-        assert_eq!(rerun.cache.hits, 3);
-        assert_eq!(rerun.cache.misses, 0);
+        let rerun = execute(mk(), &opts, &Progress::disabled());
+        assert_eq!(
+            rerun.cache,
+            Some(CacheStats {
+                hits: 3,
+                misses: 0,
+                skipped: 2
+            })
+        );
         // The union of both shards serves a full run entirely from
         // cache, byte-identical to a serial one.
         let serial = mk().pop().unwrap().run_serial();

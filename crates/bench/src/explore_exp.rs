@@ -93,12 +93,6 @@ impl Scenario {
             _ => 2,
         }
     }
-
-    /// Whether the scenario seeds a bug (and exploration must find it).
-    #[must_use]
-    pub fn is_mutant(self) -> bool {
-        !matches!(self, Self::CleanCounter | Self::CleanHandoff)
-    }
 }
 
 /// End-state verdict: scenario-level violations plus the memory words

@@ -17,8 +17,8 @@
 //! canonical [`exec::JobDesc`] whose fingerprint keys the
 //! content-addressed results cache ([`cache::ResultsCache`],
 //! `--cache DIR` / `KSR_CACHE` — warm re-runs execute nothing), and
-//! `--shard i/N` / `--join` split one sweep across processes while the
-//! ordered reduce keeps the final artifacts byte-identical to an
+//! `--shard i/N` splits one sweep across processes that share a cache;
+//! a warm run over it then reduces artifacts byte-identical to an
 //! unsharded run.
 //!
 //! Each reduce returns an [`ExperimentOutput`] carrying rendered text,
@@ -48,7 +48,6 @@ pub mod fig4_barriers;
 pub mod fig8_speedup;
 pub mod lad_latency;
 pub mod lck_locks;
-pub mod perf;
 pub mod registry;
 pub mod scb_scaling;
 pub mod table1_cg;
@@ -58,7 +57,6 @@ pub mod table3_sp;
 pub use cache::ResultsCache;
 pub use common::{ExperimentOutput, MetricRow, RunOpts, Shard};
 pub use exec::{
-    execute, execute_shard, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc,
-    JobResults, ShardReport,
+    execute, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc, JobResults,
 };
 pub use registry::{Experiment, REGISTRY};

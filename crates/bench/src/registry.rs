@@ -169,6 +169,25 @@ pub fn ids() -> Vec<&'static str> {
     REGISTRY.iter().map(|e| e.id).collect()
 }
 
+/// The live cache generations: every (experiment, schema) pair a job of
+/// the registry planned under `opts` carries — what
+/// [`ResultsCache::prune`](crate::cache::ResultsCache::prune) keeps. The
+/// set spans the whole registry, so a prune never deletes entries a
+/// differently-scoped (`--only`) run still wants.
+#[must_use]
+pub fn live_schemas(opts: &RunOpts) -> Vec<(&'static str, u32)> {
+    let mut live = Vec::new();
+    for e in REGISTRY {
+        for job in e.plan(opts).jobs() {
+            let pair = (job.desc().experiment(), job.desc().schema());
+            if !live.contains(&pair) {
+                live.push(pair);
+            }
+        }
+    }
+    live
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,14 +1,42 @@
 //! The machine-readable experiment pipeline, end to end: registry →
 //! run → `<id>.json` → `summary.json`.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 use ksr_bench::common::{write_summary, RunOpts};
 use ksr_bench::registry::{find, REGISTRY};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ksr_pipeline_{tag}_{}", std::process::id()))
+}
+
+/// Run the `run_all` binary with `args` and no `KSR_*` variables, so
+/// only the flags decide what it does; panics unless it exits 0.
+fn run_all(args: &[&str], results: &Path) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
+    cmd.args(args).arg("--results").arg(results);
+    for var in [
+        "KSR_QUICK",
+        "KSR_SEED",
+        "KSR_RESULTS",
+        "KSR_JOBS",
+        "KSR_CHECK",
+        "KSR_CACHE",
+    ] {
+        cmd.env_remove(var);
+    }
+    let out = cmd.output().expect("spawn run_all");
+    assert!(
+        out.status.success(),
+        "run_all {args:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+fn stderr_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
 /// `summary.json` must name every registered experiment id — the
@@ -88,20 +116,54 @@ fn only_run_leaves_the_whole_run_index_alone() {
     std::fs::create_dir_all(&dir).unwrap();
     let summary = b"{\"experiments\": \"from an earlier whole run\"}\n";
     std::fs::write(dir.join("summary.json"), summary).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
-        .args(["--quick", "--only", "SEC31A", "--results"])
-        .arg(&dir)
-        .env_remove("KSR_CHECK")
-        .env_remove("KSR_CACHE")
-        .output()
-        .expect("spawn run_all");
-    assert!(
-        out.status.success(),
-        "run_all --only failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    run_all(&["--quick", "--only", "SEC31A"], &dir);
     assert!(dir.join("sec31a.json").exists());
     assert_eq!(std::fs::read(dir.join("summary.json")).unwrap(), summary);
     assert!(!dir.join("timings.json").exists());
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The cache flags through the binary on SEC31A's four quick jobs: two
+/// shards fill a cache, `--prune` removes a planted corrupt entry and
+/// keeps every live one, and a plain `--cache` run then executes
+/// nothing and prints each output's `render()` — the bytes of its
+/// `.txt` file.
+#[test]
+fn shards_prune_and_a_warm_run_through_the_binary() {
+    let dir = temp_dir("shard");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (cache, results) = (dir.join("cache"), dir.join("results"));
+    let cache_arg = cache.to_str().expect("utf-8 temp path");
+    let base = [
+        "--quick", "--only", "SEC31A", "--jobs", "2", "--cache", cache_arg,
+    ];
+
+    for (shard, executed) in [("1/2", 2), ("2/2", 2)] {
+        let out = run_all(&[&base[..], &["--shard", shard]].concat(), &results);
+        let line = format!(
+            "[shard {shard}: {executed} executed, 0 already cached, 2 left to other shards"
+        );
+        assert!(stderr_of(&out).contains(&line), "{}", stderr_of(&out));
+        assert!(!results.exists(), "a shard run writes no artifacts");
+    }
+
+    let corrupt = cache.join("deadbeefdeadbeefdeadbeefdeadbeef.json");
+    std::fs::write(&corrupt, "not a cache entry").unwrap();
+    let out = run_all(&["--cache", cache_arg, "--prune"], &results);
+    assert!(
+        stderr_of(&out).contains("[prune: 1 entries removed, 4 kept"),
+        "{}",
+        stderr_of(&out)
+    );
+    assert!(!corrupt.exists());
+
+    let out = run_all(&base, &results);
+    assert!(
+        stderr_of(&out).contains("[cache: 4 hit(s), 0 miss(es) of 4 job(s)"),
+        "{}",
+        stderr_of(&out)
+    );
+    let txt = std::fs::read_to_string(results.join("sec31a.txt")).unwrap();
+    assert_eq!(String::from_utf8(out.stdout).unwrap(), format!("{txt}\n"));
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -150,13 +150,6 @@ impl MachineConfig {
         self
     }
 
-    /// Replace the interconnect topology.
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
     /// Build the interconnect for this configuration. Capacity and shape
     /// errors come from the topology's own validation.
     pub fn build_fabric(&self) -> Result<Fabric> {
@@ -182,7 +175,7 @@ impl MachineConfig {
                 ));
             }
         }
-        self.build_fabric().map(drop)
+        self.topology.validate_for(self.cells)
     }
 }
 
@@ -245,6 +238,10 @@ mod tests {
         let mut c = MachineConfig::ksr2(0);
         c.cells = 65;
         assert!(c.validate().is_err());
+        // 2^60 cells: far above the ring tree's cell cap, rejected
+        // before a single leaf ring is allocated.
+        let c = MachineConfig::ksr_ring(0, &[32; 12]);
+        assert!(matches!(c.validate(), Err(Error::Config(_))));
     }
 
     #[test]

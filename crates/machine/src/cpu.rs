@@ -397,13 +397,6 @@ impl Cpu {
         self.roundtrip(AccessOp::ReleaseSubPage { addr }).await;
     }
 
-    /// Whether this machine has a native fetch-and-Φ instruction (the
-    /// KSR-1 does not; the §3.2.3 comparison machines do).
-    #[must_use]
-    pub fn has_native_fetch_op(&self) -> bool {
-        self.native_fetch_op
-    }
-
     /// Architecture-appropriate atomic fetch-and-add: a single fabric
     /// transaction where the hardware offers one, otherwise the KSR-1
     /// synthesis from `get_sub_page` (§3.2.2). Returns the old value.

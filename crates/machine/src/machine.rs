@@ -162,12 +162,6 @@ impl Machine {
         self.oracle = Some(oracle);
     }
 
-    /// Remove any installed schedule oracle, restoring the default
-    /// deterministic `(time, proc id)` order.
-    pub fn clear_schedule_oracle(&mut self) {
-        self.oracle = None;
-    }
-
     /// The paper's 32-cell KSR-1.
     pub fn ksr1(seed: u64) -> Result<Self> {
         Self::new(MachineConfig::ksr1(seed))

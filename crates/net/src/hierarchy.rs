@@ -76,6 +76,13 @@ pub struct RingHierarchyConfig {
 /// every level).
 pub const MAX_FANOUT: usize = 34;
 
+/// The most processor cells a ring tree may hold: 64x the largest
+/// machine any experiment or benchmark builds (1024 cells).
+/// [`RingHierarchyConfig::validate`] rejects bigger shapes, so a spec
+/// such as `[32; 12]` (2^60 cells) fails instead of allocating its
+/// leaf rings.
+pub const MAX_CELLS: usize = 65_536;
+
 impl RingHierarchyConfig {
     /// Single-level 32-cell KSR-1 ring.
     #[must_use]
@@ -151,8 +158,8 @@ impl RingHierarchyConfig {
         self.levels.len() + 1
     }
 
-    /// Number of leaf rings (saturating at `usize::MAX`, which
-    /// [`RingHierarchyConfig::validate`] rejects).
+    /// Number of leaf rings (saturating at `usize::MAX`; see
+    /// [`MAX_CELLS`]).
     #[must_use]
     pub fn n_leaves(&self) -> usize {
         self.levels
@@ -160,8 +167,9 @@ impl RingHierarchyConfig {
             .fold(1, |n: usize, l| n.saturating_mul(l.fanout))
     }
 
-    /// Total processor cells (saturating at `usize::MAX`, which
-    /// [`RingHierarchyConfig::validate`] rejects).
+    /// Total processor cells (saturating at `usize::MAX`;
+    /// [`RingHierarchyConfig::validate`] rejects anything above
+    /// [`MAX_CELLS`]).
     #[must_use]
     pub fn total_cells(&self) -> usize {
         self.n_leaves().saturating_mul(self.cells_per_leaf)
@@ -204,17 +212,12 @@ impl RingHierarchyConfig {
                 )));
             }
         }
-        let cells = self
-            .levels
-            .iter()
-            .try_fold(self.cells_per_leaf, |n, l| n.checked_mul(l.fanout));
-        if cells.is_none() {
+        if self.total_cells() > MAX_CELLS {
             return Err(Error::Config(format!(
                 "a {}-level ring tree with {} cells per leaf holds more than \
-                 {} cells",
+                 {MAX_CELLS} cells",
                 self.depth(),
                 self.cells_per_leaf,
-                usize::MAX
             )));
         }
         Ok(())

@@ -19,7 +19,6 @@
 //! Validation — including every capacity error string — lives here, the
 //! single source of truth. Machine presets are constructors on this type.
 
-use ksr_core::time::Cycles;
 use ksr_core::{Error, Result};
 
 use crate::bus::{Bus, BusConfig};
@@ -87,16 +86,6 @@ impl Topology {
         Self::Butterfly(ButterflyConfig::bbn(ports))
     }
 
-    /// Multiply ring hop/ARD latencies by `factor` (no-op for bus and
-    /// Butterfly, whose timings are already in their own cell cycles).
-    #[must_use]
-    pub fn scale_ring_cycles(self, factor: Cycles) -> Self {
-        match self {
-            Self::Ring(cfg) => Self::Ring(cfg.scale_cycles(factor)),
-            other => other,
-        }
-    }
-
     /// Maximum processor cells this topology can host, or `None` when the
     /// shape itself imposes no port limit (the bus).
     #[must_use]
@@ -117,8 +106,8 @@ impl Topology {
         }
     }
 
-    /// Validate the shape (geometry only; use [`Topology::build`] to also
-    /// check a cell count against capacity).
+    /// Validate the shape (geometry only; [`Topology::validate_for`] also
+    /// checks a cell count against capacity).
     pub fn validate(&self) -> Result<()> {
         match self {
             Self::Ring(cfg) => cfg.validate(),
@@ -147,9 +136,10 @@ impl Topology {
         }
     }
 
-    /// Validate and build the interconnect for a machine with `cells`
-    /// processors. Every capacity error originates here.
-    pub fn build(&self, cells: usize) -> Result<Fabric> {
+    /// Validate the shape and check that it holds `cells` processors,
+    /// without building anything. Every capacity error originates here;
+    /// [`Topology::build`] and `MachineConfig::validate` both call it.
+    pub fn validate_for(&self, cells: usize) -> Result<()> {
         self.validate()?;
         if let Some(cap) = self.capacity() {
             if cells > cap {
@@ -159,6 +149,13 @@ impl Topology {
                 )));
             }
         }
+        Ok(())
+    }
+
+    /// Validate and build the interconnect for a machine with `cells`
+    /// processors.
+    pub fn build(&self, cells: usize) -> Result<Fabric> {
+        self.validate_for(cells)?;
         Ok(match self {
             Self::Ring(cfg) => Fabric::Ring(RingHierarchy::new(cfg.clone())?),
             Self::Bus(cfg) => Fabric::Bus(Bus::new(*cfg)?),
@@ -170,6 +167,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::MAX_CELLS;
 
     #[test]
     fn presets_build_at_capacity() {
@@ -227,7 +225,8 @@ mod tests {
 
     /// Seeded fuzz of the shape builder: no spec may panic in
     /// `validate()` or `capacity()`, and a spec that validates holds
-    /// exactly the product of its entries.
+    /// exactly the product of its entries, at most [`MAX_CELLS`]. Nothing
+    /// is built.
     #[test]
     fn ring_shape_specs_validate_without_panicking() {
         let mut rng = ksr_core::XorShift64::new(0x5EC);
@@ -241,6 +240,7 @@ mod tests {
             if t.validate().is_ok() {
                 valid += 1;
                 assert_eq!(capacity, product, "{spec:?}");
+                assert!(product.is_some_and(|p| p <= MAX_CELLS), "{spec:?}");
             }
         }
         assert!(valid > 0, "the fuzz must reach valid shapes too");

@@ -270,13 +270,6 @@ impl CheckingSink {
         self.events_seen
     }
 
-    /// The shadow state of `subpage` in `cell` implied by the event
-    /// stream so far.
-    #[must_use]
-    pub fn shadow_state(&self, subpage: u64, cell: usize) -> TraceState {
-        self.holder_state(subpage, cell)
-    }
-
     fn holder_state(&self, sp: u64, cell: usize) -> TraceState {
         self.copies
             .get(&(sp, cell))

@@ -10,7 +10,7 @@ use ksr_core::trace::TraceEvent;
 use ksr_core::Json;
 
 use crate::checker::Violation;
-use crate::explore::{ExploreReport, WitnessedViolation};
+use crate::explore::WitnessedViolation;
 use crate::lint::LintFinding;
 use crate::predict::PredictFinding;
 use crate::race::RaceReport;
@@ -132,21 +132,6 @@ pub fn witness_to_json(v: &WitnessedViolation) -> Json {
         (
             "schedule",
             Json::arr(v.schedule.iter().map(|&d| Json::from(d))),
-        ),
-    ])
-}
-
-/// An exploration summary: coverage counters plus the witnessed
-/// violations.
-#[must_use]
-pub fn explore_to_json(r: &ExploreReport) -> Json {
-    Json::obj([
-        ("runs", Json::from(r.runs)),
-        ("truncated", Json::from(r.truncated)),
-        ("distinct_states", Json::from(r.distinct_states)),
-        (
-            "violations",
-            Json::arr(r.violations.iter().map(witness_to_json)),
         ),
     ])
 }
