@@ -41,7 +41,7 @@ use std::time::Instant;
 use ksr_core::{Json, Progress};
 
 use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard};
-use crate::exec::{self, CacheStats};
+use crate::exec::{self, CacheStats, PlanTimings};
 use crate::registry::{find, live_schemas, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus the selection flags.
@@ -269,14 +269,16 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> Exi
     }
 }
 
-/// Write `timings.json`: per-experiment wall-clock seconds plus the
-/// run's worker count, total wall time, and (when a cache was active)
-/// the hit/miss/skip counters. Timings are the one nondeterministic
-/// output, so they live in their own file that the determinism gates
-/// exclude from byte comparison — which is also why the cache counters
-/// belong here and not in `summary.json`.
+/// Write `timings.json`: per-experiment wall-clock seconds, each with
+/// its executed jobs' labels and seconds in plan order (jobs served from
+/// the cache are left out), plus the run's worker count, total wall
+/// time, and (when a cache was active) the hit/miss/skip counters.
+/// Timings are the one nondeterministic output, so they live in their
+/// own file that the determinism gates exclude from byte comparison —
+/// which is also why the cache counters belong here and not in
+/// `summary.json`.
 fn write_timings(
-    timings: &[(&'static str, f64)],
+    timings: &[PlanTimings],
     wall_seconds: f64,
     opts: &RunOpts,
     cache: Option<(CacheStats, usize)>,
@@ -302,8 +304,18 @@ fn write_timings(
         Json::Arr(
             timings
                 .iter()
-                .map(|&(id, seconds)| {
-                    Json::obj([("id", Json::from(id)), ("seconds", Json::from(seconds))])
+                .map(|t| {
+                    let jobs = t.jobs.iter().map(|(label, seconds)| {
+                        Json::obj([
+                            ("label", Json::from(label.as_str())),
+                            ("seconds", Json::from(*seconds)),
+                        ])
+                    });
+                    Json::obj([
+                        ("id", Json::from(t.id)),
+                        ("seconds", Json::from(t.seconds())),
+                        ("jobs", Json::arr(jobs)),
+                    ])
                 })
                 .collect(),
         ),

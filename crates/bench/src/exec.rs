@@ -354,15 +354,32 @@ pub struct ExecReport {
     /// One entry per plan, in plan order — empty for a shard run, which
     /// reduces nothing.
     pub results: Vec<ExperimentResult>,
-    /// Summed wall-clock seconds of each plan's executed jobs, in plan
+    /// Each plan's executed jobs with their wall-clock seconds, in plan
     /// order (for `timings.json`; nondeterministic by nature). Cache hits
-    /// and jobs left to other shards count as zero.
-    pub timings: Vec<(&'static str, f64)>,
+    /// and jobs left to other shards are absent.
+    pub timings: Vec<PlanTimings>,
     /// Cache counters — `Some` exactly when a cache was in use (i.e.
     /// `opts.cache` set and not bypassed by `opts.check`).
     pub cache: Option<CacheStats>,
     /// Total jobs across every plan (all shards together).
     pub total_jobs: usize,
+}
+
+/// Host seconds of one plan's executed jobs.
+#[derive(Debug, Clone)]
+pub struct PlanTimings {
+    /// Experiment id.
+    pub id: &'static str,
+    /// `(label, seconds)` of every job that executed, in plan order.
+    pub jobs: Vec<(String, f64)>,
+}
+
+impl PlanTimings {
+    /// Summed seconds of the executed jobs.
+    #[must_use]
+    pub fn seconds(&self) -> f64 {
+        self.jobs.iter().map(|&(_, s)| s).sum()
+    }
 }
 
 struct QueueItem {
@@ -375,7 +392,8 @@ struct QueueItem {
 struct JobSlot {
     rows: Vec<MetricRow>,
     check: Option<ExpCheck>,
-    seconds: f64,
+    /// Host seconds, or `None` when the rows came from the cache.
+    seconds: Option<f64>,
 }
 
 /// The cache to consult for a run: `--check` bypasses it entirely,
@@ -409,7 +427,7 @@ fn run_job(item: Job, check: bool, cache: Option<&ResultsCache>, progress: &Prog
     JobSlot {
         rows,
         check: job_check,
-        seconds,
+        seconds: Some(seconds),
     }
 }
 
@@ -434,7 +452,7 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
     // Split every plan into its queue items and its reduce.
     let mut reduces = Vec::with_capacity(plans.len());
     let mut queue = VecDeque::with_capacity(total);
-    let mut slots: Vec<Vec<Option<JobSlot>>> = Vec::with_capacity(plans.len());
+    let mut slots: Vec<Vec<Option<(String, JobSlot)>>> = Vec::with_capacity(plans.len());
     let mut skipped = 0;
     let mut index = 0;
     for (pi, plan) in plans.into_iter().enumerate() {
@@ -477,18 +495,20 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                     JobSlot {
                         rows,
                         check: None,
-                        seconds: 0.0,
+                        seconds: None,
                     }
                 } else {
                     progress.started(&label, next.index, total);
                     let slot = run_job(next.item, check, cache.as_ref(), progress);
-                    progress.finished(&label, next.index, total, (slot.seconds * 1000.0) as u64);
+                    let ms = slot.seconds.map_or(0, |s| (s * 1000.0) as u64);
+                    progress.finished(&label, next.index, total, ms);
                     if cache.is_some() {
                         stats.lock().expect("cache stats poisoned").misses += 1;
                     }
                     slot
                 };
-                slots.lock().expect("result slots poisoned")[next.plan][next.job] = Some(slot);
+                slots.lock().expect("result slots poisoned")[next.plan][next.job] =
+                    Some((label, slot));
             });
         }
     });
@@ -497,7 +517,14 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
     let timings = reduces
         .iter()
         .zip(&slots)
-        .map(|((id, _), plan_slots)| (*id, plan_slots.iter().flatten().map(|s| s.seconds).sum()))
+        .map(|((id, _), plan_slots)| PlanTimings {
+            id,
+            jobs: plan_slots
+                .iter()
+                .flatten()
+                .filter_map(|(label, slot)| Some((label.clone(), slot.seconds?)))
+                .collect(),
+        })
         .collect();
     let results = if opts.shard.is_some() {
         Vec::new()
@@ -509,7 +536,7 @@ pub fn execute(plans: Vec<ExperimentPlan>, opts: &RunOpts, progress: &Progress) 
                 let mut rows = Vec::with_capacity(plan_slots.len());
                 let mut merged = check.then(ExpCheck::default);
                 for slot in plan_slots {
-                    let slot = slot.expect("executor finished with an unfilled job slot");
+                    let (_, slot) = slot.expect("executor finished with an unfilled job slot");
                     rows.push(slot.rows);
                     if let (Some(acc), Some(jc)) = (merged.as_mut(), slot.check) {
                         acc.merge(jc);
@@ -605,7 +632,18 @@ mod tests {
         assert_eq!(report.results[1].output.id, "B");
         assert!(report.results[1].output.text.contains("v[1] = 4"));
         assert_eq!(report.timings.len(), 2);
-        assert!(report.timings.iter().all(|&(_, seconds)| seconds >= 0.0));
+        assert_eq!(report.timings[1].id, "B");
+        let labels: Vec<&str> = report.timings[1]
+            .jobs
+            .iter()
+            .map(|(label, _)| label.as_str())
+            .collect();
+        assert_eq!(
+            labels,
+            ["B v=2", "B v=4"],
+            "every executed job, in plan order"
+        );
+        assert!(report.timings.iter().all(|t| t.seconds() >= 0.0));
     }
 
     #[test]
@@ -720,6 +758,11 @@ mod tests {
         assert_eq!(
             warm.results[0].output.text, cold.results[0].output.text,
             "cached rows must reduce to the identical output"
+        );
+        assert_eq!(cold.timings[0].jobs.len(), 3);
+        assert!(
+            warm.timings[0].jobs.is_empty(),
+            "jobs served from the cache have no host time"
         );
         // Every event is a Cached notification — nothing started.
         let events: Vec<_> = rx.into_iter().collect();

@@ -58,5 +58,6 @@ pub use cache::ResultsCache;
 pub use common::{ExperimentOutput, MetricRow, RunOpts, Shard};
 pub use exec::{
     execute, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc, JobResults,
+    PlanTimings,
 };
 pub use registry::{Experiment, REGISTRY};

@@ -245,6 +245,18 @@ mod tests {
     }
 
     #[test]
+    fn bus_and_butterfly_machines_stop_at_the_cell_cap() {
+        use ksr_net::hierarchy::MAX_CELLS;
+        // Validation only: nothing of this size is ever built.
+        for c in [
+            MachineConfig::symmetry(MAX_CELLS + 1, 0),
+            MachineConfig::butterfly(MAX_CELLS + 1, 0),
+        ] {
+            assert!(matches!(c.validate(), Err(Error::Config(_))), "{c:?}");
+        }
+    }
+
+    #[test]
     fn bad_interrupts_rejected() {
         let c = MachineConfig::ksr1(0).with_interrupts(InterruptConfig {
             quantum_cycles: 100,

@@ -20,6 +20,12 @@
 //! rendezvous. Every access is one hand-written `Roundtrip` future:
 //! its first poll deposits the request, its second takes the reply and
 //! advances the local clock.
+//!
+//! The two spin loops are single accesses: [`Cpu::spin_until`] parks
+//! until a visibility event, and [`Cpu::acquire_sub_page`] has the
+//! coordinator retry each rejected `get_sub_page` at the rejection's
+//! reply time. Every retry is still a costed request; the program
+//! resumes once, when the loop exits.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -52,6 +58,12 @@ pub enum AccessOp {
     },
     /// One `get_sub_page` attempt.
     GetSubPage {
+        /// Address within the target sub-page.
+        addr: u64,
+    },
+    /// `get_sub_page` retried until it succeeds (fast-forwarded spin
+    /// loop; each retry is a fully costed ring request).
+    AcquireSubPage {
         /// Address within the target sub-page.
         addr: u64,
     },
@@ -104,6 +116,10 @@ impl std::fmt::Debug for AccessOp {
                 .field("value", value)
                 .finish(),
             Self::GetSubPage { addr } => f.debug_struct("GetSubPage").field("addr", addr).finish(),
+            Self::AcquireSubPage { addr } => f
+                .debug_struct("AcquireSubPage")
+                .field("addr", addr)
+                .finish(),
             Self::ReleaseSubPage { addr } => f
                 .debug_struct("ReleaseSubPage")
                 .field("addr", addr)
@@ -139,6 +155,7 @@ impl AccessOp {
             Self::Read { .. } => "read",
             Self::Write { .. } => "write",
             Self::GetSubPage { .. } => "get_sub_page",
+            Self::AcquireSubPage { .. } => "acquire_sub_page",
             Self::ReleaseSubPage { .. } => "release_sub_page",
             Self::FetchAdd { .. } => "fetch_add",
             Self::Prefetch { .. } => "prefetch",
@@ -387,9 +404,16 @@ impl Cpu {
 
     /// Spin (in hardware fashion — each retry is a fresh ring request)
     /// until `get_sub_page` succeeds. This is exactly the "naive hardware
-    /// exclusive lock" of §3.2.1.
+    /// exclusive lock" of §3.2.1. Semantically identical to
+    /// `while !cpu.get_sub_page(addr).await {}` — every retry is a fully
+    /// costed ring request issued at the previous rejection's reply time
+    /// — but fast-forwarded: the coordinator re-queues each rejected
+    /// attempt itself and resumes the program once, on success.
     pub async fn acquire_sub_page(&mut self, addr: u64) {
-        while !self.get_sub_page(addr).await {}
+        match self.roundtrip(AccessOp::AcquireSubPage { addr }).await {
+            Reply::Unit { .. } => {}
+            _ => unreachable!("acquire_sub_page must yield a plain completion"),
+        }
     }
 
     /// Release a sub-page held atomic.

@@ -22,6 +22,14 @@
 //! polling loop (the woken read pays invalidation-refetch or snarf-refill
 //! costs exactly as the protocol dictates) at O(updates) instead of
 //! O(poll iterations) simulation cost.
+//!
+//! `get_sub_page` spins ([`Cpu::acquire_sub_page`]) are fast-forwarded
+//! the same way, minus the parking: each rejected attempt stays a costed
+//! ring request, and the coordinator re-queues the processor at the
+//! rejection's reply time — the very `(time, proc)` entry the
+//! program-side loop `while !get_sub_page(a) {}` pushed — so the
+//! schedule, and every tie a `ScheduleOracle` sees, is unchanged. The
+//! program resumes once, on success.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -382,6 +390,9 @@ enum Serviced {
         at: Cycles,
         op: AccessOp,
     },
+    /// A `get_sub_page` spin was rejected: queue `op` again at `at`
+    /// without resuming the program.
+    Retry { at: Cycles, op: AccessOp },
 }
 
 /// Diagnose a simulated program touching an unmapped or misaligned
@@ -394,6 +405,32 @@ fn data_fault(proc: usize, what: &str, addr: u64, at: Cycles, err: &Error) -> ! 
         "simulated program fault: processor {proc} {what} at address {addr:#x} \
          (cycle {at}): {err}"
     )
+}
+
+/// One `get_sub_page` attempt: whether it succeeded, and when its reply
+/// came back. A success emits the acquire edge race detectors key on.
+fn get_sub_page(
+    mem: &mut MemorySystem,
+    tracer: &Tracer,
+    p: usize,
+    addr: u64,
+    t: Cycles,
+) -> (bool, Cycles) {
+    match mem.access(p, addr, MemOp::GetSubPage, t) {
+        Outcome::Done { done_at } => {
+            tracer.emit_with(|| TraceEvent::SyncAcquire {
+                at: done_at,
+                cell: p,
+                subpage: ksr_mem::subpage_of(addr),
+                rmw: false,
+            });
+            (true, done_at)
+        }
+        Outcome::AtomicFailed { done_at } => (false, done_at),
+        Outcome::BlockedOnAtomic { .. } => {
+            unreachable!("get_sub_page reports failure, not blockage")
+        }
+    }
 }
 
 /// Service one access request in virtual-time order — the single
@@ -439,26 +476,17 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
             },
             Outcome::AtomicFailed { .. } => unreachable!("writes cannot fail atomically"),
         },
-        AccessOp::GetSubPage { addr } => match mem.access(p, addr, MemOp::GetSubPage, t) {
-            Outcome::Done { done_at } => {
-                tracer.emit_with(|| TraceEvent::SyncAcquire {
-                    at: done_at,
-                    cell: p,
-                    subpage: ksr_mem::subpage_of(addr),
-                    rmw: false,
-                });
-                Serviced::Reply(Reply::Flag {
-                    ok: true,
-                    at: done_at,
-                })
-            }
-            Outcome::AtomicFailed { done_at } => Serviced::Reply(Reply::Flag {
-                ok: false,
-                at: done_at,
-            }),
-            Outcome::BlockedOnAtomic { .. } => {
-                unreachable!("get_sub_page reports failure, not blockage")
-            }
+        AccessOp::GetSubPage { addr } => {
+            let (ok, at) = get_sub_page(mem, tracer, p, addr, t);
+            Serviced::Reply(Reply::Flag { ok, at })
+        }
+        AccessOp::AcquireSubPage { addr } => match get_sub_page(mem, tracer, p, addr, t) {
+            (true, at) => Serviced::Reply(Reply::Unit { at }),
+            // The program-side loop would re-issue at exactly `at`.
+            (false, at) => Serviced::Retry {
+                at,
+                op: AccessOp::AcquireSubPage { addr },
+            },
         },
         AccessOp::FetchAdd { addr, delta } => match mem.access(p, addr, MemOp::AtomicRmw, t) {
             Outcome::Done { done_at } => {
@@ -707,9 +735,19 @@ fn coordinate_event(
         match service(mem, tracer, p, t, op) {
             Serviced::Reply(reply) => on_step!(p, programs[p].resume(reply)),
             Serviced::Park { subpage, at, op } => {
-                mem.watch(subpage);
-                parked.entry(subpage).or_default().push((p, at));
+                // A list in the map is never empty (a wake removes it
+                // whole), so the sub-page is watched exactly while it
+                // has waiters.
+                let waiters = parked.entry(subpage).or_default();
+                if waiters.is_empty() {
+                    mem.watch(subpage);
+                }
+                waiters.push((p, at));
                 pending[p] = Some(op);
+            }
+            Serviced::Retry { at, op } => {
+                pending[p] = Some(op);
+                ready.push(at, p);
             }
         }
 
@@ -717,8 +755,8 @@ fn coordinate_event(
         mem.drain_events_into(&mut events);
         for ev in events.drain(..) {
             if let Some(waiters) = parked.remove(&ev.subpage) {
+                mem.unwatch(ev.subpage);
                 for (proc, parked_at) in waiters {
-                    mem.unwatch(ev.subpage);
                     let wake_at = parked_at.max(ev.at);
                     tracer.emit_with(|| TraceEvent::LockHandoff {
                         at: wake_at,

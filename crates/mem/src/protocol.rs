@@ -37,7 +37,7 @@ use ksr_core::trace::{TraceEvent, TraceState, Tracer};
 use ksr_core::{FxHashMap, FxHashSet, Result, XorShift64};
 use ksr_net::{Fabric, PacketKind, Transit};
 
-use crate::directory::Directory;
+use crate::directory::{Directory, Holders};
 use crate::geometry::{subpage_of, MemGeometry, SUBPAGES_PER_PAGE, SUBPAGE_BYTES};
 use crate::localcache::{LocalCache, PageAlloc};
 use crate::perfmon::PerfMon;
@@ -206,7 +206,8 @@ pub struct MemorySystem {
     options: ProtocolOptions,
     data: SvaStore,
     perf: Vec<PerfMon>,
-    watched: FxHashMap<u64, usize>,
+    /// Sub-pages whose visibility events are kept for the coordinator.
+    watched: FxHashSet<u64>,
     events: Vec<MemEvent>,
     /// Reusable buffer for the holder snapshots `coherence_fetch`,
     /// `poststore` and `warm` take before mutating directory state (see
@@ -298,7 +299,7 @@ impl MemorySystem {
             options,
             data: SvaStore::new(),
             perf: vec![PerfMon::default(); n_cells],
-            watched: FxHashMap::default(),
+            watched: FxHashSet::default(),
             events: Vec::new(),
             scratch_holders: Vec::new(),
             coherent,
@@ -407,19 +408,14 @@ impl MemorySystem {
         &self.dir
     }
 
-    /// Start emitting [`MemEvent`]s for a sub-page (ref-counted).
+    /// Start emitting [`MemEvent`]s for a sub-page (idempotent).
     pub fn watch(&mut self, subpage: u64) {
-        *self.watched.entry(subpage).or_insert(0) += 1;
+        self.watched.insert(subpage);
     }
 
-    /// Stop watching a sub-page (one reference).
+    /// Stop emitting [`MemEvent`]s for a sub-page.
     pub fn unwatch(&mut self, subpage: u64) {
-        if let Some(n) = self.watched.get_mut(&subpage) {
-            *n -= 1;
-            if *n == 0 {
-                self.watched.remove(&subpage);
-            }
-        }
+        self.watched.remove(&subpage);
     }
 
     /// Drain pending visibility events.
@@ -436,7 +432,7 @@ impl MemorySystem {
     }
 
     fn emit(&mut self, subpage: u64, at: Cycles) {
-        if self.watched.contains_key(&subpage) {
+        if self.watched.contains(&subpage) {
             self.events.push(MemEvent { subpage, at });
         }
     }
@@ -739,16 +735,17 @@ impl MemorySystem {
     }
 
     /// [`Self::transit_for`] for a `get_sub_page` that `owner`'s `Atomic`
-    /// copy rejects, reading the directory in place. The single-writer
+    /// copy rejects, reading `sp`'s holder list in place. The single-writer
     /// invariant leaves `owner` the list's only readable copy, and the
     /// transit rule only looks at readable copies, so it gets that one
     /// entry: O(1) however many place holders a hot sub-page collected.
     /// Only a seeded [`ProtocolFault`] leaves several readable copies;
     /// then the whole list is walked, in order.
-    fn rejection_transit(&self, cell: usize, sp: u64, owner: usize) -> Transit {
-        match self.dir.holders(sp) {
-            Some(h) if h.readable_count() > 1 => self.transit_for_iter(cell, h.iter()),
-            _ => self.transit_for_iter(cell, std::iter::once((owner, SubpageState::Atomic))),
+    fn rejection_transit(&self, cell: usize, holders: &Holders, owner: usize) -> Transit {
+        if holders.readable_count() > 1 {
+            self.transit_for_iter(cell, holders.iter())
+        } else {
+            self.transit_for_iter(cell, std::iter::once((owner, SubpageState::Atomic)))
         }
     }
 
@@ -819,8 +816,10 @@ impl MemorySystem {
     // ----- atomic sub-page operations ------------------------------------------
 
     fn get_sub_page(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
-        let (owner, st) = self.atomic_holder_and_state(sp, cell);
-        if let Some(owner) = owner {
+        // One read of the holder list: the atomic owner, then either the
+        // rejection's transit or the requester's own state.
+        let holders = self.dir.holders(sp);
+        if let (Some(h), Some(owner)) = (holders, holders.and_then(Holders::atomic_holder)) {
             if owner == cell {
                 // Re-acquire by the holder is a cheap local test.
                 return Outcome::Done {
@@ -829,8 +828,8 @@ impl MemorySystem {
             }
             // Rejected: the request still circulates the ring and still
             // serializes against other same-sub-page traffic.
+            let transit = self.rejection_transit(cell, h, owner);
             let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
-            let transit = self.rejection_transit(cell, sp, owner);
             let timing = self
                 .fabric
                 .transact(t0, cell, transit, sp, PacketKind::GetSubPage);
@@ -854,6 +853,7 @@ impl MemorySystem {
             // than quadratic in the processor count).
             return Outcome::AtomicFailed { done_at };
         }
+        let st = holders.map_or(SubpageState::Missing, |h| h.state_of(cell));
         if st.writable() {
             // Already exclusive here: flip to atomic locally.
             let done_at = now + self.timing.atomic_overhead;
@@ -1223,7 +1223,12 @@ mod tests {
             (0, Transit::CrossRing { dst_leaf: 16 }, 1),
             (520, Transit::Local, 0),
         ] {
-            assert_eq!(m.rejection_transit(cell, 0, owner), transit, "cell {cell}");
+            let holders = m.directory().holders(0).unwrap();
+            assert_eq!(
+                m.rejection_transit(cell, holders, owner),
+                transit,
+                "cell {cell}"
+            );
             let before = *m.perfmon(cell);
             let o = m.access(cell, 0, MemOp::GetSubPage, t);
             assert!(matches!(o, Outcome::AtomicFailed { .. }), "{o:?}");
@@ -1298,7 +1303,7 @@ mod tests {
                         continue;
                     }
                     let want = m.transit_for_iter(requester, holders.iter());
-                    assert_eq!(m.rejection_transit(requester, sp, owner), want);
+                    assert_eq!(m.rejection_transit(requester, holders, owner), want);
                     match want {
                         Transit::Local => local += 1,
                         Transit::CrossRing { .. } => cross += 1,

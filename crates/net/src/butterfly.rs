@@ -16,6 +16,7 @@ use ksr_core::time::Cycles;
 use ksr_core::trace::{TraceEvent, Tracer};
 use ksr_core::{Error, Result};
 
+use crate::hierarchy::MAX_CELLS;
 use crate::msg::PacketKind;
 use crate::ring::RingTiming;
 
@@ -66,6 +67,12 @@ impl ButterflyConfig {
     pub fn validate(&self) -> Result<()> {
         if self.ports == 0 {
             return Err(Error::Config("butterfly needs at least one port".into()));
+        }
+        if self.ports > MAX_CELLS {
+            return Err(Error::Config(format!(
+                "butterfly with {} ports exceeds the {MAX_CELLS}-cell cap",
+                self.ports
+            )));
         }
         if self.switch_arity < 2 {
             return Err(Error::Config("switch arity must be at least 2".into()));

@@ -16,7 +16,9 @@
 //! ## Routing
 //!
 //! Leaves are numbered left to right; the ancestor of leaf `l` at level
-//! `k` is `l / (leaves per level-k ring)`. A request from `src` to `dst`
+//! `k` is `l / (leaves per level-k ring)`. Both that quotient and each
+//! cell's leaf are tabled when the hierarchy is built, so routing a
+//! packet divides nothing. A request from `src` to `dst`
 //! climbs to their **lowest common ancestor** ring and descends: with
 //! the LCA at level `k` it books `2k + 1` rings (source-side rings going
 //! up, the LCA ring, destination-side rings coming down) and pays the
@@ -76,11 +78,12 @@ pub struct RingHierarchyConfig {
 /// every level).
 pub const MAX_FANOUT: usize = 34;
 
-/// The most processor cells a ring tree may hold: 64x the largest
+/// The most processor cells any machine may hold: 64x the largest
 /// machine any experiment or benchmark builds (1024 cells).
-/// [`RingHierarchyConfig::validate`] rejects bigger shapes, so a spec
-/// such as `[32; 12]` (2^60 cells) fails instead of allocating its
-/// leaf rings.
+/// [`RingHierarchyConfig::validate`] rejects bigger ring trees, so a
+/// spec such as `[32; 12]` (2^60 cells) fails instead of allocating its
+/// leaf rings; `ButterflyConfig::validate` caps its ports, and
+/// `Topology::validate_for` caps the bus, too.
 pub const MAX_CELLS: usize = 65_536;
 
 impl RingHierarchyConfig {
@@ -231,8 +234,12 @@ pub struct RingHierarchy {
     leaves: Vec<SlottedRing>,
     /// `uppers[k]` holds the rings at level `k + 1`, left to right.
     uppers: Vec<Vec<SlottedRing>>,
-    /// `group[k]` = leaves under each ring at level `k + 1`.
-    group: Vec<usize>,
+    /// `cell_leaf[c]`: the leaf ring of cell `c`, `c / cells_per_leaf`.
+    cell_leaf: Vec<u32>,
+    /// `ancestor[k][l]`: the index, within `uppers[k]`, of leaf `l`'s
+    /// ancestor ring at level `k + 1`: `l` over the leaves under each
+    /// ring of that level.
+    ancestor: Vec<Vec<u32>>,
     /// In-flight combinable responses per (source leaf, sub-page key):
     /// the virtual time the combined response reaches that leaf again.
     combine_window: FxHashMap<(usize, u64), Cycles>,
@@ -247,23 +254,29 @@ impl RingHierarchy {
         let leaves = (0..n_leaves)
             .map(|_| SlottedRing::new(cfg.leaf))
             .collect::<Result<Vec<_>>>()?;
-        let mut group = Vec::with_capacity(cfg.levels.len());
+        // `validate` caps the tree at MAX_CELLS, so indices fit in u32.
+        let index = |i: usize| u32::try_from(i).expect("ring index fits in u32");
+        let mut ancestor = Vec::with_capacity(cfg.levels.len());
         let mut uppers = Vec::with_capacity(cfg.levels.len());
         let mut leaves_per_ring = 1usize;
         for lvl in &cfg.levels {
             leaves_per_ring *= lvl.fanout;
-            group.push(leaves_per_ring);
+            ancestor.push((0..n_leaves).map(|l| index(l / leaves_per_ring)).collect());
             uppers.push(
                 (0..n_leaves / leaves_per_ring)
                     .map(|_| SlottedRing::new(lvl.ring))
                     .collect::<Result<Vec<_>>>()?,
             );
         }
+        let cell_leaf = (0..cfg.total_cells())
+            .map(|c| index(c / cfg.cells_per_leaf))
+            .collect();
         Ok(Self {
             cfg,
             leaves,
             uppers,
-            group,
+            cell_leaf,
+            ancestor,
             combine_window: FxHashMap::default(),
             combined: 0,
         })
@@ -291,8 +304,10 @@ impl RingHierarchy {
     /// Which leaf ring a cell lives on.
     #[must_use]
     pub fn leaf_of(&self, cell: usize) -> usize {
-        assert!(cell < self.cfg.total_cells(), "cell index out of range");
-        cell / self.cfg.cells_per_leaf
+        match self.cell_leaf.get(cell) {
+            Some(&leaf) => leaf as usize,
+            None => panic!("cell index out of range"),
+        }
     }
 
     /// Sub-ring an address-interleave key maps to (uniform across rings).
@@ -308,9 +323,9 @@ impl RingHierarchy {
             return 0;
         }
         1 + self
-            .group
+            .ancestor
             .iter()
-            .position(|&g| src_leaf / g == dst_leaf / g)
+            .position(|a| a[src_leaf] == a[dst_leaf])
             .expect("the top ring joins every leaf")
     }
 
@@ -341,7 +356,7 @@ impl RingHierarchy {
             Transit::Local => self.leaves[src_leaf].transact(now, subring, kind),
             Transit::CrossRing { dst_leaf } => {
                 assert!(
-                    dst_leaf < self.cfg.n_leaves(),
+                    dst_leaf < self.leaves.len(),
                     "destination leaf out of range"
                 );
                 let lca = self.lca_level(src_leaf, dst_leaf);
@@ -400,7 +415,8 @@ impl RingHierarchy {
         let mut cur = first;
         let mut slot_wait = first.slot_wait;
         for lvl in 1..=lca {
-            let ring = &mut self.uppers[lvl - 1][src_leaf / self.group[lvl - 1]];
+            let up = self.ancestor[lvl - 1][src_leaf] as usize;
+            let ring = &mut self.uppers[lvl - 1][up];
             cur = ring.transact(
                 cur.response_at + self.cfg.levels[lvl - 1].ard_cycles,
                 subring,
@@ -409,7 +425,8 @@ impl RingHierarchy {
             slot_wait += cur.slot_wait;
         }
         for lvl in (1..lca).rev() {
-            let ring = &mut self.uppers[lvl - 1][dst_leaf / self.group[lvl - 1]];
+            let down = self.ancestor[lvl - 1][dst_leaf] as usize;
+            let ring = &mut self.uppers[lvl - 1][down];
             cur = ring.transact(
                 cur.response_at + self.cfg.levels[lvl].ard_cycles,
                 subring,
@@ -786,6 +803,70 @@ mod tests {
             let a = plain.transact(i * 3, (i % 32) as usize, cross, 7, PacketKind::GetSubPage);
             let b = h.transact(i * 3, (i % 32) as usize, cross, 7, PacketKind::GetSubPage);
             assert_eq!(a, b);
+        }
+    }
+
+    /// The routing tables against the division formulas they replace,
+    /// on every cell and every leaf pair of four shapes: one with no
+    /// power-of-two entry, and one deep enough that a crossing climbs
+    /// through a ring below its LCA on each side. Checked: each cell's
+    /// leaf, each pair's LCA level, and exactly which ring a crossing
+    /// books at every level.
+    #[test]
+    fn routing_tables_match_the_division_formulas() {
+        for spec in [&[32, 8, 4][..], &[4, 2, 2], &[3, 5, 2], &[2, 3, 2, 2]] {
+            let h = RingHierarchy::new(RingHierarchyConfig::ring_levels(spec)).unwrap();
+            let cells_per_leaf = spec[0];
+            // `group[k]`: leaves under each ring at level k + 1.
+            let group: Vec<usize> = spec[1..]
+                .iter()
+                .scan(1, |n, &f| {
+                    *n *= f;
+                    Some(*n)
+                })
+                .collect();
+            let n_leaves = h.config().n_leaves();
+            for cell in 0..h.config().total_cells() {
+                assert_eq!(
+                    h.leaf_of(cell),
+                    cell / cells_per_leaf,
+                    "{spec:?} cell {cell}"
+                );
+            }
+            for src in 0..n_leaves {
+                for dst in 0..n_leaves {
+                    let lca = if src == dst {
+                        0
+                    } else {
+                        1 + group.iter().position(|&g| src / g == dst / g).unwrap()
+                    };
+                    assert_eq!(h.lca_level(src, dst), lca, "{spec:?} {src}->{dst}");
+                    let mut booked = h.clone();
+                    booked.transact(
+                        0,
+                        src * cells_per_leaf,
+                        Transit::CrossRing { dst_leaf: dst },
+                        0,
+                        PacketKind::ReadData,
+                    );
+                    for (k, &g) in group.iter().enumerate() {
+                        let level = k + 1;
+                        for ring in 0..n_leaves / g {
+                            let up = level <= lca && ring == src / g;
+                            let down = level < lca && ring == dst / g;
+                            assert_eq!(
+                                booked.uppers[k][ring].stats().packets,
+                                u64::from(up) + u64::from(down),
+                                "{spec:?} {src}->{dst}: level {level} ring {ring}"
+                            );
+                        }
+                    }
+                    for leaf in 0..n_leaves {
+                        let want = u64::from(leaf == src) + u64::from(lca > 0 && leaf == dst);
+                        assert_eq!(booked.leaf_stats(leaf).packets, want, "{spec:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -169,9 +169,26 @@ impl RingStats {
 }
 
 /// One slotted pipelined unidirectional ring.
+///
+/// The geometry's per-packet constants are computed once, at
+/// construction, so booking a slot divides nothing.
 #[derive(Debug, Clone)]
 pub struct SlottedRing {
     cfg: RingConfig,
+    /// Slots per sub-ring.
+    cap: usize,
+    /// Full rotation time.
+    circumference: Cycles,
+    /// Half a slot spacing: how far a freed slot travels, on average, to
+    /// the next waiter under saturation.
+    half_spacing: Cycles,
+    /// `wait[free]`: the mean wait for an empty slot with `free` of the
+    /// sub-ring's slots empty, `max(circumference / (2 free), 1)`, for
+    /// `free` in `1..=cap` (`wait[0]` is unused).
+    wait: Vec<Cycles>,
+    /// `subrings - 1` when the sub-ring count is a power of two (every
+    /// preset), so routing is a mask rather than a remainder.
+    subring_mask: Option<u64>,
     /// Per sub-ring: for each currently-circulating packet, the time its
     /// slot frees (when the packet returns to its injection station).
     busy_until: Vec<Vec<Cycles>>,
@@ -183,8 +200,21 @@ impl SlottedRing {
     /// Build a ring from a validated configuration.
     pub fn new(cfg: RingConfig) -> Result<Self> {
         cfg.validate()?;
+        let cap = cfg.slots_per_subring();
+        let circumference = cfg.circumference();
+        let wait = std::iter::once(0)
+            .chain((1..=cap as Cycles).map(|free| (circumference / (2 * free)).max(1)))
+            .collect();
         Ok(Self {
-            busy_until: vec![Vec::with_capacity(cfg.slots_per_subring()); cfg.subrings],
+            busy_until: vec![Vec::with_capacity(cap); cfg.subrings],
+            cap,
+            circumference,
+            half_spacing: cfg.slot_spacing() / 2,
+            wait,
+            subring_mask: cfg
+                .subrings
+                .is_power_of_two()
+                .then(|| cfg.subrings as u64 - 1),
             cfg,
             stats: RingStats::default(),
             tracer: Tracer::disabled(),
@@ -212,7 +242,10 @@ impl SlottedRing {
     /// Sub-ring an address-interleave key maps to.
     #[must_use]
     pub fn subring_of(&self, interleave_key: u64) -> usize {
-        (interleave_key % self.cfg.subrings as u64) as usize
+        match self.subring_mask {
+            Some(mask) => (interleave_key & mask) as usize,
+            None => (interleave_key % self.cfg.subrings as u64) as usize,
+        }
     }
 
     /// Book one full-rotation transaction on `subring`, requested at `now`.
@@ -222,8 +255,7 @@ impl SlottedRing {
     /// grants are then strictly FIFO per sub-ring.
     pub fn transact(&mut self, now: Cycles, subring: usize, kind: PacketKind) -> RingTiming {
         assert!(subring < self.cfg.subrings, "sub-ring index out of range");
-        let circumference = self.cfg.circumference();
-        let cap = self.cfg.slots_per_subring();
+        let cap = self.cap;
         let lane = &mut self.busy_until[subring];
         lane.retain(|&free_at| free_at > now);
 
@@ -235,9 +267,7 @@ impl SlottedRing {
         // what separates the O(P) tournament from the O(P log P)
         // dissemination barrier on the real machine.
         let (injected_at, blocked) = if lane.len() < cap {
-            let free = (cap - lane.len()) as Cycles;
-            let wait = (circumference / (2 * free)).max(1);
-            (now + wait, false)
+            (now + self.wait[cap - lane.len()], false)
         } else {
             // All slots of this sub-ring are in flight: the earliest one to
             // come home is re-used; it frees at its owner's station and
@@ -253,16 +283,16 @@ impl SlottedRing {
                 Some((idx, earliest)) => {
                     // Remove the booking we are about to re-use.
                     lane.swap_remove(idx);
-                    (earliest.max(now) + self.cfg.slot_spacing() / 2, true)
+                    (earliest.max(now) + self.half_spacing, true)
                 }
                 // Unreachable: `validate` guarantees every sub-ring at
                 // least one slot, so a full lane holds a booking. Treat
                 // the impossible empty case as an idle lane rather than
                 // poisoning the coordinator with a panic.
-                None => (now + (circumference / (2 * cap as Cycles)).max(1), false),
+                None => (now + self.wait[cap], false),
             }
         };
-        let response_at = injected_at + circumference;
+        let response_at = injected_at + self.circumference;
         lane.push(response_at);
 
         self.stats.packets += 1;
@@ -506,6 +536,43 @@ mod tests {
         assert_eq!(r.subring_of(0), 0);
         assert_eq!(r.subring_of(1), 1);
         assert_eq!(r.subring_of(2), 0);
+    }
+
+    /// The constants tabled at construction against the divisions they
+    /// replace, on seeded valid geometries.
+    #[test]
+    fn tabled_waits_match_the_division_formulas() {
+        let mut rng = ksr_core::XorShift64::new(0x51075);
+        let mut checked = 0;
+        while checked < 300 {
+            let cfg = RingConfig {
+                stations: 2 + rng.next_index(60),
+                slots: 1 + rng.next_index(48),
+                subrings: 1 + rng.next_index(6),
+                hop_cycles: 1 + rng.next_below(8),
+            };
+            if cfg.validate().is_err() {
+                continue;
+            }
+            checked += 1;
+            let r = SlottedRing::new(cfg).unwrap();
+            let c = cfg.circumference();
+            assert_eq!(r.cap, cfg.slots_per_subring(), "{cfg:?}");
+            assert_eq!(r.circumference, c, "{cfg:?}");
+            assert_eq!(r.half_spacing, cfg.slot_spacing() / 2, "{cfg:?}");
+            assert_eq!(r.wait.len(), r.cap + 1, "{cfg:?}");
+            for free in 1..=r.cap {
+                let want = (c / (2 * free as Cycles)).max(1);
+                assert_eq!(r.wait[free], want, "{cfg:?} free {free}");
+            }
+            for key in 0..64 {
+                assert_eq!(
+                    r.subring_of(key),
+                    (key % cfg.subrings as u64) as usize,
+                    "{cfg:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use ksr_core::{Error, Result};
 use crate::bus::{Bus, BusConfig};
 use crate::butterfly::{Butterfly, ButterflyConfig};
 use crate::fabric::Fabric;
-use crate::hierarchy::{RingHierarchy, RingHierarchyConfig};
+use crate::hierarchy::{RingHierarchy, RingHierarchyConfig, MAX_CELLS};
 
 /// Shape of a machine's interconnect.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,7 +87,8 @@ impl Topology {
     }
 
     /// Maximum processor cells this topology can host, or `None` when the
-    /// shape itself imposes no port limit (the bus).
+    /// shape itself imposes no port limit (the bus, which
+    /// [`Topology::validate_for`] still caps at [`MAX_CELLS`]).
     #[must_use]
     pub fn capacity(&self) -> Option<usize> {
         match self {
@@ -139,15 +140,17 @@ impl Topology {
     /// Validate the shape and check that it holds `cells` processors,
     /// without building anything. Every capacity error originates here;
     /// [`Topology::build`] and `MachineConfig::validate` both call it.
+    /// No topology holds more than [`MAX_CELLS`] cells, the bus
+    /// included, so a machine never allocates caches for more.
     pub fn validate_for(&self, cells: usize) -> Result<()> {
         self.validate()?;
-        if let Some(cap) = self.capacity() {
-            if cells > cap {
-                return Err(Error::Config(format!(
-                    "topology {} holds {cap} cells, machine asks for {cells}",
-                    self.describe()
-                )));
-            }
+        // `validate` already caps ring trees and Butterfly ports.
+        let cap = self.capacity().unwrap_or(MAX_CELLS);
+        if cells > cap {
+            return Err(Error::Config(format!(
+                "topology {} holds {cap} cells, machine asks for {cells}",
+                self.describe()
+            )));
         }
         Ok(())
     }
@@ -167,7 +170,6 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::MAX_CELLS;
 
     #[test]
     fn presets_build_at_capacity() {
@@ -194,8 +196,24 @@ mod tests {
         assert!(err.contains("ring[32]") && err.contains("33"), "got: {err}");
         let err = Topology::butterfly(16).build(17).unwrap_err().to_string();
         assert!(err.contains("butterfly[16]"), "got: {err}");
-        // The bus has no port limit.
+        // The bus has no port limit below the cell cap.
         Topology::bus().build(1000).unwrap();
+    }
+
+    /// Every topology stops at [`MAX_CELLS`], checked without building
+    /// anything above it.
+    #[test]
+    fn no_topology_validates_beyond_the_cell_cap() {
+        for t in [Topology::bus(), Topology::butterfly(MAX_CELLS)] {
+            t.validate_for(MAX_CELLS).unwrap();
+            let err = t.validate_for(MAX_CELLS + 1).unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{err}");
+            assert!(err.to_string().contains(&t.describe()), "{err}");
+        }
+        for ports in [MAX_CELLS + 1, 1 << 40] {
+            let err = Topology::butterfly(ports).validate().unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{err}");
+        }
     }
 
     #[test]

@@ -34,8 +34,10 @@ impl HwLock {
     }
 
     /// Spin until the sub-page is acquired atomically. Each retry is a
-    /// fresh ring transaction issued at once, exactly like hardware
-    /// spinning on `get_sub_page`.
+    /// fresh ring transaction issued as soon as the previous rejection
+    /// returns, exactly like hardware spinning on `get_sub_page`; the
+    /// machine retries in the coordinator
+    /// ([`Cpu::acquire_sub_page`]), so the calling program resumes once.
     pub async fn acquire(&self, cpu: &mut Cpu) {
         cpu.acquire_sub_page(self.addr).await;
     }

@@ -10,7 +10,6 @@ use ksr_core::trace::TraceEvent;
 use ksr_core::Json;
 
 use crate::checker::Violation;
-use crate::explore::WitnessedViolation;
 use crate::lint::LintFinding;
 use crate::predict::PredictFinding;
 use crate::race::RaceReport;
@@ -123,19 +122,6 @@ pub fn predict_to_json(f: &PredictFinding) -> Json {
     ])
 }
 
-/// One explored violation with its witness schedule.
-#[must_use]
-pub fn witness_to_json(v: &WitnessedViolation) -> Json {
-    Json::obj([
-        ("kind", Json::from(v.kind.as_str())),
-        ("what", Json::from(v.what.as_str())),
-        (
-            "schedule",
-            Json::arr(v.schedule.iter().map(|&d| Json::from(d))),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_and_witness_json_are_stable() {
+    fn predict_json_is_stable() {
         use crate::predict::PredictRule;
         let f = PredictFinding {
             rule: PredictRule::PotentialDeadlock,
@@ -222,15 +208,6 @@ mod tests {
         assert_eq!(
             predict_to_json(&f).render(),
             r#"{"rule":"potential_deadlock","addr":7,"cells":[0,1],"message":"m"}"#
-        );
-        let w = WitnessedViolation {
-            kind: "invariant".into(),
-            what: "stale handoff".into(),
-            schedule: vec![1, 0],
-        };
-        assert_eq!(
-            witness_to_json(&w).render(),
-            r#"{"kind":"invariant","what":"stale handoff","schedule":[1,0]}"#
         );
     }
 
