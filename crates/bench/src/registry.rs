@@ -217,29 +217,31 @@ mod tests {
     }
 
     /// Every job descriptor in the registry must name its own
-    /// experiment, and no two jobs anywhere in a quick run may share a
-    /// fingerprint — one collision would let the cache serve one job's
-    /// rows for another.
+    /// experiment, and no two jobs anywhere in a quick or a full-size
+    /// run may share a fingerprint — one collision would let the cache
+    /// serve one job's rows for another. Plans are only built, not run.
     #[test]
     fn descriptors_are_well_formed_and_unique_registry_wide() {
-        let opts = RunOpts::quick();
-        let mut seen: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-        for e in REGISTRY {
-            let plan = e.plan(&opts);
-            assert!(!plan.jobs().is_empty(), "{}: plan must have jobs", e.id());
-            for job in plan.jobs() {
-                assert_eq!(
-                    job.desc().experiment(),
-                    e.id(),
-                    "{}: descriptor names the wrong experiment",
-                    job.label()
-                );
-                let fp = job.desc().fingerprint().hex();
-                if let Some(other) = seen.insert(fp, job.label().to_string()) {
-                    panic!(
-                        "fingerprint collision between {other:?} and {:?}",
+        for opts in [RunOpts::quick(), RunOpts::default()] {
+            let mut seen: std::collections::HashMap<String, String> =
+                std::collections::HashMap::new();
+            for e in REGISTRY {
+                let plan = e.plan(&opts);
+                assert!(!plan.jobs().is_empty(), "{}: plan must have jobs", e.id());
+                for job in plan.jobs() {
+                    assert_eq!(
+                        job.desc().experiment(),
+                        e.id(),
+                        "{}: descriptor names the wrong experiment",
                         job.label()
                     );
+                    let fp = job.desc().fingerprint().hex();
+                    if let Some(other) = seen.insert(fp, job.label().to_string()) {
+                        panic!(
+                            "fingerprint collision between {other:?} and {:?}",
+                            job.label()
+                        );
+                    }
                 }
             }
         }

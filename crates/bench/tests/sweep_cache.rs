@@ -6,8 +6,9 @@
 //!
 //! `quick.digests` holds one `ksr_core::fingerprint` per artifact of
 //! `run_all --quick --seed 0 --jobs 1` (each experiment's `.txt`,
-//! `.json` and `.csv` files plus `summary.json`), and one per experiment
-//! over its jobs' `JobDesc::canonical()` forms in plan order. The
+//! `.json` and `.csv` files plus `summary.json`), and two per experiment
+//! over its jobs' `JobDesc::canonical()` forms in plan order: one for the
+//! quick plan, one for the full-size plan, which is only planned. The
 //! digests come from a serial run, so a run at eight workers that
 //! matches them is a `-j1`/`-j8` comparison. The descriptor lines catch
 //! a cache key that drifts between processes, which warm runs inside
@@ -53,9 +54,9 @@ const GOLDENS: &str = include_str!("quick.digests");
 const HEADER: &str = "\
 # Quick-suite goldens, checked by tests/sweep_cache.rs. Each line is
 # `<name> <ksr_core::fingerprint hex>`: an artifact of
-# `run_all --quick --seed 0 --jobs 1`, or `jobs:<ID>`, the fingerprint
-# of that experiment's JobDesc::canonical() forms joined by newlines in
-# plan order.
+# `run_all --quick --seed 0 --jobs 1`, or `jobs:<ID>` (`jobs-full:<ID>`),
+# the fingerprint of that experiment's quick (full-size)
+# JobDesc::canonical() forms joined by newlines in plan order.
 ";
 
 /// The experiments of the cache and seed cases.
@@ -125,12 +126,18 @@ fn total_jobs(ids: &[&str], opts: &RunOpts) -> usize {
 /// `opts.results_dir`, rendered in the format of `quick.digests`.
 fn render_digests(opts: &RunOpts) -> String {
     let mut digests = BTreeMap::new();
-    for plan in plans(&registry::ids(), opts) {
-        let canonical: Vec<String> = plan.jobs().iter().map(|j| j.desc().canonical()).collect();
-        digests.insert(
-            format!("jobs:{}", plan.id()),
-            fingerprint(canonical.join("\n").as_bytes()),
-        );
+    let full = RunOpts {
+        quick: false,
+        ..opts.clone()
+    };
+    for (prefix, opts) in [("jobs", opts), ("jobs-full", &full)] {
+        for plan in plans(&registry::ids(), opts) {
+            let canonical: Vec<String> = plan.jobs().iter().map(|j| j.desc().canonical()).collect();
+            digests.insert(
+                format!("{prefix}:{}", plan.id()),
+                fingerprint(canonical.join("\n").as_bytes()),
+            );
+        }
     }
     for (name, bytes) in artifacts(&opts.results_dir) {
         digests.insert(name, fingerprint(&bytes));
