@@ -17,12 +17,11 @@
 //!   false-sharing cost trade against tree height;
 //! * **poststore in kernels** — covered by TAB1 (CG) and TAB4 (SP).
 
-use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
-use ksr_machine::{program, Machine, MachineConfig, Program};
+use ksr_machine::{read_stream, Machine, MachineConfig};
 use ksr_mem::ProtocolOptions;
 use ksr_net::{RingHierarchyConfig, Topology};
-use ksr_sync::{BarrierAlg, Episode, McsBarrier, TournamentBarrier};
+use ksr_sync::{episode_seconds, BarrierAlg, McsBarrier, TournamentBarrier};
 
 use crate::common::{ExperimentOutput, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
@@ -35,62 +34,26 @@ pub const TITLE: &str = "Ablations of the paper's explanatory mechanisms";
 /// the job layout changes meaning, so stale cache entries miss.
 const SCHEMA: u32 = 1;
 
-/// Mean barrier episode seconds on a machine built from `cfg`.
-fn episode_secs<B, F>(cfg: MachineConfig, procs: usize, episodes: usize, alloc: F) -> f64
-where
-    B: BarrierAlg,
-    F: FnOnce(&mut Machine) -> B,
-{
+/// Mean barrier episode seconds, after two warm-up episodes, of the
+/// barrier `alloc` places on a machine built from `cfg`.
+fn episode_secs<B: BarrierAlg>(
+    cfg: MachineConfig,
+    episodes: usize,
+    alloc: impl FnOnce(&mut Machine) -> B,
+) -> f64 {
     let mut m = Machine::new(cfg).expect("machine");
     let b = alloc(&mut m);
-    let run_eps = episodes + 2;
-    let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|p| {
-            program(move |mut cpu| async move {
-                let mut ep = Episode::default();
-                for e in 0..run_eps {
-                    cpu.compute(((p * 89 + e * 37) % 200) as u64 + 20);
-                    b.wait(&mut cpu, &mut ep).await;
-                }
-            })
-        })
-        .collect();
-    let r = m.run(programs).expect("run");
-    cycles_to_seconds(r.duration_cycles() / run_eps as u64, m.config().clock_hz)
+    episode_seconds(&mut m, b, episodes, 2).expect("run")
 }
 
 /// Remote-read latency (cycles) with all processors hammering, under a
-/// custom ring geometry.
+/// custom ring geometry: each streams 512 reads from a 256 KB array held
+/// by its neighbour.
 fn hammer_latency(cfg: MachineConfig, procs: usize) -> f64 {
     let mut m = Machine::new(cfg).expect("machine");
-    let arrays: Vec<u64> = (0..procs)
-        .map(|_| m.alloc(256 * 1024, 16384).expect("alloc"))
-        .collect();
-    let results = ksr_machine::SharedU64::alloc(&mut m, procs).expect("alloc");
-    for (p, &a) in arrays.iter().enumerate() {
-        m.warm((p + 1) % m.config().cells, a, 256 * 1024);
-    }
-    let samples = 512u64;
-    m.run(
-        (0..procs)
-            .map(|p| {
-                let a = arrays[p];
-                program(move |mut cpu| async move {
-                    let t0 = cpu.now();
-                    for i in 0..samples {
-                        let _ = cpu.read_u64(a + (i * 128) % (256 * 1024)).await;
-                    }
-                    let mean = (cpu.now() - t0) / samples;
-                    results.set(&mut cpu, p, mean).await;
-                })
-            })
-            .collect(),
-    )
-    .expect("run");
-    (0..procs)
-        .map(|p| results.peek(&mut m, p) as f64)
-        .sum::<f64>()
-        / procs as f64
+    let cells = m.config().cells;
+    let means = read_stream(&mut m, procs, 256 * 1024, 512, |p| (p + 1) % cells).expect("run");
+    means.iter().sum::<u64>() as f64 / procs as f64
 }
 
 /// Plan all ablations: one pure job per (mechanism, setting) point.
@@ -134,19 +97,13 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("variant", variant)
             .param("procs", procs)
             .param("episodes", episodes);
-        jobs.push(Job::value(
-            desc,
-            procs,
-            "wakeup_episode_seconds",
-            "s",
-            move || {
-                let mut cfg = MachineConfig::ksr1(seed1);
-                cfg.protocol = protocol;
-                episode_secs(cfg, procs, episodes, |m| {
-                    TournamentBarrier::alloc(m, procs, true).expect("alloc")
-                })
-            },
-        ));
+        jobs.push(Job::value(desc, "wakeup_episode_seconds", "s", move || {
+            let mut cfg = MachineConfig::ksr1(seed1);
+            cfg.protocol = protocol;
+            episode_secs(cfg, episodes, |m| {
+                TournamentBarrier::alloc(m, procs, true).expect("alloc")
+            })
+        }));
     }
 
     // 2. Sub-ring interleaving: one fat lane vs two interleaved lanes.
@@ -159,7 +116,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("procs", procs);
         jobs.push(Job::value(
             desc,
-            procs,
             "hammer_latency_cycles",
             "cycles",
             move || {
@@ -184,7 +140,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("procs", procs);
         jobs.push(Job::value(
             desc,
-            procs,
             "hammer_latency_cycles",
             "cycles",
             move || {
@@ -206,17 +161,11 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("arity", arity)
             .param("procs", procs)
             .param("episodes", episodes);
-        jobs.push(Job::value(
-            desc,
-            procs,
-            "mcs_episode_seconds",
-            "s",
-            move || {
-                episode_secs(MachineConfig::ksr1(seed4), procs, episodes, |m| {
-                    McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
-                })
-            },
-        ));
+        jobs.push(Job::value(desc, "mcs_episode_seconds", "s", move || {
+            episode_secs(MachineConfig::ksr1(seed4), episodes, |m| {
+                McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
+            })
+        }));
     }
 
     ExperimentPlan::new(ID, TITLE, jobs, move |res| {
@@ -305,7 +254,7 @@ mod tests {
         let run = |protocol: ProtocolOptions| {
             let mut cfg = MachineConfig::ksr1(1);
             cfg.protocol = protocol;
-            episode_secs(cfg, 16, 5, |m| {
+            episode_secs(cfg, 5, |m| {
                 TournamentBarrier::alloc(m, 16, true).expect("alloc")
             })
         };
@@ -359,7 +308,7 @@ mod tests {
     #[test]
     fn mcs_arity_sweep_runs_and_orders_sanely() {
         for arity in [2usize, 4, 8] {
-            let t = episode_secs(MachineConfig::ksr1(7), 8, 3, |m| {
+            let t = episode_secs(MachineConfig::ksr1(7), 3, |m| {
                 McsBarrier::alloc_with_arity(m, 8, false, arity).expect("alloc")
             });
             assert!(t > 0.0 && t < 0.01, "arity {arity}: {t}");

@@ -1,7 +1,8 @@
 //! Regenerates paper tables and figures into the results directory and
 //! indexes them in `summary.json`. Flags: `--list`, `--only ID,ID...`,
-//! `--quick`/`--full`, `--seed N`, `--results DIR` (env defaults:
-//! KSR_QUICK, KSR_SEED, KSR_RESULTS).
+//! `--quick`/`--full`, `--seed N`, `--results DIR`, `--jobs N`,
+//! `--check`, `--cache DIR`, `--shard i/N`, `--prune` (see
+//! `ksr_bench::cli`).
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -1,5 +1,4 @@
-//! `--check` / `KSR_CHECK=1` verification mode for the experiment
-//! harness.
+//! `--check` verification mode for the experiment harness.
 //!
 //! Four passes from `ksr-verify`, all consuming the trace stream and
 //! never feeding back into virtual time (a checked run's result files

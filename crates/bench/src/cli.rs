@@ -1,7 +1,5 @@
 //! Command-line plumbing for `run_all`, the harness's one front end.
-//!
-//! Its flags layer over the environment defaults (`KSR_QUICK`,
-//! `KSR_SEED`, `KSR_RESULTS`, `KSR_JOBS`, `KSR_CACHE`):
+//! Its flags are its only input:
 //!
 //! * `--list` — print the registry and exit;
 //! * `--only ID[,ID...]` — run a subset (case-insensitive ids, repeats
@@ -11,8 +9,9 @@
 //! * `--seed N` — perturb every machine seed;
 //! * `--results DIR` — where result files go;
 //! * `--jobs N` / `-j N` — worker threads the executor schedules jobs
-//!   over (results are byte-identical at any value);
-//! * `--check` — verification mode (`KSR_CHECK=1`): every machine gets a
+//!   over (results are byte-identical at any value; default: the host
+//!   parallelism capped at [`MAX_DEFAULT_JOBS`]);
+//! * `--check` — verification mode: every machine gets a
 //!   `ksr-verify` coherence-checking sink, the race-detector and
 //!   schedule-lint suites run afterwards, and `violations.json` lands
 //!   next to the results (non-zero exit on any violation);
@@ -34,20 +33,19 @@
 //! progress, `[written:]` / `[summary:]` / `[check:]` / `[cache:]`
 //! status lines, errors — goes to **stderr**.
 
-use std::ffi::OsString;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use ksr_core::{Json, Progress};
 
-use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard};
+use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard, MAX_DEFAULT_JOBS};
 use crate::exec::{self, CacheStats, PlanTimings};
 use crate::registry::{find, live_schemas, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus the selection flags.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Cli {
-    /// Effective run options (environment defaults + flags).
+    /// Effective run options (defaults + flags).
     pub opts: RunOpts,
     /// `--list`: print the registry instead of running.
     pub list: bool,
@@ -58,23 +56,20 @@ pub struct Cli {
     pub prune: bool,
 }
 
-/// Parse `args` (not including the program name) over environment
-/// defaults. Returns an error message for unknown or malformed flags
-/// (including an `--only` that names no id), for a malformed `KSR_SEED`
-/// or `KSR_JOBS`, and for inconsistent combinations (sharding without a
+/// Parse `args` (not including the program name) over the defaults:
+/// full size, seed 0, `results/`, no check, no cache, and the host
+/// parallelism capped at [`MAX_DEFAULT_JOBS`] workers. Returns an error
+/// message for unknown or malformed flags (including an `--only` that
+/// names no id) and for inconsistent combinations (sharding without a
 /// cache, `--shard` with `--check`).
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
-    parse_args_with(args, |name| std::env::var_os(name))
-}
-
-/// [`parse_args`] over the variable lookup `var` instead of the process
-/// environment (see [`RunOpts::from_vars`]).
-pub(crate) fn parse_args_with(
-    args: impl IntoIterator<Item = String>,
-    var: impl Fn(&str) -> Option<OsString>,
-) -> Result<Cli, String> {
     let mut cli = Cli {
-        opts: RunOpts::from_vars(var)?,
+        opts: RunOpts {
+            jobs: std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(MAX_DEFAULT_JOBS),
+            ..RunOpts::default()
+        },
         list: false,
         only: Vec::new(),
         prune: false,
@@ -129,7 +124,7 @@ pub(crate) fn parse_args_with(
     }
     if cli.opts.shard.is_some() {
         if cli.opts.cache.is_none() {
-            return Err("--shard requires --cache DIR (or KSR_CACHE): shards \
+            return Err("--shard requires --cache DIR: shards \
                  communicate through the cache"
                 .into());
         }
@@ -142,9 +137,7 @@ pub(crate) fn parse_args_with(
         }
     }
     if cli.prune && cli.opts.cache.is_none() {
-        return Err(
-            "--prune requires --cache DIR (or KSR_CACHE): it needs a cache to clean".into(),
-        );
+        return Err("--prune requires --cache DIR: it needs a cache to clean".into());
     }
     Ok(cli)
 }
@@ -434,6 +427,8 @@ mod tests {
         assert_eq!(cli.opts.jobs, 8);
         let cli = parse_args(["--jobs", "0"].map(String::from)).unwrap();
         assert_eq!(cli.opts.jobs, 1, "a zero worker count clamps to serial");
+        let jobs = parse_args(std::iter::empty()).unwrap().opts.jobs;
+        assert!((1..=MAX_DEFAULT_JOBS).contains(&jobs), "default: {jobs}");
     }
 
     #[test]
@@ -446,36 +441,6 @@ mod tests {
             "an --only that names no id"
         );
         assert!(parse_args(["--only", ""].map(String::from)).is_err());
-    }
-
-    /// A set but malformed `KSR_SEED` or `KSR_JOBS` is an error, like a
-    /// malformed `--seed` or `--jobs`, instead of silently running the
-    /// default; unset or empty keeps the default.
-    #[test]
-    fn malformed_seed_or_jobs_variable_is_an_error() {
-        let parse = |vars: &[(&str, &str)]| {
-            parse_args_with(std::iter::empty(), |name| {
-                vars.iter()
-                    .find(|(k, _)| *k == name)
-                    .map(|(_, v)| OsString::from(v))
-            })
-        };
-        assert_eq!(
-            parse(&[("KSR_SEED", "abc")]).unwrap_err(),
-            "bad KSR_SEED value: abc"
-        );
-        assert_eq!(
-            parse(&[("KSR_JOBS", "xyz")]).unwrap_err(),
-            "bad KSR_JOBS value: xyz"
-        );
-        assert!(parse(&[("KSR_SEED", "7"), ("KSR_JOBS", "-1")]).is_err());
-        let cli = parse(&[("KSR_SEED", ""), ("KSR_JOBS", "")]).unwrap();
-        assert_eq!(cli.opts.seed, 0);
-        assert!(cli.opts.jobs >= 1);
-        let cli = parse(&[("KSR_SEED", "7"), ("KSR_JOBS", "3")]).unwrap();
-        assert_eq!((cli.opts.seed, cli.opts.jobs), (7, 3));
-        let cli = parse(&[("KSR_JOBS", "0")]).unwrap();
-        assert_eq!(cli.opts.jobs, 1, "a zero worker count clamps to serial");
     }
 
     #[test]

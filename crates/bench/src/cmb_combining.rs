@@ -91,7 +91,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("cells", cells)
                 .param("combining", combining)
                 .param("ops", ops);
-            jobs.push(Job::new(desc, cells, move || {
+            jobs.push(Job::new(desc, move || {
                 let (per_op, frac) = hot_spot(spec, combining, ops, seed + cells as u64);
                 vec![
                     MetricRow::new("hot_spot_op_seconds", &[], per_op, "s"),

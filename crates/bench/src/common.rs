@@ -1,7 +1,6 @@
 //! Shared experiment plumbing: run options, output capture, and result
 //! files (text, CSV, and machine-readable JSON).
 
-use std::ffi::OsString;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -10,34 +9,32 @@ use ksr_core::table::{series_to_csv, Series};
 use ksr_core::Json;
 
 /// Options for one experiment run — the single parameter every
-/// [`crate::registry::Experiment`] planner receives.
-///
-/// Environment variables provide the defaults ([`RunOpts::from_vars`]);
-/// `run_all` layers its CLI flags on top.
+/// [`crate::registry::Experiment`] planner receives. `run_all` sets
+/// them from its flags ([`crate::cli`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunOpts {
-    /// Reduced sweeps for CI and tests (`KSR_QUICK=1`).
+    /// Reduced sweeps for CI and tests (`--quick`).
     pub quick: bool,
-    /// Perturbation XORed into every machine seed (`KSR_SEED`, default
+    /// Perturbation XORed into every machine seed (`--seed N`, default
     /// 0 — i.e. the paper-matching baseline seeds).
     pub seed: u64,
-    /// Directory result files are written under (`KSR_RESULTS`,
+    /// Directory result files are written under (`--results DIR`,
     /// default `results/`).
     pub results_dir: PathBuf,
-    /// Verification mode (`KSR_CHECK=1` or `--check`): attach a
+    /// Verification mode (`--check`): attach a
     /// `ksr-verify` coherence-checking sink to every machine built, run
     /// the race-detector and schedule-lint suites afterwards, and write
     /// `violations.json`. Checking observes the trace only — cycle
     /// counts and result files are bit-identical with it on or off.
     pub check: bool,
-    /// Worker threads the executor schedules jobs over (`--jobs N` /
-    /// `KSR_JOBS`, default from the environment is the host parallelism
-    /// capped at [`MAX_DEFAULT_JOBS`]). Results are byte-identical at
+    /// Worker threads the executor schedules jobs over (`--jobs N`;
+    /// `run_all`'s default is the host parallelism capped at
+    /// [`MAX_DEFAULT_JOBS`]). Results are byte-identical at
     /// any value — every job is a pure (config, seed) → rows function
     /// and the reduce runs in job order. Not recorded in `summary.json`
     /// for exactly that reason.
     pub jobs: usize,
-    /// Results cache directory (`--cache DIR` / `KSR_CACHE`): jobs are
+    /// Results cache directory (`--cache DIR`): jobs are
     /// keyed by the fingerprint of their canonical descriptor, hits skip
     /// execution, misses execute and populate the cache. `None` disables
     /// caching. Like `jobs`, never recorded in result files — a warm run
@@ -89,8 +86,8 @@ impl std::fmt::Display for Shard {
     }
 }
 
-/// Cap on the jobs default inferred from host parallelism; explicit
-/// `--jobs` / `KSR_JOBS` values may exceed it.
+/// Cap on the jobs default inferred from host parallelism; an explicit
+/// `--jobs` value may exceed it.
 pub const MAX_DEFAULT_JOBS: usize = 16;
 
 impl Default for RunOpts {
@@ -108,52 +105,6 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
-    /// Options taken entirely from the environment variables
-    /// `KSR_QUICK`, `KSR_SEED`, `KSR_RESULTS`, `KSR_CHECK`, `KSR_JOBS`
-    /// and `KSR_CACHE`, read through `var`: `run_all` passes the process
-    /// environment, tests a fixed table (test threads share one process
-    /// environment). Sharding is per-invocation, so `--shard` stays
-    /// CLI-only. An unset or empty `KSR_SEED` or `KSR_JOBS` keeps its
-    /// default (seed 0; the host parallelism capped at
-    /// [`MAX_DEFAULT_JOBS`]); a `KSR_JOBS` of 0 means serial.
-    ///
-    /// # Errors
-    ///
-    /// `bad KSR_SEED value: ...` or `bad KSR_JOBS value: ...` for a value
-    /// that does not parse, rather than silently running the default.
-    pub fn from_vars(var: impl Fn(&str) -> Option<OsString>) -> Result<Self, String> {
-        let number = |name: &str| -> Result<Option<u64>, String> {
-            match var(name).filter(|v| !v.is_empty()) {
-                None => Ok(None),
-                Some(v) => v
-                    .to_str()
-                    .and_then(|s| s.parse().ok())
-                    .map(Some)
-                    .ok_or_else(|| format!("bad {name} value: {}", v.to_string_lossy())),
-            }
-        };
-        let on = |name: &str| var(name).is_some_and(|v| v != "0");
-        let seed = number("KSR_SEED")?.unwrap_or(0);
-        let jobs = match number("KSR_JOBS")? {
-            Some(j) => usize::try_from(j).unwrap_or(usize::MAX).max(1),
-            None => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .min(MAX_DEFAULT_JOBS),
-        };
-        Ok(Self {
-            quick: on("KSR_QUICK"),
-            seed,
-            results_dir: var("KSR_RESULTS").map_or_else(|| PathBuf::from("results"), PathBuf::from),
-            check: on("KSR_CHECK"),
-            jobs,
-            cache: var("KSR_CACHE")
-                .filter(|v| !v.is_empty())
-                .map(PathBuf::from),
-            shard: None,
-        })
-    }
-
     /// Quick-mode options with default seed and results directory.
     #[must_use]
     pub fn quick() -> Self {
@@ -165,7 +116,7 @@ impl RunOpts {
 
     /// Derive a machine seed from an experiment's baseline seed: the
     /// baseline XORed with [`RunOpts::seed`], so the default (0) leaves
-    /// every published measurement untouched while `KSR_SEED` perturbs
+    /// every published measurement untouched while `--seed` perturbs
     /// all of them coherently.
     #[must_use]
     pub fn machine_seed(&self, base: u64) -> u64 {

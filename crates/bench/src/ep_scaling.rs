@@ -55,7 +55,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .seed(seed)
                 .param("pairs", cfg.pairs)
                 .param("procs", p);
-            Job::new(desc, p, move || {
+            Job::new(desc, move || {
                 let (t, mf) = ep_time(cfg, p, seed);
                 vec![
                     MetricRow::new("ep_run_seconds", &[], t, "s"),

@@ -154,20 +154,14 @@ impl JobDesc {
 /// order on any number of workers, and cacheable by descriptor.
 pub struct Job {
     desc: JobDesc,
-    procs: usize,
     run: Box<dyn FnOnce() -> Vec<MetricRow> + Send>,
 }
 
 impl Job {
     /// A job returning arbitrarily many rows.
-    pub fn new(
-        desc: JobDesc,
-        procs: usize,
-        run: impl FnOnce() -> Vec<MetricRow> + Send + 'static,
-    ) -> Self {
+    pub fn new(desc: JobDesc, run: impl FnOnce() -> Vec<MetricRow> + Send + 'static) -> Self {
         Self {
             desc,
-            procs,
             run: Box::new(run),
         }
     }
@@ -176,15 +170,12 @@ impl Job {
     /// `metric` (the reduce re-derives the fully parameterized rows).
     pub fn value(
         desc: JobDesc,
-        procs: usize,
         metric: &str,
         unit: &str,
         f: impl FnOnce() -> f64 + Send + 'static,
     ) -> Self {
         let (metric, unit) = (metric.to_string(), unit.to_string());
-        Self::new(desc, procs, move || {
-            vec![MetricRow::new(&metric, &[], f(), &unit)]
-        })
+        Self::new(desc, move || vec![MetricRow::new(&metric, &[], f(), &unit)])
     }
 
     /// The job's canonical descriptor.
@@ -199,13 +190,6 @@ impl Job {
         self.desc.label()
     }
 
-    /// Simulated processors the job's largest machine runs (informs
-    /// scheduling heuristics and progress display).
-    #[must_use]
-    pub fn procs(&self) -> usize {
-        self.procs
-    }
-
     /// Run the job to completion on the current thread.
     #[must_use]
     pub fn execute(self) -> Vec<MetricRow> {
@@ -217,7 +201,6 @@ impl std::fmt::Debug for Job {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Job")
             .field("desc", &self.desc)
-            .field("procs", &self.procs)
             .finish_non_exhaustive()
     }
 }
@@ -572,15 +555,7 @@ mod tests {
     fn toy_plan(id: &'static str, values: &[f64]) -> ExperimentPlan {
         let jobs = values
             .iter()
-            .map(|&v| {
-                Job::value(
-                    toy_desc(id, format!("{id} v={v}"), v),
-                    1,
-                    "m",
-                    "s",
-                    move || v,
-                )
-            })
+            .map(|&v| Job::value(toy_desc(id, format!("{id} v={v}"), v), "m", "s", move || v))
             .collect();
         let n = values.len();
         ExperimentPlan::new(id, "toy", jobs, move |res| {

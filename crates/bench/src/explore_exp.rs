@@ -84,15 +84,6 @@ impl Scenario {
             Self::RacyHandoff => "mut_racy_handoff",
         }
     }
-
-    /// Processors the workload occupies.
-    #[must_use]
-    pub fn procs(self) -> usize {
-        match self {
-            Self::MissedInvalidation => 4,
-            _ => 2,
-        }
-    }
 }
 
 /// End-state verdict: scenario-level violations plus the memory words
@@ -278,7 +269,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("scenario", s.label())
             .param("max_runs", b.max_runs)
             .param("max_choice_points", b.max_choice_points);
-        jobs.push(Job::new(desc, s.procs(), move || {
+        jobs.push(Job::new(desc, move || {
             let rep = explore_scenario(s, seed, budget(quick));
             let base = [("scenario", Json::from(s.label()))];
             let mut rows = vec![

@@ -16,14 +16,13 @@
 //!    `Cpu::prefetch_subcache` implements it; the experiment measures a
 //!    local-cache-resident sweep with and without it.
 
-use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
 use ksr_machine::{program, Machine};
-use ksr_nas::{CgConfig, CgSetup};
+use ksr_nas::CgConfig;
 
 use crate::common::{ExperimentOutput, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
-use crate::table1_cg::SCALE;
+use crate::table1_cg::cg_time;
 
 /// Registry id.
 pub const ID: &str = "EXT";
@@ -43,10 +42,7 @@ fn cg_seconds(uncache_matrix: bool, procs: usize, quick: bool, machine_seed: u64
         poststore: false,
         uncache_matrix,
     };
-    let mut m = Machine::ksr1_scaled(machine_seed, SCALE).expect("machine");
-    let setup = CgSetup::new(&mut m, cfg, procs).expect("setup");
-    let r = m.run(setup.programs()).expect("run");
-    cycles_to_seconds(r.duration_cycles(), m.config().clock_hz)
+    cg_time(cfg, procs, machine_seed)
 }
 
 /// Sweep a local-cache-resident array, optionally sub-cache-prefetching
@@ -90,7 +86,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("feature", "cg_uncache")
             .param("uncache_matrix", uncache)
             .param("procs", procs);
-        jobs.push(Job::value(desc, procs, "cg_run_seconds", "s", move || {
+        jobs.push(Job::value(desc, "cg_run_seconds", "s", move || {
             cg_seconds(uncache, procs, quick, cg_seed)
         }));
     }
@@ -101,7 +97,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("prefetch", prefetch);
         jobs.push(Job::value(
             desc,
-            1,
             "sweep_cycles_per_access",
             "cycles",
             move || sweep_cycles(prefetch, sweep_seed),

@@ -145,7 +145,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("procs", p)
                 .param("stride", stride)
                 .param("samples", samples);
-            jobs.push(Job::value(desc, p, "mean_access_seconds", "s", move || {
+            jobs.push(Job::value(desc, "mean_access_seconds", "s", move || {
                 measure(target, p, stride, samples, seed)
             }));
         }
@@ -240,7 +240,7 @@ pub fn plan_strides(opts: &RunOpts) -> ExperimentPlan {
             .param("target", name)
             .param("stride", stride)
             .param("samples", n);
-            Job::value(desc, 1, "mean_access_seconds", "s", move || {
+            Job::value(desc, "mean_access_seconds", "s", move || {
                 measure(target, 1, stride, n, seed)
             })
         })

@@ -119,7 +119,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                     }),
                 )
                 .param("procs", p);
-            jobs.push(Job::value(desc, p, "run_seconds", "s", move || {
+            jobs.push(Job::value(desc, "run_seconds", "s", move || {
                 run_workload(mix, p, seed)
             }));
         }

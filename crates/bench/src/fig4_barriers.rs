@@ -1,8 +1,9 @@
 //! FIG4 / FIG5 / SEC323 — barrier performance (§3.2.2–§3.2.4).
 //!
-//! One driver measures the mean completion time of repeated barrier
-//! episodes for any of the nine algorithms on any machine preset, then
-//! three entry points reproduce:
+//! [`episode_time`] measures the mean completion time of repeated barrier
+//! episodes for any of the nine algorithms on any machine preset, through
+//! the one episode driver [`ksr_sync::episode_seconds`]; three entry
+//! points reproduce:
 //!
 //! * Figure 4 — all nine barriers on the 32-cell KSR-1;
 //! * Figure 5 — the same on the 64-cell two-level KSR-2 (plus the
@@ -12,10 +13,9 @@
 //!   caches to broadcast through).
 
 use ksr_core::table::Series;
-use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
-use ksr_machine::{program, Machine, Program};
-use ksr_sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
+use ksr_machine::Machine;
+use ksr_sync::{episode_seconds, AnyBarrier, BarrierKind};
 
 use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc, JobResults};
@@ -73,7 +73,8 @@ impl BarrierMachine {
     }
 }
 
-/// Mean seconds per barrier episode for `kind` at `procs` processors.
+/// Mean seconds per barrier episode for `kind` at `procs` processors,
+/// after two warm-up episodes (see [`episode_seconds`]).
 #[must_use]
 pub fn episode_time(
     machine: BarrierMachine,
@@ -84,28 +85,7 @@ pub fn episode_time(
 ) -> f64 {
     let mut m = machine.build(procs, seed);
     let b = AnyBarrier::alloc(kind, &mut m, procs).expect("barrier alloc");
-    // Warm-up episode (first-touch page allocations), then measure.
-    let warmup = 2;
-    let run_eps = episodes + warmup;
-    let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|p| {
-            program(move |mut cpu| async move {
-                let mut ep = Episode::default();
-                for e in 0..run_eps {
-                    // Small skew so arrivals are staggered like real
-                    // compute phases, not lock-step.
-                    cpu.compute(((p * 89 + e * 37) % 200) as u64 + 20);
-                    b.wait(&mut cpu, &mut ep).await;
-                }
-            })
-        })
-        .collect();
-    let r = m.run(programs).expect("run");
-    let total = r.duration_cycles();
-    // Subtract the (tiny) skew compute to first order by dividing over
-    // all episodes including warm-up; warm-up inflation is then bounded
-    // by 2/episodes.
-    cycles_to_seconds(total / run_eps as u64, m.config().clock_hz)
+    episode_seconds(&mut m, b, episodes, 2).expect("run")
 }
 
 /// One job per (kind, procs) point, kind-major — the job-level form of
@@ -136,7 +116,6 @@ fn sweep_jobs(
             .param("episodes", episodes);
             jobs.push(Job::value(
                 desc,
-                p,
                 "barrier_episode_seconds",
                 "s",
                 move || episode_time(machine, kind, p, episodes, seed),
@@ -311,7 +290,6 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
     for &k in BarrierKind::ALL.iter() {
         jobs.push(Job::value(
             sec323_desc(BarrierMachine::Symmetry, k, sym_seed),
-            procs,
             "barrier_episode_seconds",
             "s",
             move || episode_time(BarrierMachine::Symmetry, k, procs, episodes, sym_seed),
@@ -320,7 +298,6 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
     for &k in &bfly_kinds {
         jobs.push(Job::value(
             sec323_desc(BarrierMachine::Butterfly, k, bfly_seed),
-            procs,
             "barrier_episode_seconds",
             "s",
             move || episode_time(BarrierMachine::Butterfly, k, procs, episodes, bfly_seed),

@@ -41,7 +41,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("offdiag_per_row", cg_cfg.offdiag_per_row)
             .param("iterations", cg_cfg.iterations)
             .param("procs", p);
-        jobs.push(Job::value(desc, p, "cg_run_seconds", "s", move || {
+        jobs.push(Job::value(desc, "cg_run_seconds", "s", move || {
             cg_time(cg_cfg, p, cg_seed)
         }));
     }
@@ -53,7 +53,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("max_key", is_cfg.max_key)
             .param("chunk", is_cfg.chunk)
             .param("procs", p);
-        jobs.push(Job::value(desc, p, "is_run_seconds", "s", move || {
+        jobs.push(Job::value(desc, "is_run_seconds", "s", move || {
             is_time(is_cfg, p, is_seed).0
         }));
     }

@@ -15,7 +15,7 @@
 //!   knee of the curve is where the shared upper rings saturate.
 
 use ksr_core::Json;
-use ksr_machine::{program, Machine, MachineConfig, Program, SharedU64};
+use ksr_machine::{read_stream, Machine, MachineConfig};
 
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
@@ -38,32 +38,17 @@ fn spec_tag(spec: &[usize]) -> String {
 }
 
 /// Mean read latency (cycles) from cell 0 to data homed on `owner`,
-/// on an otherwise idle machine built from `spec`.
+/// on an otherwise idle machine built from `spec`: 256 reads over a
+/// 64 KB array, each a miss served by the owner.
 #[must_use]
 pub fn probe_latency(spec: &[usize], owner: usize, seed: u64) -> f64 {
     let mut m = Machine::new(MachineConfig::ksr_ring(seed, spec)).expect("machine");
-    let len = 64 * 1024u64;
-    let a = m.alloc(len, 16384).expect("alloc");
-    m.warm(owner, a, len);
-    let out = SharedU64::alloc(&mut m, 1).expect("alloc");
-    let samples = 256u64;
-    m.run(vec![program(move |mut cpu| async move {
-        let t0 = cpu.now();
-        for i in 0..samples {
-            // Each sample touches a fresh sub-page, so every read is a
-            // miss served by the owner.
-            let _ = cpu.read_u64(a + (i * 128) % len).await;
-        }
-        let mean = (cpu.now() - t0) / samples;
-        out.set(&mut cpu, 0, mean).await;
-    })])
-    .expect("run");
-    out.peek(&mut m, 0) as f64
+    read_stream(&mut m, 1, 64 * 1024, 256, |_| owner).expect("run")[0] as f64
 }
 
-/// One saturation point: `procs` processors each stream reads from an
-/// array homed half the machine away. Returns the mean per-read latency
-/// (cycles) and the fabric's mean slot wait per packet (cycles).
+/// One saturation point: `procs` processors each stream 96 reads from a
+/// 16 KB array homed half the machine away. Returns the mean per-read
+/// latency (cycles) and the fabric's mean slot wait per packet (cycles).
 #[must_use]
 pub fn saturation_point(spec: &[usize], procs: usize, seed: u64) -> (f64, f64) {
     let mut m = Machine::new(MachineConfig::ksr_ring(seed, spec)).expect("machine");
@@ -72,31 +57,10 @@ pub fn saturation_point(spec: &[usize], procs: usize, seed: u64) -> (f64, f64) {
         procs <= cells,
         "saturation point oversubscribes the machine"
     );
-    let len = 16 * 1024u64;
-    let arrays: Vec<u64> = (0..procs)
-        .map(|_| m.alloc(len, 16384).expect("alloc"))
-        .collect();
-    for (p, &a) in arrays.iter().enumerate() {
-        // Antipodal placement: every stream crosses the full hierarchy.
-        m.warm((p + cells / 2) % cells, a, len);
-    }
-    let out = SharedU64::alloc(&mut m, procs).expect("alloc");
-    let samples = 96u64;
-    let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|p| {
-            let a = arrays[p];
-            program(move |mut cpu| async move {
-                let t0 = cpu.now();
-                for i in 0..samples {
-                    let _ = cpu.read_u64(a + (i * 128) % len).await;
-                }
-                let mean = (cpu.now() - t0) / samples;
-                out.set(&mut cpu, p, mean).await;
-            })
-        })
-        .collect();
-    m.run(programs).expect("run");
-    let lat = (0..procs).map(|p| out.peek(&mut m, p) as f64).sum::<f64>() / procs as f64;
+    // Antipodal placement: every stream crosses the full hierarchy.
+    let means =
+        read_stream(&mut m, procs, 16 * 1024, 96, |p| (p + cells / 2) % cells).expect("run");
+    let lat = means.iter().sum::<u64>() as f64 / procs as f64;
     let s = m.fabric_stats();
     let wait = if s.packets == 0 {
         0.0
@@ -139,7 +103,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("probe", "ladder")
                 .param("spec", spec_tag(spec))
                 .param("owner", owner);
-            Job::value(desc, 1, "remote_read_cycles", "cycles", move || {
+            Job::value(desc, "remote_read_cycles", "cycles", move || {
                 probe_latency(spec, owner, seed)
             })
         })
@@ -150,7 +114,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             .param("probe", "saturation")
             .param("spec", spec_tag(spec))
             .param("procs", p);
-        jobs.push(Job::new(desc, p, move || {
+        jobs.push(Job::new(desc, move || {
             let (lat, wait) = saturation_point(spec, p, seed);
             vec![
                 MetricRow::new("saturated_read_cycles", &[], lat, "cycles"),

@@ -223,7 +223,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                     desc = desc.param("budget", BUDGET);
                 }
                 let label = kind.label();
-                jobs.push(Job::new(desc, procs, move || {
+                jobs.push(Job::new(desc, move || {
                     let (us, rmr) = run_workload(label, spec, procs, delay, ops, point_seed);
                     vec![
                         MetricRow::new("time_per_acquire_us", &[], us, "us"),

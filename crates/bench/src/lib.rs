@@ -9,14 +9,14 @@
 //! of pure [`exec::Job`]s (config + seed + program factory → typed
 //! [`MetricRow`]s) plus an ordered reduce — and [`exec::execute`]
 //! schedules the jobs of many plans over a pool of worker threads
-//! (`--jobs N` / `KSR_JOBS`). Because every
+//! (`--jobs N`). Because every
 //! job is pure and the reduce runs in job order, `results/*.json` and
 //! `summary.json` are byte-identical at any worker count.
 //!
 //! Purity also powers the sweep-at-scale machinery: every job carries a
 //! canonical [`exec::JobDesc`] whose fingerprint keys the
 //! content-addressed results cache ([`cache::ResultsCache`],
-//! `--cache DIR` / `KSR_CACHE` — warm re-runs execute nothing), and
+//! `--cache DIR` — warm re-runs execute nothing), and
 //! `--shard i/N` splits one sweep across processes that share a cache;
 //! a warm run over it then reduces artifacts byte-identical to an
 //! unsharded run.
@@ -27,8 +27,7 @@
 //! indexes a whole run in `summary.json`. The `run_all` binary is the
 //! one CLI front end (`--list`, `--only FIG4,TAB1`, `--quick`, `--jobs`;
 //! see [`cli`]): `run_all --only ID` regenerates a single artifact.
-//! `KSR_QUICK=1`, `KSR_SEED`, `KSR_RESULTS`, and `KSR_JOBS` provide the
-//! [`RunOpts`] defaults.
+//! Its flags are the only way to set the [`RunOpts`].
 
 #![warn(missing_docs)]
 

@@ -22,9 +22,8 @@
 //! fractal/tree topologies (Bertuletti et al., 2023).
 
 use ksr_core::table::Series;
-use ksr_core::time::cycles_to_seconds;
-use ksr_machine::{program, Machine, MachineConfig, Program};
-use ksr_sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
+use ksr_machine::{Machine, MachineConfig};
+use ksr_sync::{episode_seconds, AnyBarrier, BarrierKind};
 
 use crate::common::{ExperimentOutput, RunOpts};
 use crate::exec::{ExperimentPlan, Job, JobDesc};
@@ -48,27 +47,14 @@ pub const POINTS: &[(usize, &[usize])] = &[
 ];
 
 /// Mean seconds per barrier episode with every cell of the `spec`
-/// machine participating.
+/// machine participating, after two warm-up episodes — FIG4's episode
+/// measurement ([`episode_seconds`]) on a deeper tree.
 #[must_use]
 pub fn episode_time(spec: &[usize], kind: BarrierKind, episodes: usize, seed: u64) -> f64 {
     let mut m = Machine::new(MachineConfig::ksr_ring(seed, spec)).expect("machine");
     let procs = m.config().cells;
     let b = AnyBarrier::alloc(kind, &mut m, procs).expect("barrier alloc");
-    let warmup = 2;
-    let run_eps = episodes + warmup;
-    let programs: Vec<Box<dyn Program>> = (0..procs)
-        .map(|p| {
-            program(move |mut cpu| async move {
-                let mut ep = Episode::default();
-                for e in 0..run_eps {
-                    cpu.compute(((p * 89 + e * 37) % 200) as u64 + 20);
-                    b.wait(&mut cpu, &mut ep).await;
-                }
-            })
-        })
-        .collect();
-    let r = m.run(programs).expect("run");
-    cycles_to_seconds(r.duration_cycles() / run_eps as u64, m.config().clock_hz)
+    episode_seconds(&mut m, b, episodes, 2).expect("run")
 }
 
 /// Plan SCB: one job per (barrier kind, machine size), kind-major.
@@ -105,7 +91,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("episodes", episodes);
             jobs.push(Job::value(
                 desc,
-                cells,
                 "barrier_episode_seconds",
                 "s",
                 move || episode_time(spec, kind, episodes, point_seed),

@@ -79,7 +79,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         .map(|&p| {
             Job::value(
                 desc(format!("TAB1 cg p={p}"), p, false),
-                p,
                 "cg_run_seconds",
                 "s",
                 move || cg_time(cfg, p, seed),
@@ -92,7 +91,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     for &p in &ps_procs {
         jobs.push(Job::value(
             desc(format!("TAB1 cg poststore p={p}"), p, true),
-            p,
             "cg_run_seconds",
             "s",
             move || {

@@ -71,7 +71,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .param("max_key", cfg.max_key)
                 .param("chunk", cfg.chunk)
                 .param("procs", p);
-            Job::new(desc, p, move || {
+            Job::new(desc, move || {
                 let (t, lat) = is_time(cfg, p, seed);
                 vec![
                     MetricRow::new("is_run_seconds", &[], t, "s"),

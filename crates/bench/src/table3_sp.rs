@@ -96,7 +96,6 @@ pub fn plan_table3(opts: &RunOpts) -> ExperimentPlan {
         .map(|&p| {
             Job::value(
                 sp_desc(ID_TAB3, format!("TAB3 sp p={p}"), cfg, p, seed, opts),
-                p,
                 "sp_seconds_per_iteration",
                 "s",
                 move || sp_time_per_iter(cfg, p, seed),
@@ -160,7 +159,6 @@ pub fn plan_table4(opts: &RunOpts) -> ExperimentPlan {
         .map(|&(label, cfg)| {
             Job::value(
                 sp_desc(ID_TAB4, format!("TAB4 sp {label}"), cfg, procs, seed, opts),
-                procs,
                 "sp_seconds_per_iteration",
                 "s",
                 move || sp_time_per_iter(cfg, procs, seed),

@@ -26,8 +26,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run the selection at the given worker count in a child process with
-/// a scrubbed environment; returns the rendered stdout.
+/// Run the selection at the given worker count in a child process;
+/// returns the rendered stdout.
 fn run_jobs(jobs: &str, dir: &Path) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
         .args([
@@ -35,12 +35,6 @@ fn run_jobs(jobs: &str, dir: &Path) -> String {
         ])
         .arg("--results")
         .arg(dir)
-        .env_remove("KSR_QUICK")
-        .env_remove("KSR_SEED")
-        .env_remove("KSR_RESULTS")
-        .env_remove("KSR_JOBS")
-        .env_remove("KSR_CHECK")
-        .env_remove("KSR_CACHE")
         .output()
         .expect("spawn run_all");
     assert!(

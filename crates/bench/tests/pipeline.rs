@@ -11,22 +11,14 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ksr_pipeline_{tag}_{}", std::process::id()))
 }
 
-/// Run the `run_all` binary with `args` and no `KSR_*` variables, so
-/// only the flags decide what it does; panics unless it exits 0.
+/// Run the `run_all` binary with `args`; panics unless it exits 0.
 fn run_all(args: &[&str], results: &Path) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
-    cmd.args(args).arg("--results").arg(results);
-    for var in [
-        "KSR_QUICK",
-        "KSR_SEED",
-        "KSR_RESULTS",
-        "KSR_JOBS",
-        "KSR_CHECK",
-        "KSR_CACHE",
-    ] {
-        cmd.env_remove(var);
-    }
-    let out = cmd.output().expect("spawn run_all");
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(args)
+        .arg("--results")
+        .arg(results)
+        .output()
+        .expect("spawn run_all");
     assert!(
         out.status.success(),
         "run_all {args:?} failed:\n{}",

@@ -65,7 +65,7 @@ pub use progress::{Progress, ProgressDrainer, ProgressEvent};
 pub use rng::XorShift64;
 pub use stats::{linear_fit, Summary};
 pub use table::{Series, TextTable};
-pub use time::{Cycles, Hz, VirtualTime, KSR1_CLOCK_HZ, KSR2_CLOCK_HZ};
+pub use time::{Cycles, Hz, KSR1_CLOCK_HZ, KSR2_CLOCK_HZ};
 pub use trace::{
     CountingSink, NullSink, RingBufferSink, TraceEvent, TraceKind, TraceSink, TraceState, Tracer,
 };

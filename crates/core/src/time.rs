@@ -3,8 +3,8 @@
 //! Everything in the simulator is accounted in **processor clock cycles**.
 //! The KSR-1 cell is clocked at 20 MHz (50 ns cycle); the KSR-2 is the same
 //! machine clocked at 40 MHz. The paper reports some results in seconds and
-//! some in cycles; [`VirtualTime`] carries the clock so conversions are
-//! explicit and cannot be mixed up between the two machines.
+//! some in cycles; [`cycles_to_seconds`] converts at a machine's clock rate
+//! (`MachineConfig::clock_hz`), so the two machines' cycles never mix.
 
 /// A duration or instant measured in processor clock cycles.
 pub type Cycles = u64;
@@ -20,91 +20,15 @@ pub const KSR1_CLOCK_HZ: Hz = 20_000_000;
 /// memory hierarchy are identical.
 pub const KSR2_CLOCK_HZ: Hz = 40_000_000;
 
-/// An instant of virtual time bound to a specific clock rate.
+/// Convert a cycle count to seconds at a given clock rate.
 ///
 /// ```
-/// use ksr_core::time::{VirtualTime, KSR1_CLOCK_HZ};
-/// let t = VirtualTime::new(KSR1_CLOCK_HZ).advanced(20_000_000);
-/// assert_eq!(t.seconds(), 1.0);
+/// use ksr_core::time::{cycles_to_seconds, KSR1_CLOCK_HZ};
+/// assert_eq!(cycles_to_seconds(20_000_000, KSR1_CLOCK_HZ), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct VirtualTime {
-    cycles: Cycles,
-    clock_hz: Hz,
-}
-
-impl VirtualTime {
-    /// A zero instant on a clock running at `clock_hz`.
-    #[must_use]
-    pub fn new(clock_hz: Hz) -> Self {
-        assert!(clock_hz > 0, "clock rate must be positive");
-        Self {
-            cycles: 0,
-            clock_hz,
-        }
-    }
-
-    /// The number of elapsed cycles.
-    #[must_use]
-    pub fn cycles(&self) -> Cycles {
-        self.cycles
-    }
-
-    /// The clock rate this instant is measured against.
-    #[must_use]
-    pub fn clock_hz(&self) -> Hz {
-        self.clock_hz
-    }
-
-    /// This instant expressed in seconds.
-    #[must_use]
-    pub fn seconds(&self) -> f64 {
-        self.cycles as f64 / self.clock_hz as f64
-    }
-
-    /// This instant expressed in microseconds (the unit of the paper's
-    /// Figures 2, 4 and 5).
-    #[must_use]
-    pub fn micros(&self) -> f64 {
-        self.seconds() * 1e6
-    }
-
-    /// A copy of this instant advanced by `delta` cycles.
-    #[must_use]
-    pub fn advanced(mut self, delta: Cycles) -> Self {
-        self.cycles += delta;
-        self
-    }
-
-    /// Advance this instant in place by `delta` cycles.
-    pub fn advance(&mut self, delta: Cycles) {
-        self.cycles += delta;
-    }
-
-    /// Advance this instant to `at` if `at` is later, in place. Returns the
-    /// number of cycles skipped (zero when `at` is not later).
-    pub fn advance_to(&mut self, at: Cycles) -> Cycles {
-        if at > self.cycles {
-            let skipped = at - self.cycles;
-            self.cycles = at;
-            skipped
-        } else {
-            0
-        }
-    }
-}
-
-/// Convert a cycle count to seconds at a given clock rate.
 #[must_use]
 pub fn cycles_to_seconds(cycles: Cycles, clock_hz: Hz) -> f64 {
     cycles as f64 / clock_hz as f64
-}
-
-/// Convert seconds to a cycle count at a given clock rate (rounded to the
-/// nearest cycle).
-#[must_use]
-pub fn seconds_to_cycles(seconds: f64, clock_hz: Hz) -> Cycles {
-    (seconds * clock_hz as f64).round() as Cycles
 }
 
 #[cfg(test)]
@@ -113,58 +37,18 @@ mod tests {
 
     #[test]
     fn zero_time_is_zero_seconds() {
-        let t = VirtualTime::new(KSR1_CLOCK_HZ);
-        assert_eq!(t.cycles(), 0);
-        assert_eq!(t.seconds(), 0.0);
+        assert_eq!(cycles_to_seconds(0, KSR1_CLOCK_HZ), 0.0);
     }
 
     #[test]
     fn ksr1_cycle_is_50ns() {
-        let t = VirtualTime::new(KSR1_CLOCK_HZ).advanced(1);
-        assert!((t.seconds() - 50e-9).abs() < 1e-15);
+        assert!((cycles_to_seconds(1, KSR1_CLOCK_HZ) - 50e-9).abs() < 1e-15);
     }
 
     #[test]
     fn ksr2_cycle_is_half_a_ksr1_cycle() {
-        let one = VirtualTime::new(KSR1_CLOCK_HZ).advanced(1).seconds();
-        let two = VirtualTime::new(KSR2_CLOCK_HZ).advanced(1).seconds();
+        let one = cycles_to_seconds(1, KSR1_CLOCK_HZ);
+        let two = cycles_to_seconds(1, KSR2_CLOCK_HZ);
         assert!((one - 2.0 * two).abs() < 1e-15);
-    }
-
-    #[test]
-    fn advance_accumulates() {
-        let mut t = VirtualTime::new(KSR1_CLOCK_HZ);
-        t.advance(10);
-        t.advance(7);
-        assert_eq!(t.cycles(), 17);
-    }
-
-    #[test]
-    fn advance_to_only_moves_forward() {
-        let mut t = VirtualTime::new(KSR1_CLOCK_HZ).advanced(100);
-        assert_eq!(t.advance_to(50), 0);
-        assert_eq!(t.cycles(), 100);
-        assert_eq!(t.advance_to(150), 50);
-        assert_eq!(t.cycles(), 150);
-    }
-
-    #[test]
-    fn micros_matches_seconds() {
-        let t = VirtualTime::new(KSR1_CLOCK_HZ).advanced(200);
-        assert!((t.micros() - t.seconds() * 1e6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn seconds_cycles_roundtrip() {
-        for &c in &[0u64, 1, 17, 20_000_000, 123_456_789] {
-            let s = cycles_to_seconds(c, KSR1_CLOCK_HZ);
-            assert_eq!(seconds_to_cycles(s, KSR1_CLOCK_HZ), c);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "clock rate must be positive")]
-    fn zero_clock_rejected() {
-        let _ = VirtualTime::new(0);
     }
 }

@@ -26,6 +26,9 @@
 //!   schedule explorer (`ksr_verify::explore`) enumerates interleavings
 //!   through. No oracle installed ⇒ the historical deterministic order.
 //! * [`arrays`] — typed shared-vector handles for kernel code.
+//! * [`probe`] — [`read_stream`], the remote-read stream every
+//!   saturation measurement runs: per-processor mean cycles per read
+//!   with all streams in flight at once.
 //! * [`heap`] — the SVA bump allocator with the paper's
 //!   false-sharing-avoiding sub-page alignment discipline.
 //! * [`report`] — run timing and FLOP reports.
@@ -40,6 +43,7 @@ pub mod config;
 pub mod cpu;
 pub mod heap;
 pub mod machine;
+pub mod probe;
 pub mod program;
 pub mod report;
 pub mod schedule;
@@ -50,6 +54,7 @@ pub use config::{InterruptConfig, MachineConfig};
 pub use cpu::{AccessOp, Cpu, Reply};
 pub use heap::Heap;
 pub use machine::{Machine, MachineObserver, ObserverScope};
+pub use probe::read_stream;
 pub use program::{program, Program, Step};
 pub use report::RunReport;
 pub use schedule::{ReplayOracle, ScheduleOracle, ScheduleTrace};

@@ -1060,13 +1060,15 @@ impl MemorySystem {
 
 #[cfg(test)]
 mod tests {
+    use ksr_net::Topology;
+
     use super::*;
 
     fn ksr(n: usize) -> MemorySystem {
         MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::ksr1(),
-            Fabric::ksr1_32().unwrap(),
+            Topology::ksr1_32().build(n).unwrap(),
             n,
             42,
         )
@@ -1128,7 +1130,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::ksr1(),
-            Fabric::ksr_64().unwrap(),
+            Topology::ksr_64().build(64).unwrap(),
             64,
             42,
         )
@@ -1147,10 +1149,7 @@ mod tests {
 
     /// 1024 cells on a three-level ring: 32 leaf rings of 32 cells.
     fn ring_1024() -> MemorySystem {
-        use ksr_net::{RingHierarchy, RingHierarchyConfig};
-        let fabric = Fabric::Ring(
-            RingHierarchy::new(RingHierarchyConfig::ring_levels(&[32, 8, 4])).unwrap(),
-        );
+        let fabric = Topology::ring_levels(&[32, 8, 4]).build(1024).unwrap();
         MemorySystem::new(MemGeometry::ksr1(), CacheTiming::ksr1(), fabric, 1024, 42).unwrap()
     }
 
@@ -1513,7 +1512,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::scaled(64),
             CacheTiming::ksr1(),
-            Fabric::ksr1_32().unwrap(),
+            Topology::ksr1_32().build(1).unwrap(),
             1,
             7,
         )
@@ -1533,7 +1532,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::butterfly(),
-            Fabric::butterfly(16).unwrap(),
+            Topology::butterfly(16).build(16).unwrap(),
             16,
             1,
         )
@@ -1549,7 +1548,7 @@ mod tests {
         let mut m = MemorySystem::new(
             MemGeometry::ksr1(),
             CacheTiming::butterfly(),
-            Fabric::butterfly(4).unwrap(),
+            Topology::butterfly(4).build(4).unwrap(),
             4,
             1,
         )

@@ -1,17 +1,17 @@
 //! A uniform front door over the three interconnect models.
 //!
 //! The machine layer talks to a [`Fabric`]; which concrete network sits
-//! behind it is a preset choice (KSR ring hierarchy, Symmetry bus, or
-//! Butterfly MIN). An enum rather than a trait object keeps dispatch
-//! static-friendly and the whole simulator `Clone`-able and deterministic.
+//! behind it (KSR ring hierarchy, Symmetry bus, or Butterfly MIN) is the
+//! [`Topology`](crate::Topology) it was built from. An enum rather than a
+//! trait object keeps dispatch static-friendly and the whole simulator
+//! `Clone`-able and deterministic.
 
 use ksr_core::time::Cycles;
 use ksr_core::trace::Tracer;
-use ksr_core::Result;
 
-use crate::bus::{Bus, BusConfig};
-use crate::butterfly::{Butterfly, ButterflyConfig};
-use crate::hierarchy::{RingHierarchy, RingHierarchyConfig};
+use crate::bus::Bus;
+use crate::butterfly::Butterfly;
+use crate::hierarchy::RingHierarchy;
 use crate::msg::{PacketKind, Transit};
 use crate::ring::RingTiming;
 
@@ -49,32 +49,6 @@ pub enum Fabric {
 }
 
 impl Fabric {
-    /// A single-level 32-cell KSR-1 ring.
-    pub fn ksr1_32() -> Result<Self> {
-        Ok(Self::Ring(RingHierarchy::new(
-            RingHierarchyConfig::ksr1_32(),
-        )?))
-    }
-
-    /// A two-level 64-cell KSR system.
-    pub fn ksr_64() -> Result<Self> {
-        Ok(Self::Ring(RingHierarchy::new(
-            RingHierarchyConfig::ksr_64(),
-        )?))
-    }
-
-    /// A Symmetry-style bus.
-    pub fn symmetry() -> Result<Self> {
-        Ok(Self::Bus(Bus::new(BusConfig::symmetry())?))
-    }
-
-    /// A Butterfly-style MIN with `ports` processors/modules.
-    pub fn butterfly(ports: usize) -> Result<Self> {
-        Ok(Self::Butterfly(Butterfly::new(ButterflyConfig::bbn(
-            ports,
-        ))?))
-    }
-
     /// Attach one shared tracer to whichever interconnect is active; every
     /// admission grant then emits a `RingSlot` event.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
@@ -167,30 +141,31 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Topology;
 
     #[test]
     fn presets_construct() {
-        assert!(Fabric::ksr1_32().is_ok());
-        assert!(Fabric::ksr_64().is_ok());
-        assert!(Fabric::symmetry().is_ok());
-        assert!(Fabric::butterfly(32).is_ok());
+        assert!(Topology::ksr1_32().build(32).is_ok());
+        assert!(Topology::ksr_64().build(64).is_ok());
+        assert!(Topology::bus().build(32).is_ok());
+        assert!(Topology::butterfly(32).build(32).is_ok());
     }
 
     #[test]
     fn coherence_and_path_flags() {
-        assert!(Fabric::ksr1_32().unwrap().has_coherent_caches());
-        assert!(Fabric::ksr1_32().unwrap().has_parallel_paths());
-        assert!(Fabric::symmetry().unwrap().has_coherent_caches());
-        assert!(!Fabric::symmetry().unwrap().has_parallel_paths());
-        assert!(!Fabric::butterfly(16).unwrap().has_coherent_caches());
-        assert!(Fabric::butterfly(16).unwrap().has_parallel_paths());
+        let ring = Topology::ksr1_32().build(32).unwrap();
+        let bus = Topology::bus().build(16).unwrap();
+        let butterfly = Topology::butterfly(16).build(16).unwrap();
+        assert!(ring.has_coherent_caches() && ring.has_parallel_paths());
+        assert!(bus.has_coherent_caches() && !bus.has_parallel_paths());
+        assert!(!butterfly.has_coherent_caches() && butterfly.has_parallel_paths());
     }
 
     #[test]
     fn ring_vs_bus_concurrency_contrast() {
         // Twelve simultaneous distinct transactions: roughly equal finish
         // times on the ring, strictly staircased on the bus.
-        let mut ring = Fabric::ksr1_32().unwrap();
+        let mut ring = Topology::ksr1_32().build(32).unwrap();
         let ring_t: Vec<_> = (0..12)
             .map(|i| {
                 ring.transact(0, i, Transit::Local, 0, PacketKind::ReadData)
@@ -203,7 +178,7 @@ mod tests {
             "ring transactions overlap within one rotation: spread {spread}"
         );
 
-        let mut bus = Fabric::symmetry().unwrap();
+        let mut bus = Topology::bus().build(32).unwrap();
         let bus_t: Vec<_> = (0..12)
             .map(|i| {
                 bus.transact(0, i, Transit::Local, 0, PacketKind::ReadData)
@@ -215,7 +190,7 @@ mod tests {
 
     #[test]
     fn stats_normalize() {
-        let mut f = Fabric::butterfly(8).unwrap();
+        let mut f = Topology::butterfly(8).build(8).unwrap();
         f.transact(0, 0, Transit::Local, 3, PacketKind::ReadData);
         f.transact(0, 1, Transit::Local, 3, PacketKind::ReadData);
         let s = f.stats();

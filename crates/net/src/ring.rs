@@ -32,12 +32,19 @@ use ksr_core::{Error, Result};
 
 use crate::msg::PacketKind;
 
+/// The most slots one ring may carry: the KSR-1 ring has 24 and the
+/// slot-count ablation sweeps 8–32. [`RingConfig::validate`] rejects
+/// more, so a ring with, say, 2^40 slots fails instead of allocating a
+/// slot table and a wait table of that length when it is built.
+pub const MAX_SLOTS: usize = 64;
+
 /// Geometry and timing of one slotted ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingConfig {
     /// Stations on the ring: member cells plus any ARD routers.
     pub stations: usize,
-    /// Total slots circulating (24 on the KSR-1 leaf ring).
+    /// Total slots circulating (24 on the KSR-1 leaf ring; at most
+    /// [`MAX_SLOTS`]).
     pub slots: usize,
     /// Address-interleaved sub-rings sharing the physical ring (2 on the
     /// KSR-1, selected by a sub-page address bit).
@@ -75,7 +82,8 @@ impl RingConfig {
         }
     }
 
-    /// Full rotation time of the ring in cycles.
+    /// Full rotation time of the ring in cycles ([`RingConfig::validate`]
+    /// rejects a ring whose rotation overflows [`Cycles`]).
     #[must_use]
     pub fn circumference(&self) -> Cycles {
         self.stations as Cycles * self.hop_cycles
@@ -103,6 +111,21 @@ impl RingConfig {
             return Err(Error::Config(
                 "ring slots/subrings/hop_cycles must be non-zero".into(),
             ));
+        }
+        if self.slots > MAX_SLOTS {
+            return Err(Error::Config(format!(
+                "a ring carries at most {MAX_SLOTS} slots, not {}",
+                self.slots
+            )));
+        }
+        if (self.stations as Cycles)
+            .checked_mul(self.hop_cycles)
+            .is_none()
+        {
+            return Err(Error::Config(format!(
+                "{} stations at {} cycles per hop overflow the ring's rotation time",
+                self.stations, self.hop_cycles
+            )));
         }
         if self.subrings > self.slots {
             // Integer division would otherwise hand every lane zero

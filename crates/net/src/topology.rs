@@ -170,6 +170,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::MAX_SLOTS;
 
     #[test]
     fn presets_build_at_capacity() {
@@ -212,6 +213,38 @@ mod tests {
         }
         for ports in [MAX_CELLS + 1, 1 << 40] {
             let err = Topology::butterfly(ports).validate().unwrap_err();
+            assert!(matches!(err, Error::Config(_)), "{err}");
+        }
+    }
+
+    /// A ring with more than [`MAX_SLOTS`] slots, or one whose rotation
+    /// time overflows `Cycles`, fails validation at every level of the
+    /// tree. Nothing is built: building such a ring would allocate its
+    /// slot tables or overflow.
+    #[test]
+    fn oversized_rings_fail_validation() {
+        let mut at_cap = RingHierarchyConfig::ksr1_32();
+        at_cap.leaf.slots = MAX_SLOTS;
+        Topology::ring(at_cap).validate_for(32).unwrap();
+        let mut bad = Vec::new();
+        for slots in [MAX_SLOTS + 2, 1 << 40] {
+            let mut cfg = RingHierarchyConfig::ksr1_32();
+            cfg.leaf.slots = slots;
+            bad.push((cfg, "slots"));
+        }
+        let mut cfg = RingHierarchyConfig::ksr1_32();
+        cfg.leaf.stations = usize::MAX / 2;
+        bad.push((cfg, "overflow"));
+        let mut cfg = RingHierarchyConfig::ksr_64();
+        cfg.levels[0].ring.slots = 1 << 40;
+        bad.push((cfg, "slots"));
+        let mut cfg = RingHierarchyConfig::ksr_64();
+        cfg.levels[0].ring.hop_cycles = u64::MAX;
+        bad.push((cfg, "overflow"));
+        for (cfg, what) in bad {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.to_string().contains(what), "{cfg:?}: {err}");
+            let err = Topology::ring(cfg).validate_for(32).unwrap_err();
             assert!(matches!(err, Error::Config(_)), "{err}");
         }
     }

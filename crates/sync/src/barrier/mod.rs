@@ -42,8 +42,9 @@ pub use tree::TreeBarrier;
 
 use std::future::Future;
 
+use ksr_core::time::cycles_to_seconds;
 use ksr_core::Result;
-use ksr_machine::{Cpu, Machine};
+use ksr_machine::{program, Cpu, Machine, Program};
 
 /// Per-processor private barrier state: the episode counter.
 #[derive(Debug, Clone, Copy, Default)]
@@ -72,6 +73,42 @@ pub trait BarrierAlg: Copy + Send + 'static {
             cpu.trace_barrier_episode(ep.ep);
         }
     }
+}
+
+/// Mean seconds per barrier episode on `m` — the measurement of
+/// Figures 4 and 5. Each of the barrier's `nprocs()` processors runs
+/// `warmup + episodes` episodes: a short compute phase, skewed per
+/// processor and episode so arrivals are staggered like real compute
+/// phases rather than lock-step, then [`BarrierAlg::wait`]. The run's
+/// duration is divided over every episode, warm-up included, so the
+/// warm-up episodes' first-touch page allocations inflate the mean by
+/// at most `warmup / episodes`.
+///
+/// # Errors
+/// Whatever [`Machine::run`] returns.
+pub fn episode_seconds(
+    m: &mut Machine,
+    barrier: impl BarrierAlg,
+    episodes: usize,
+    warmup: usize,
+) -> Result<f64> {
+    let run_eps = episodes + warmup;
+    let programs: Vec<Box<dyn Program>> = (0..barrier.nprocs())
+        .map(|p| {
+            program(move |mut cpu| async move {
+                let mut ep = Episode::default();
+                for e in 0..run_eps {
+                    cpu.compute(((p * 89 + e * 37) % 200) as u64 + 20);
+                    barrier.wait(&mut cpu, &mut ep).await;
+                }
+            })
+        })
+        .collect();
+    let r = m.run(programs)?;
+    Ok(cycles_to_seconds(
+        r.duration_cycles() / run_eps as u64,
+        m.config().clock_hz,
+    ))
 }
 
 /// An array of episode-stamped flags, one sub-page per flag.

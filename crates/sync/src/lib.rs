@@ -3,8 +3,6 @@
 //! Shared-memory synchronization on the simulated KSR-1, reproducing the
 //! §3.2 experiments of *"Scalability Study of the KSR-1"*:
 //!
-//! * [`atomic`] — fetch-and-Φ built from `get_sub_page`, exactly as the
-//!   paper's barrier implementations assume;
 //! * [`hwlock`] — the naive hardware exclusive lock (`get_sub_page` /
 //!   `release_sub_page`), which serializes all requests;
 //! * [`rwlock`] — the paper's software queue-based read/write ticket lock
@@ -14,7 +12,8 @@
 //!   budget, plus a reader-writer variant layered on the ticket lock;
 //! * [`barrier`] — the nine barrier algorithms of Figures 4 and 5:
 //!   counter, dynamic tree, dissemination, tournament, MCS, the three
-//!   global-wakeup-flag "(M)" variants, and the "System" library barrier;
+//!   global-wakeup-flag "(M)" variants, and the "System" library barrier,
+//!   plus [`episode_seconds`], the one driver that times their episodes;
 //! * [`mutants`] — seeded concurrency-bug workloads (a lock-order
 //!   inversion, a racy flag handoff, a missed-invalidation probe) whose
 //!   default deterministic schedule is clean: validation targets for the
@@ -22,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod atomic;
 pub mod barrier;
 pub mod cohort;
 pub mod hwlock;
@@ -30,8 +28,8 @@ pub mod mutants;
 pub mod rwlock;
 
 pub use barrier::{
-    AnyBarrier, BarrierAlg, BarrierKind, CounterBarrier, DisseminationBarrier, Episode, McsBarrier,
-    SystemBarrier, TournamentBarrier, TreeBarrier,
+    episode_seconds, AnyBarrier, BarrierAlg, BarrierKind, CounterBarrier, DisseminationBarrier,
+    Episode, McsBarrier, SystemBarrier, TournamentBarrier, TreeBarrier,
 };
 pub use cohort::{CohortLock, CohortRwLock, CohortTicket, DEFAULT_HANDOFF_BUDGET};
 pub use hwlock::HwLock;

@@ -35,8 +35,8 @@
 //!   re-running the checkers on each interleaving with state-hash
 //!   pruning and a bounded budget.
 //!
-//! The bench harness wires all of these into `run_all --check` (or
-//! `KSR_CHECK=1`) and writes a machine-readable `violations.json`.
+//! The bench harness wires all of these into `run_all --check` and
+//! writes a machine-readable `violations.json`.
 
 pub mod checker;
 pub mod explore;

@@ -6,29 +6,13 @@
 //! cargo run --release --example barrier_shootout [procs]
 //! ```
 
-use ksr1_repro::core::time::cycles_to_seconds;
-use ksr1_repro::machine::{program, Machine};
-use ksr1_repro::sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
+use ksr1_repro::machine::Machine;
+use ksr1_repro::sync::{episode_seconds, AnyBarrier, BarrierKind};
 
 fn episode_us(kind: BarrierKind, procs: usize, episodes: usize) -> f64 {
     let mut m = Machine::ksr1(7).expect("machine");
     let b = AnyBarrier::alloc(kind, &mut m, procs).expect("barrier");
-    let r = m
-        .run(
-            (0..procs)
-                .map(|p| {
-                    program(move |mut cpu| async move {
-                        let mut ep = Episode::default();
-                        for e in 0..episodes {
-                            cpu.compute(((p * 89 + e * 37) % 200) as u64 + 20);
-                            b.wait(&mut cpu, &mut ep).await;
-                        }
-                    })
-                })
-                .collect(),
-        )
-        .expect("run");
-    cycles_to_seconds(r.duration_cycles() / episodes as u64, m.config().clock_hz) * 1e6
+    episode_seconds(&mut m, b, episodes, 0).expect("run") * 1e6
 }
 
 fn main() {

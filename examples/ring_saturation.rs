@@ -13,38 +13,13 @@
 //! cargo run --release --example ring_saturation
 //! ```
 
-use ksr1_repro::machine::{program, Machine, SharedU64};
+use ksr1_repro::machine::{read_stream, Machine};
 
 fn mean_remote_latency(procs: usize) -> f64 {
     let mut m = Machine::ksr1(3).expect("machine");
-    let arrays: Vec<u64> = (0..procs)
-        .map(|_| m.alloc(512 * 1024, 16384).expect("alloc"))
-        .collect();
-    let results = SharedU64::alloc(&mut m, procs).expect("alloc");
-    for (p, &a) in arrays.iter().enumerate() {
-        m.warm((p + 1) % 32, a, 512 * 1024); // data lives at the neighbour
-    }
-    let samples = 512u64;
-    m.run(
-        (0..procs)
-            .map(|p| {
-                let a = arrays[p];
-                program(move |mut cpu| async move {
-                    let t0 = cpu.now();
-                    for i in 0..samples {
-                        let _ = cpu.read_u64(a + (i * 128) % (512 * 1024)).await;
-                    }
-                    let mean = (cpu.now() - t0) / samples;
-                    results.set(&mut cpu, p, mean).await;
-                })
-            })
-            .collect(),
-    )
-    .expect("run");
-    (0..procs)
-        .map(|p| results.peek(&mut m, p) as f64)
-        .sum::<f64>()
-        / procs as f64
+    // Each processor's 512 KB array lives at its neighbour.
+    let means = read_stream(&mut m, procs, 512 * 1024, 512, |p| (p + 1) % 32).expect("run");
+    means.iter().sum::<u64>() as f64 / procs as f64
 }
 
 fn main() {

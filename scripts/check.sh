@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repo-wide gate: formatting, lints, docs, the workspace tests (among
 # them the quick-suite goldens, which also cover worker counts, the
-# results cache, prune and sharding), the host-speed benchmark's
-# digests, checked runs, and a full-size run that must reproduce the
-# committed results/ byte for byte. Run from the repo root before
-# pushing.
+# results cache, prune and sharding), a run of every example, the
+# host-speed benchmark's digests, checked runs, and a full-size run that
+# must reproduce the committed results/ byte for byte. Run from the repo
+# root before pushing.
 #
 # Every run lands in a throwaway directory. The one file this script
 # writes under results/ is timings.json, copied from the full-size run:
@@ -27,6 +27,18 @@ cargo doc --workspace --no-deps --offline --quiet
 
 echo "==> cargo test --workspace --release"
 cargo test --workspace --release --quiet
+
+echo "==> examples: each must run to completion in release"
+# cargo test only compiles the examples; running them catches a panic or
+# a failed assertion on the library paths they drive (all six take about
+# a second together).
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    if ! cargo run --release --offline --quiet --example "$name" > /dev/null; then
+        echo "example $name exited non-zero" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo test --manifest-path benchmark/Cargo.toml (8-cell benchmark workloads and digests)"
 # The host-speed benchmark is a package of its own, outside the
@@ -77,10 +89,10 @@ cargo run --quiet --release -p ksr-bench --bin run_all -- \
 
 echo "==> full-size golden gate: run_all --full --seed 0 must reproduce results/ byte for byte"
 # Every committed artifact except the wall-clock timings.json must come
-# back identical, and no file may be missing or extra. The flags are
-# explicit and KSR_CACHE/KSR_CHECK are cleared, so no ambient setting
-# can turn this into a quick, reseeded, cached or checked run.
-env -u KSR_CACHE -u KSR_CHECK cargo run --quiet --release -p ksr-bench --bin run_all -- \
+# back identical, and no file may be missing or extra. run_all reads
+# nothing but its flags, so this is a full, seed-0, uncached, unchecked
+# run.
+cargo run --quiet --release -p ksr-bench --bin run_all -- \
     --full --seed 0 --jobs 2 --results "$tmp_full" > /dev/null
 if ! diff -rq -x timings.json results "$tmp_full"; then
     echo "golden gate: run_all --full --seed 0 differs from the committed results/" >&2

@@ -18,7 +18,7 @@
 use ksr1_repro::core::XorShift64;
 use ksr1_repro::machine::{program, Machine};
 use ksr1_repro::mem::{CacheTiming, MemGeometry, MemOp, MemorySystem, Outcome};
-use ksr1_repro::net::Fabric;
+use ksr1_repro::net::Topology;
 use ksr1_repro::sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
 
 /// A compact encoding of a memory operation for the soup.
@@ -56,7 +56,7 @@ fn protocol_soup_never_violates_single_writer() {
         let mut mem = MemorySystem::new(
             MemGeometry::scaled(64),
             CacheTiming::ksr1(),
-            Fabric::ksr1_32().unwrap(),
+            Topology::ksr1_32().build(4).unwrap(),
             4,
             seed,
         )

@@ -3,7 +3,7 @@
 //! virtual-time results with tracing on or off.
 
 use ksr_core::trace::{TraceKind, Tracer};
-use ksr_machine::{program, Machine, PerfSnapshot, Program};
+use ksr_machine::{program, read_stream, Machine, PerfSnapshot, Program};
 use ksr_sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
 
 const PROCS: usize = 8;
@@ -112,17 +112,10 @@ fn checking_sink_does_not_change_the_simulation() {
 #[test]
 fn snapshot_deltas_attribute_phases() {
     let mut m = Machine::ksr1(7).expect("machine");
-    let a = m.alloc(64 * 1024, 16384).expect("alloc");
+    let before = m.perfmon_snapshot();
     // Home the array on another cell so processor 0's reads must cross
     // the ring.
-    m.warm(1, a, 64 * 1024);
-    let before = m.perfmon_snapshot();
-    m.run(vec![program(move |mut cpu| async move {
-        for i in 0..256u64 {
-            let _ = cpu.read_u64(a + (i * 128) % (64 * 1024)).await;
-        }
-    })])
-    .expect("run");
+    read_stream(&mut m, 1, 64 * 1024, 256, |_| 1).expect("run");
     let after = m.perfmon_snapshot();
     let d = after.delta_since(&before);
     assert!(after.cycles_since(&before) > 0);

@@ -12,7 +12,7 @@ use ksr1_repro::mem::{
     CacheTiming, MemGeometry, MemOp, MemorySystem, ProtocolFault, ProtocolOptions,
 };
 use ksr1_repro::nas::{IsConfig, IsSetup};
-use ksr1_repro::net::Fabric;
+use ksr1_repro::net::Topology;
 use ksr1_repro::verify::{CheckingSink, CollectingSink, RaceDetector, RaceReport, Rule, Violation};
 
 /// A four-cell memory system with an optional seeded protocol bug, its
@@ -21,7 +21,7 @@ fn checked_mem(fault: Option<ProtocolFault>) -> (MemorySystem, Arc<Mutex<Checkin
     let mut mem = MemorySystem::with_options(
         MemGeometry::scaled(64),
         CacheTiming::ksr1(),
-        Fabric::ksr1_32().unwrap(),
+        Topology::ksr1_32().build(4).unwrap(),
         4,
         7,
         ProtocolOptions {
