@@ -2,9 +2,10 @@
 # Repo-wide gate: formatting, lints, docs, the workspace tests (among
 # them the quick-suite goldens, which also cover worker counts, the
 # results cache, prune and sharding), a run of every example, the
-# host-speed benchmark's digests, checked runs, and a full-size run that
-# must reproduce the committed results/ byte for byte. Run from the repo
-# root before pushing.
+# host-speed benchmark's digests, checked runs whose reports must equal
+# their committed copies, and a full-size run that must reproduce the
+# committed results/ byte for byte. Run from the repo root before
+# pushing.
 #
 # Every run lands in a throwaway directory. The one file this script
 # writes under results/ is timings.json, copied from the full-size run:
@@ -73,11 +74,26 @@ tmp_check_full=$(mktemp -d)
 tmp_full=$(mktemp -d)
 trap 'rm -rf "$tmp_check" "$tmp_check_full" "$tmp_full"' EXIT
 
+# Each checked run's violations.json must equal its committed copy byte
+# for byte. Besides the verdicts, the copy holds every experiment's
+# machine and checked-event counts, so a trace event lost or delivered
+# twice fails here even when the checker stays clean. A change that
+# alters a report on purpose replaces the copy and says why.
+checked_goldens=crates/bench/tests/checked
+compare_violations() {
+    if ! cmp -s "$checked_goldens/$1" "$2/violations.json"; then
+        diff "$checked_goldens/$1" "$2/violations.json" | head -n 20 >&2 || true
+        echo "checked gate: $2/violations.json differs from $checked_goldens/$1" >&2
+        exit 1
+    fi
+}
+
 echo "==> run_all --check --quick (coherence + race + predictive + lint verification)"
 # Exits non-zero on any coherence violation, data race, predictive
 # finding, or schedule lint; the full report lands in violations.json.
 cargo run --quiet --release -p ksr-bench --bin run_all -- \
     --check --quick --results "$tmp_check" > "$tmp_check/stdout.txt"
+compare_violations quick.violations.json "$tmp_check"
 
 echo "==> run_all --check --full --only CMB,LCK (1024-cell hot spot and lock storms under the checker)"
 # The aggregate quick run above already checks every experiment. This
@@ -86,6 +102,7 @@ echo "==> run_all --check --full --only CMB,LCK (1024-cell hot spot and lock sto
 # O(holders) step per event in the protocol or the checker would show.
 cargo run --quiet --release -p ksr-bench --bin run_all -- \
     --check --full --only CMB,LCK --results "$tmp_check_full" > "$tmp_check_full/stdout.txt"
+compare_violations full-CMB-LCK.violations.json "$tmp_check_full"
 
 echo "==> full-size golden gate: run_all --full --seed 0 must reproduce results/ byte for byte"
 # Every committed artifact except the wall-clock timings.json must come
