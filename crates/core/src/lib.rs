@@ -25,7 +25,8 @@
 //!   vocabulary (ring slots, coherence transitions, snarfs,
 //!   invalidations, atomic rejections, barrier episodes, lock handoffs),
 //!   the [`trace::TraceSink`] consumer trait, and the zero-cost-when-off
-//!   [`trace::Tracer`] handle every instrumented layer holds.
+//!   [`trace::Tracer`]: one machine's event buffer, delivered to the sink
+//!   in batches, that every instrumented layer emits into.
 //! * [`json`] — a dependency-free JSON value/writer for the
 //!   machine-readable results pipeline (`results/<id>.json`,
 //!   `results/summary.json`). Pure value → text rendering: no global

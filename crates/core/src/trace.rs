@@ -13,14 +13,31 @@
 //!
 //! 1. **Determinism.** Sinks only *observe*; nothing they do can feed
 //!    back into simulated time. A run produces identical cycle counts
-//!    with tracing enabled or disabled (asserted by the
-//!    `tracing_preserves_determinism` integration test).
-//! 2. **Zero cost when disabled.** A [`Tracer`] is an `Option` around a
-//!    shared sink; the disabled path is one branch, and event
+//!    with tracing enabled or disabled (`tests/trace_determinism.rs`),
+//!    and batching changes when a sink sees an event, never which events
+//!    it sees or their order (`tests/trace_stream.rs` pins the ordered
+//!    streams).
+//! 2. **Zero cost when disabled, one lock per batch when enabled.** A
+//!    [`Tracer`] is one machine's owned event buffer, an `Option` around
+//!    a sink and a `Vec`. The disabled path is one branch, and event
 //!    construction is deferred into a closure that never runs
-//!    ([`Tracer::emit_with`]).
-//! 3. **No new dependencies.** Sharing is `Arc<Mutex<_>>` from `std`, so
-//!    machines stay `Send` and clones of one machine share one sink.
+//!    ([`Tracer::emit_with`]). The enabled path appends to the buffer and
+//!    hands the sink [`Tracer::BATCH`] events at a time through one
+//!    [`TraceSink::record_batch`] call: one lock and one dynamic call per
+//!    batch, not per event.
+//! 3. **No new dependencies, machines stay `Send`.** The buffer has one
+//!    owner (the machine's memory system) and every emitter writes
+//!    through `&mut Tracer`; only the sink is shared, as an
+//!    `Arc<Mutex<_>>` from `std`, so a reader holds it after the run.
+//!
+//! **Delivery contract.** The buffer hands its events to the sink, in
+//! emission order and as one batch, when an event finds it full, when
+//! its owner calls [`Tracer::flush`], and when the tracer is dropped. The
+//! machine flushes before every run and every warm-up returns, unwinding
+//! included, and a bare memory system on `flush_trace`; so a reader that
+//! locks the sink after a run sees the whole stream. A clone shares the
+//! sink and starts with an empty buffer, so an event pending in the
+//! original is delivered once, by the original.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -320,6 +337,16 @@ impl TraceKind {
 pub trait TraceSink: Send {
     /// Record one event.
     fn record(&mut self, event: &TraceEvent);
+
+    /// Record a batch of consecutive events, oldest first. The tracer
+    /// delivers only through this method; the default records each event
+    /// in turn, and a sink that can take a whole slice at once overrides
+    /// it.
+    fn record_batch(&mut self, events: &[TraceEvent]) {
+        for event in events {
+            self.record(event);
+        }
+    }
 }
 
 /// A sink that discards everything (useful to measure tracing overhead
@@ -329,6 +356,8 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&mut self, _event: &TraceEvent) {}
+
+    fn record_batch(&mut self, _events: &[TraceEvent]) {}
 }
 
 /// A sink that counts events per [`TraceKind`] — the cheapest useful
@@ -355,6 +384,12 @@ impl CountingSink {
 impl TraceSink for CountingSink {
     fn record(&mut self, event: &TraceEvent) {
         self.counts[event.kind().index()] += 1;
+    }
+
+    fn record_batch(&mut self, events: &[TraceEvent]) {
+        for event in events {
+            self.counts[event.kind().index()] += 1;
+        }
     }
 }
 
@@ -413,37 +448,119 @@ impl TraceSink for RingBufferSink {
     }
 }
 
-/// A cloneable handle the instrumented layers hold. Disabled by default
-/// ([`Tracer::disabled`]); cloning shares the sink, so one sink observes
-/// every layer of one machine.
-#[derive(Clone, Default)]
+/// One machine's trace buffer: the sink it delivers to, plus the events
+/// emitted since the last delivery. Disabled by default
+/// ([`Tracer::disabled`]). The machine's memory system owns it, and every
+/// emitter — fabric, coherence engine, coordinator — writes through
+/// `&mut Tracer`.
+///
+/// Cloning shares the sink and starts with an empty buffer: events
+/// pending in the original stay there, so no event is delivered twice.
+#[derive(Default)]
 pub struct Tracer {
-    sink: Option<Arc<Mutex<dyn TraceSink>>>,
+    out: Option<Outlet>,
+}
+
+/// An attached sink and the events not yet delivered to it.
+struct Outlet {
+    sink: Arc<Mutex<dyn TraceSink>>,
+    /// Allocated with [`Tracer::BATCH`] slots on the first event, and
+    /// emptied, never shrunk, by each delivery.
+    pending: Vec<TraceEvent>,
+}
+
+impl Outlet {
+    #[inline]
+    fn push(&mut self, event: TraceEvent) {
+        if self.pending.len() == self.pending.capacity() {
+            self.make_room();
+        }
+        self.pending.push(event);
+    }
+
+    /// Allocate the buffer on first use; deliver it when full.
+    #[cold]
+    #[inline(never)]
+    fn make_room(&mut self) {
+        if self.pending.capacity() == 0 {
+            self.pending.reserve_exact(Tracer::BATCH);
+        } else {
+            self.deliver();
+        }
+    }
+
+    /// Hand every pending event to the sink in one `record_batch` call.
+    ///
+    /// Never panics itself, so it is safe in `Drop` and while a panic
+    /// unwinds. The batch leaves the buffer before the call, so a sink
+    /// that panics never sees it again. A sink whose lock such a panic
+    /// poisoned gets nothing more; whoever reads it sees the poisoning
+    /// when they lock it.
+    fn deliver(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut batch = std::mem::take(&mut self.pending);
+        if let Ok(mut sink) = self.sink.lock() {
+            sink.record_batch(&batch);
+        }
+        batch.clear();
+        self.pending = batch;
+    }
+}
+
+impl Clone for Tracer {
+    fn clone(&self) -> Self {
+        Self {
+            out: self.out.as_ref().map(|out| Outlet {
+                sink: Arc::clone(&out.sink),
+                pending: Vec::new(),
+            }),
+        }
+    }
+}
+
+impl Drop for Tracer {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("enabled", &self.is_enabled())
+            .field("pending", &self.pending())
             .finish()
     }
 }
 
+// A full buffer is `Tracer::BATCH` events of this size: 128 KB.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() == 32);
+
 impl Tracer {
+    /// Events buffered before one delivery: 4096 events of 32 bytes,
+    /// 128 KB per traced machine.
+    pub const BATCH: usize = 4096;
+
     /// The zero-cost disabled tracer.
     #[must_use]
     pub fn disabled() -> Self {
-        Self { sink: None }
+        Self { out: None }
     }
 
-    /// Attach a sink, returning the tracer handle plus a shared reference
-    /// for reading the sink back after (or during) a run.
+    /// Attach a sink, returning the tracer plus a shared reference for
+    /// reading the sink back. The sink holds every event emitted before
+    /// the last delivery (see the module's delivery contract).
     #[must_use]
     pub fn attach<S: TraceSink + 'static>(sink: S) -> (Self, Arc<Mutex<S>>) {
         let shared = Arc::new(Mutex::new(sink));
         (
             Self {
-                sink: Some(shared.clone()),
+                out: Some(Outlet {
+                    sink: shared.clone(),
+                    pending: Vec::new(),
+                }),
             },
             shared,
         )
@@ -464,16 +581,29 @@ impl Tracer {
     /// Whether a sink is attached.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.out.is_some()
     }
 
-    /// Record the event produced by `make` — which is only invoked when a
-    /// sink is attached, so the disabled path costs one branch.
+    /// Events emitted but not yet delivered to the sink.
+    fn pending(&self) -> usize {
+        self.out.as_ref().map_or(0, |out| out.pending.len())
+    }
+
+    /// Buffer the event produced by `make` — which is only invoked when
+    /// a sink is attached, so the disabled path costs one branch. A full
+    /// buffer is delivered first.
     #[inline]
-    pub fn emit_with(&self, make: impl FnOnce() -> TraceEvent) {
-        if let Some(sink) = &self.sink {
-            let event = make();
-            sink.lock().expect("trace sink poisoned").record(&event);
+    pub fn emit_with(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if let Some(out) = &mut self.out {
+            out.push(make());
+        }
+    }
+
+    /// Deliver every pending event to the sink now (one lock, one
+    /// [`TraceSink::record_batch`] call; nothing when none is pending).
+    pub fn flush(&mut self) {
+        if let Some(out) = &mut self.out {
+            out.deliver();
         }
     }
 }
@@ -492,14 +622,15 @@ mod tests {
 
     #[test]
     fn disabled_tracer_never_builds_events() {
-        let t = Tracer::disabled();
+        let mut t = Tracer::disabled();
         assert!(!t.is_enabled());
         t.emit_with(|| panic!("must not be called"));
+        assert_eq!(t.pending(), 0);
     }
 
     #[test]
     fn counting_sink_counts_per_kind() {
-        let (t, counts) = Tracer::counting();
+        let (mut t, counts) = Tracer::counting();
         assert!(t.is_enabled());
         t.emit_with(|| ev(10));
         t.emit_with(|| ev(20));
@@ -508,6 +639,8 @@ mod tests {
             wait: 2,
             blocked: false,
         });
+        assert_eq!(counts.lock().unwrap().total(), 0, "still buffered");
+        t.flush();
         let c = counts.lock().unwrap();
         assert_eq!(c.count(TraceKind::Snarf), 2);
         assert_eq!(c.count(TraceKind::RingSlot), 1);
@@ -517,10 +650,11 @@ mod tests {
 
     #[test]
     fn ring_buffer_keeps_most_recent() {
-        let (t, buf) = Tracer::ring_buffer(2);
+        let (mut t, buf) = Tracer::ring_buffer(2);
         for i in 0..5 {
             t.emit_with(|| ev(i));
         }
+        t.flush();
         let b = buf.lock().unwrap();
         assert_eq!(b.len(), 2);
         assert_eq!(b.dropped(), 3);
@@ -528,17 +662,122 @@ mod tests {
         assert_eq!(ats, vec![3, 4]);
     }
 
+    /// A sink logging each batch it is handed.
+    #[derive(Default)]
+    struct BatchLog {
+        batches: Vec<Vec<TraceEvent>>,
+    }
+
+    impl TraceSink for BatchLog {
+        fn record(&mut self, _event: &TraceEvent) {
+            unreachable!("the tracer delivers through record_batch");
+        }
+
+        fn record_batch(&mut self, events: &[TraceEvent]) {
+            self.batches.push(events.to_vec());
+        }
+    }
+
+    fn sizes(log: &Mutex<BatchLog>) -> Vec<usize> {
+        log.lock().unwrap().batches.iter().map(Vec::len).collect()
+    }
+
+    /// One `record_batch` call per filled buffer and per flush, none per
+    /// event, and an empty buffer delivers nothing.
     #[test]
-    fn clones_share_one_sink() {
-        let (t, counts) = Tracer::counting();
-        let t2 = t.clone();
+    fn delivers_one_batch_per_fill_and_per_flush() {
+        let (mut t, log) = Tracer::attach(BatchLog::default());
+        let n = 2 * Tracer::BATCH + 5;
+        for at in 0..n as Cycles {
+            t.emit_with(|| ev(at));
+        }
+        assert_eq!(sizes(&log), [Tracer::BATCH; 2]);
+        assert_eq!(t.pending(), 5);
+        t.flush();
+        t.flush();
+        assert_eq!(sizes(&log), [Tracer::BATCH, Tracer::BATCH, 5]);
+        let ats: Vec<Cycles> = log
+            .lock()
+            .unwrap()
+            .batches
+            .concat()
+            .iter()
+            .map(TraceEvent::at)
+            .collect();
+        assert_eq!(
+            ats,
+            (0..n as Cycles).collect::<Vec<_>>(),
+            "in emission order"
+        );
+    }
+
+    #[test]
+    fn drop_delivers_what_is_pending() {
+        let (mut t, counts) = Tracer::counting();
         t.emit_with(|| ev(1));
+        drop(t);
+        assert_eq!(counts.lock().unwrap().total(), 1);
+    }
+
+    /// A clone delivers to the same sink from an empty buffer of its own;
+    /// what the original had pending is delivered once, by the original.
+    #[test]
+    fn clone_shares_the_sink_but_not_the_pending_events() {
+        let (mut t, log) = Tracer::attach(BatchLog::default());
+        t.emit_with(|| ev(1));
+        let mut t2 = t.clone();
+        assert_eq!((t.pending(), t2.pending()), (1, 0));
         t2.emit_with(|| ev(2));
-        assert_eq!(counts.lock().unwrap().total(), 2);
+        drop(t2);
+        drop(t);
+        let ats: Vec<Cycles> = log
+            .lock()
+            .unwrap()
+            .batches
+            .concat()
+            .iter()
+            .map(TraceEvent::at)
+            .collect();
+        assert_eq!(ats, [2, 1]);
+    }
+
+    /// A sink that panicked mid-batch poisons its lock and gets nothing
+    /// more: later flushes and the drop do not panic, not even while
+    /// another panic unwinds (which would abort), and the reader sees the
+    /// poisoning.
+    #[test]
+    fn a_poisoned_sink_gets_nothing_more_and_nothing_panics() {
+        struct Panicky;
+        impl TraceSink for Panicky {
+            fn record(&mut self, _event: &TraceEvent) {
+                panic!("sink failure");
+            }
+        }
+        let (mut t, sink) = Tracer::attach(Panicky);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.emit_with(|| ev(1));
+            t.flush();
+        }));
+        assert!(caught.is_err());
+        assert_eq!(t.pending(), 0, "the failed batch is not kept");
+        t.emit_with(|| ev(2));
+        t.flush();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            t.emit_with(|| ev(3));
+            panic!("program failure");
+        }));
+        let payload = caught.expect_err("the program panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"program failure"));
+        assert!(sink.lock().is_err(), "the reader sees the poisoned sink");
     }
 
     #[test]
     fn event_accessors() {
+        assert_eq!(
+            std::mem::size_of::<TraceEvent>(),
+            32,
+            "a batch is BATCH x 32 bytes"
+        );
         let e = TraceEvent::LockHandoff {
             at: 99,
             cell: 3,
@@ -635,7 +874,7 @@ mod tests {
 
     #[test]
     fn counting_sink_totals_cover_every_kind() {
-        let (t, counts) = Tracer::counting();
+        let (mut t, counts) = Tracer::counting();
         // Emit each kind a distinct number of times: kind i fires i+1
         // times, so any cross-kind misattribution shows up as a wrong
         // per-kind total.
@@ -644,6 +883,7 @@ mod tests {
                 t.emit_with(|| event);
             }
         }
+        t.flush();
         let c = counts.lock().unwrap();
         for (i, kind) in TraceKind::ALL.iter().enumerate() {
             assert_eq!(c.count(*kind), (i + 1) as u64, "kind {}", kind.label());

@@ -15,7 +15,7 @@
 //! coordinator takes the request, deposits the reply, and polls again.
 //! Coordinator and future live on the same thread (the event core is
 //! single-threaded by construction), and each side only ever moves a
-//! whole value into or out of the slot, so the slot is three plain
+//! whole value into or out of the slot, so the slot is plain
 //! `Cell`s behind an `Rc` — no borrow flag, no atomics, no locks, no
 //! rendezvous. Every access is one hand-written `Roundtrip` future:
 //! its first poll deposits the request, its second takes the reply and
@@ -208,6 +208,10 @@ impl Reply {
 /// plain `Cell`s suffice and no borrow is ever taken.
 #[derive(Default)]
 pub(crate) struct Slot {
+    /// Trace events the program stamped since its last step (barrier
+    /// episodes; only on a traced machine), appended to the machine's
+    /// trace buffer by the coordinator as soon as the step returns.
+    events: Cell<Vec<TraceEvent>>,
     /// Deposited by the program future just before it suspends.
     request: Cell<Option<(Cycles, AccessOp)>>,
     /// Deposited by the coordinator just before it polls.
@@ -230,6 +234,22 @@ impl Slot {
     pub(crate) fn take_finished(&self) -> Option<(Cycles, u64)> {
         self.finished.take()
     }
+
+    fn push_event(&self, event: TraceEvent) {
+        let mut events = self.events.take();
+        events.push(event);
+        self.events.set(events);
+    }
+
+    /// Move the events stamped since the last step into `tracer`, in
+    /// order, keeping the allocation for the next step.
+    pub(crate) fn drain_events_into(&self, tracer: &mut Tracer) {
+        let mut events = self.events.take();
+        for event in events.drain(..) {
+            tracer.emit_with(|| event);
+        }
+        self.events.set(events);
+    }
 }
 
 /// One simulated processor, handed (by value) to the async closure a
@@ -243,7 +263,9 @@ pub struct Cpu {
     flops: u64,
     interrupts: Option<(InterruptConfig, Cycles)>,
     native_fetch_op: bool,
-    tracer: Tracer,
+    /// Whether the machine has a sink attached, so that
+    /// [`Cpu::trace_barrier_episode`] stamps anything.
+    traced: bool,
     slot: Rc<Slot>,
 }
 
@@ -278,7 +300,7 @@ impl Cpu {
         flops_per_cycle: u64,
         interrupts: Option<InterruptConfig>,
         native_fetch_op: bool,
-        tracer: Tracer,
+        traced: bool,
     ) -> Self {
         // Unsynchronized timers: each processor's first tick lands at a
         // different phase derived from its id.
@@ -295,7 +317,7 @@ impl Cpu {
             flops: 0,
             interrupts,
             native_fetch_op,
-            tracer,
+            traced,
             slot: Rc::new(Slot::default()),
         }
     }
@@ -308,11 +330,16 @@ impl Cpu {
 
     /// Record the completion of one barrier episode by this processor
     /// (called by the synchronization library; a no-op when the machine
-    /// has no tracer attached).
+    /// has no tracer attached). The event waits in this processor's slot
+    /// until the program's current step returns, and the coordinator then
+    /// appends it to the machine's trace buffer: no event is emitted in
+    /// between, so the stream's order is that of an immediate emission.
     pub fn trace_barrier_episode(&self, episode: u64) {
-        let (at, cell) = (self.local, self.id);
-        self.tracer
-            .emit_with(|| TraceEvent::BarrierEpisode { at, cell, episode });
+        if self.traced {
+            let (at, cell) = (self.local, self.id);
+            self.slot
+                .push_event(TraceEvent::BarrierEpisode { at, cell, episode });
+        }
     }
 
     /// This processor's index (0-based).

@@ -35,6 +35,7 @@ use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use ksr_core::time::Cycles;
@@ -44,7 +45,7 @@ use ksr_mem::{MemOp, MemorySystem, Outcome, PerfMon};
 use ksr_net::FabricStats;
 
 use crate::config::MachineConfig;
-use crate::cpu::{AccessOp, Cpu, Reply};
+use crate::cpu::{AccessOp, Cpu, Reply, Slot};
 use crate::heap::Heap;
 use crate::program::{Program, Step};
 use crate::report::RunReport;
@@ -105,9 +106,14 @@ pub struct Machine {
     mem: MemorySystem,
     heap: Heap,
     epoch: Cycles,
-    tracer: Tracer,
     oracle: Option<Box<dyn ScheduleOracle>>,
 }
+
+// Machines move between the executor's worker threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<Machine>();
+};
 
 impl std::fmt::Debug for Machine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -137,7 +143,6 @@ impl Machine {
             mem,
             heap: Heap::new(),
             epoch: 0,
-            tracer: Tracer::disabled(),
             oracle: None,
         };
         // Clone the innermost hook out before invoking it (the borrow
@@ -154,11 +159,12 @@ impl Machine {
     /// interconnect (slot grants), the memory system (coherence
     /// transitions, snarfs, invalidations, atomic rejections), the
     /// coordinator (lock/flag handoffs), and the processors (barrier
-    /// episodes). Sinks observe only — cycle counts are identical with
-    /// tracing on or off.
+    /// episodes). The memory system owns it as the machine's one event
+    /// buffer, and the machine delivers the buffer to the sink before
+    /// every [`Machine::run`] and [`Machine::warm`] returns. Sinks observe
+    /// only — cycle counts are identical with tracing on or off.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.mem.set_tracer(tracer.clone());
-        self.tracer = tracer;
+        self.mem.set_tracer(tracer);
     }
 
     /// Install a [`ScheduleOracle`]: the coordinator consults it whenever
@@ -270,9 +276,11 @@ impl Machine {
     }
 
     /// Pre-install an address range in a cell's local cache (untimed
-    /// setup; see [`MemorySystem::warm`]).
+    /// setup; see [`MemorySystem::warm`]). The sink holds the warm-up's
+    /// transitions when this returns.
     pub fn warm(&mut self, cell: usize, addr: u64, len: u64) {
         self.mem.warm(cell, addr, len);
+        self.mem.flush_trace();
     }
 
     /// **Extension** (§4 wish list): turn sub-caching off for an address
@@ -318,7 +326,9 @@ impl Machine {
     /// Run one program per processor to completion; returns the run's
     /// timing report. May be called repeatedly — cache and directory state
     /// persist across runs (virtual time keeps increasing), which is how
-    /// multi-phase experiments separate warm-up from measurement.
+    /// multi-phase experiments separate warm-up from measurement. An
+    /// attached sink holds every event of the run when this returns or
+    /// unwinds.
     ///
     /// # Errors
     /// [`Error::Config`] when `programs` is empty or holds more programs
@@ -342,14 +352,14 @@ impl Machine {
             )));
         }
         let start = self.epoch;
-        let cpus = self.build_cpus(n, start);
-        let (proc_end, proc_flops) = coordinate_event(
-            &mut self.mem,
-            &self.tracer,
-            &mut programs,
-            cpus,
-            self.oracle.as_deref_mut(),
-        );
+        let traced = self.mem.tracer_mut().is_enabled();
+        let cpus = self.build_cpus(n, start, traced);
+        let oracle = self.oracle.as_deref_mut();
+        let (proc_end, proc_flops) = if traced {
+            coordinate_event::<true>(&mut self.mem, &mut programs, cpus, oracle)
+        } else {
+            coordinate_event::<false>(&mut self.mem, &mut programs, cpus, oracle)
+        };
         let finished_at = proc_end.iter().copied().max().unwrap_or(start);
         self.epoch = finished_at;
         Ok(RunReport {
@@ -361,7 +371,7 @@ impl Machine {
         })
     }
 
-    fn build_cpus(&self, n: usize, start: Cycles) -> Vec<Cpu> {
+    fn build_cpus(&self, n: usize, start: Cycles, traced: bool) -> Vec<Cpu> {
         (0..n)
             .map(|p| {
                 Cpu::new(
@@ -372,7 +382,7 @@ impl Machine {
                     self.cfg.flops_per_cycle,
                     self.cfg.interrupts,
                     self.cfg.native_fetch_op,
-                    self.tracer.clone(),
+                    traced,
                 )
             })
             .collect()
@@ -409,16 +419,10 @@ fn data_fault(proc: usize, what: &str, addr: u64, at: Cycles, err: &Error) -> ! 
 
 /// One `get_sub_page` attempt: whether it succeeded, and when its reply
 /// came back. A success emits the acquire edge race detectors key on.
-fn get_sub_page(
-    mem: &mut MemorySystem,
-    tracer: &Tracer,
-    p: usize,
-    addr: u64,
-    t: Cycles,
-) -> (bool, Cycles) {
+fn get_sub_page(mem: &mut MemorySystem, p: usize, addr: u64, t: Cycles) -> (bool, Cycles) {
     match mem.access(p, addr, MemOp::GetSubPage, t) {
         Outcome::Done { done_at } => {
-            tracer.emit_with(|| TraceEvent::SyncAcquire {
+            mem.tracer_mut().emit_with(|| TraceEvent::SyncAcquire {
                 at: done_at,
                 cell: p,
                 subpage: ksr_mem::subpage_of(addr),
@@ -435,7 +439,7 @@ fn get_sub_page(
 
 /// Service one access request in virtual-time order — the single
 /// request-processing path of the coordinator.
-fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: AccessOp) -> Serviced {
+fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Serviced {
     match op {
         AccessOp::Read { addr } => match mem.access(p, addr, MemOp::Read, t) {
             Outcome::Done { done_at } => {
@@ -443,7 +447,7 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
                     .data()
                     .read_u64(addr)
                     .unwrap_or_else(|e| data_fault(p, "read", addr, t, &e));
-                tracer.emit_with(|| TraceEvent::DataRead {
+                mem.tracer_mut().emit_with(|| TraceEvent::DataRead {
                     at: done_at,
                     cell: p,
                     addr,
@@ -462,7 +466,7 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
                 mem.data_mut()
                     .write_u64(addr, value)
                     .unwrap_or_else(|e| data_fault(p, "write", addr, t, &e));
-                tracer.emit_with(|| TraceEvent::DataWrite {
+                mem.tracer_mut().emit_with(|| TraceEvent::DataWrite {
                     at: done_at,
                     cell: p,
                     addr,
@@ -477,10 +481,10 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
             Outcome::AtomicFailed { .. } => unreachable!("writes cannot fail atomically"),
         },
         AccessOp::GetSubPage { addr } => {
-            let (ok, at) = get_sub_page(mem, tracer, p, addr, t);
+            let (ok, at) = get_sub_page(mem, p, addr, t);
             Serviced::Reply(Reply::Flag { ok, at })
         }
-        AccessOp::AcquireSubPage { addr } => match get_sub_page(mem, tracer, p, addr, t) {
+        AccessOp::AcquireSubPage { addr } => match get_sub_page(mem, p, addr, t) {
             (true, at) => Serviced::Reply(Reply::Unit { at }),
             // The program-side loop would re-issue at exactly `at`.
             (false, at) => Serviced::Retry {
@@ -501,13 +505,13 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
                 // its sub-page: race detectors get a synchronization
                 // edge without any `Atomic` directory state existing.
                 let sp = ksr_mem::subpage_of(addr);
-                tracer.emit_with(|| TraceEvent::SyncAcquire {
+                mem.tracer_mut().emit_with(|| TraceEvent::SyncAcquire {
                     at: done_at,
                     cell: p,
                     subpage: sp,
                     rmw: true,
                 });
-                tracer.emit_with(|| TraceEvent::SyncRelease {
+                mem.tracer_mut().emit_with(|| TraceEvent::SyncRelease {
                     at: done_at,
                     cell: p,
                     subpage: sp,
@@ -529,7 +533,7 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
             // Stamped at issue time, before the memory system applies
             // the transition: the holder must still be `Atomic` here,
             // which is exactly what a checking sink verifies.
-            tracer.emit_with(|| TraceEvent::SyncRelease {
+            mem.tracer_mut().emit_with(|| TraceEvent::SyncRelease {
                 at: t,
                 cell: p,
                 subpage: ksr_mem::subpage_of(addr),
@@ -559,7 +563,7 @@ fn service(mem: &mut MemorySystem, tracer: &Tracer, p: usize, t: Cycles, op: Acc
                     .read_u64(addr)
                     .unwrap_or_else(|e| data_fault(p, "spin read", addr, t, &e));
                 if pred(value) {
-                    tracer.emit_with(|| TraceEvent::SpinRead {
+                    mem.tracer_mut().emit_with(|| TraceEvent::SpinRead {
                         at: done_at,
                         cell: p,
                         addr,
@@ -683,14 +687,26 @@ fn deadlock_panic(live: usize, parked: &FxHashMap<u64, Vec<(usize, Cycles)>>) ->
 /// entire run makes **zero** syscalls for coordination. A program panic
 /// unwinds straight through this loop with its original payload — it is
 /// already on the coordinator's thread.
-fn coordinate_event(
+///
+/// `TRACED` says whether the memory system's tracer has a sink. Only a
+/// traced run appends the events processors stamp in their slots (right
+/// after the `start` or `resume` that stamped them), so an untraced run
+/// does no trace work per resume.
+fn coordinate_event<const TRACED: bool>(
     mem: &mut MemorySystem,
-    tracer: &Tracer,
     programs: &mut [Box<dyn Program + '_>],
     cpus: Vec<Cpu>,
     mut oracle: Option<&mut (dyn ScheduleOracle + '_)>,
 ) -> (Vec<Cycles>, Vec<u64>) {
     let n = programs.len();
+    let slots = if TRACED {
+        cpus.iter().map(Cpu::slot).collect()
+    } else {
+        Vec::new()
+    };
+    // Delivers the trace when the run ends, by return or by unwinding.
+    let run = RunTrace { mem, slots };
+    let mem = &mut *run.mem;
     // Op yielded by each suspended processor, serviced when its
     // timestamp is globally smallest.
     let mut pending: Vec<Option<AccessOp>> = (0..n).map(|_| None).collect();
@@ -706,7 +722,11 @@ fn coordinate_event(
 
     macro_rules! on_step {
         ($p:expr, $step:expr) => {{
-            match $step {
+            let step = $step;
+            if TRACED {
+                run.slots[$p].drain_events_into(mem.tracer_mut());
+            }
+            match step {
                 Step::Yield { at, op } => {
                     pending[$p] = Some(op);
                     ready.push(at, $p);
@@ -732,7 +752,7 @@ fn coordinate_event(
             .take()
             .expect("scheduled processor has a request");
 
-        match service(mem, tracer, p, t, op) {
+        match service(mem, p, t, op) {
             Serviced::Reply(reply) => on_step!(p, programs[p].resume(reply)),
             Serviced::Park { subpage, at, op } => {
                 // A list in the map is never empty (a wake removes it
@@ -758,7 +778,7 @@ fn coordinate_event(
                 mem.unwatch(ev.subpage);
                 for (proc, parked_at) in waiters {
                     let wake_at = parked_at.max(ev.at);
-                    tracer.emit_with(|| TraceEvent::LockHandoff {
+                    mem.tracer_mut().emit_with(|| TraceEvent::LockHandoff {
                         at: wake_at,
                         cell: proc,
                         subpage: ev.subpage,
@@ -769,6 +789,26 @@ fn coordinate_event(
         }
     }
     (end_at, flops)
+}
+
+/// The trace side of one run: on drop — the run's return or its
+/// unwinding from a program panic or a deadlock — appends what the
+/// processors stamped in their slots and not yet handed over (only a
+/// step that panicked leaves any), then delivers the memory system's
+/// buffer to the sink. Neither step can panic while unwinding.
+struct RunTrace<'a> {
+    mem: &'a mut MemorySystem,
+    /// The processors' slots on a traced run; empty otherwise.
+    slots: Vec<Rc<Slot>>,
+}
+
+impl Drop for RunTrace<'_> {
+    fn drop(&mut self) {
+        for slot in &self.slots {
+            slot.drain_events_into(self.mem.tracer_mut());
+        }
+        self.mem.flush_trace();
+    }
 }
 
 #[cfg(test)]

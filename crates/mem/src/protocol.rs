@@ -35,7 +35,7 @@
 use ksr_core::time::Cycles;
 use ksr_core::trace::{TraceEvent, TraceState, Tracer};
 use ksr_core::{FxHashMap, FxHashSet, Result, XorShift64};
-use ksr_net::{Fabric, PacketKind, Transit};
+use ksr_net::{Fabric, PacketKind, RingTiming, Transit};
 
 use crate::directory::{Directory, Holders};
 use crate::geometry::{subpage_of, MemGeometry, SUBPAGES_PER_PAGE, SUBPAGE_BYTES};
@@ -183,6 +183,11 @@ impl Default for ProtocolOptions {
 }
 
 /// The complete memory system of one simulated machine.
+///
+/// It owns the machine's trace buffer ([`Tracer`]). A clone is a full
+/// copy of the simulated state whose tracer shares the sink and starts
+/// with an empty buffer: events the original still buffers are
+/// delivered once, by the original.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     timing: CacheTiming,
@@ -220,6 +225,13 @@ pub struct MemorySystem {
     tracer: Tracer,
 }
 
+// A memory system, trace buffer included, moves with its machine
+// between the executor's worker threads.
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<MemorySystem>();
+};
+
 /// Mirror a directory state into the fabric-agnostic trace vocabulary.
 fn trace_state(s: SubpageState) -> TraceState {
     match s {
@@ -234,7 +246,7 @@ fn trace_state(s: SubpageState) -> TraceState {
 /// Emit the [`TraceEvent::Coherence`] of one directory transition that
 /// changed a state.
 fn trace_transition(
-    tracer: &Tracer,
+    tracer: &mut Tracer,
     at: Cycles,
     cell: usize,
     subpage: u64,
@@ -308,12 +320,39 @@ impl MemorySystem {
         })
     }
 
-    /// Attach a tracer to the memory system *and* its fabric. Coherence
-    /// transitions, snarfs, invalidations, and atomic rejections emit
-    /// from here; slot grants emit from the fabric.
+    /// Attach a tracer: this memory system's one event buffer. Coherence
+    /// transitions, snarfs, invalidations and atomic rejections emit from
+    /// here, slot grants from the fabric, and the machine's coordinator
+    /// emits through [`Self::tracer_mut`]. The replaced tracer delivers
+    /// what it still holds as it drops.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.fabric.set_tracer(&tracer);
         self.tracer = tracer;
+    }
+
+    /// The trace buffer, for the machine's coordinator to emit into.
+    pub fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
+
+    /// Deliver every buffered trace event to the sink now. The buffer
+    /// also delivers when it fills and when this memory system drops; the
+    /// machine flushes after each run and warm-up.
+    pub fn flush_trace(&mut self) {
+        self.tracer.flush();
+    }
+
+    /// Book one fabric transaction for `cell`; its slot grants go to the
+    /// trace buffer.
+    fn transact(
+        &mut self,
+        now: Cycles,
+        cell: usize,
+        transit: Transit,
+        sp: u64,
+        kind: PacketKind,
+    ) -> RingTiming {
+        self.fabric
+            .transact(now, cell, transit, sp, kind, &mut self.tracer)
     }
 
     /// Set a sub-page's directory state in one cell, emitting a
@@ -325,7 +364,7 @@ impl MemorySystem {
     fn set_state(&mut self, sp: u64, cell: usize, to: SubpageState, at: Cycles) {
         let from = self.dir.set(sp, cell, to);
         if from != to {
-            trace_transition(&self.tracer, at, cell, sp, from, to);
+            trace_transition(&mut self.tracer, at, cell, sp, from, to);
         }
     }
 
@@ -464,13 +503,13 @@ impl MemorySystem {
                 for &(c, _) in &self.scratch_holders {
                     if c != cell {
                         let from = chunk.set(slot, c, SubpageState::Missing);
-                        trace_transition(&self.tracer, 0, c, sp, from, SubpageState::Missing);
+                        trace_transition(&mut self.tracer, 0, c, sp, from, SubpageState::Missing);
                         self.subcaches[c].invalidate_subpage(sp);
                     }
                 }
                 let from = chunk.set(slot, cell, SubpageState::Exclusive);
                 if from != SubpageState::Exclusive {
-                    trace_transition(&self.tracer, 0, cell, sp, from, SubpageState::Exclusive);
+                    trace_transition(&mut self.tracer, 0, cell, sp, from, SubpageState::Exclusive);
                 }
                 self.spilled.remove(&sp);
             }
@@ -616,9 +655,7 @@ impl MemorySystem {
                 // The last copy was evicted earlier: the ALLCACHE engine
                 // holds it in some other cell's cache, a full ring fetch
                 // away.
-                let timing =
-                    self.fabric
-                        .transact(t0, cell, Transit::Local, sp, PacketKind::ReadData);
+                let timing = self.transact(t0, cell, Transit::Local, sp, PacketKind::ReadData);
                 self.perf[cell].ring_transactions += 1;
                 self.perf[cell].ring_wait_cycles += timing.slot_wait;
                 let done = timing.response_at + self.timing.remote_overhead;
@@ -649,7 +686,7 @@ impl MemorySystem {
                 Want::Exclusive => PacketKind::ReadExclusive,
                 Want::Atomic => PacketKind::GetSubPage,
             };
-            let timing = self.fabric.transact(t0, cell, transit, sp, kind);
+            let timing = self.transact(t0, cell, transit, sp, kind);
             self.perf[cell].ring_transactions += 1;
             if matches!(transit, Transit::CrossRing { .. }) {
                 // Golab RMR accounting: the packet left the requester's
@@ -803,7 +840,7 @@ impl MemorySystem {
             for (sp, slot) in (first..).zip(0..SUBPAGES_PER_PAGE) {
                 let from = chunk.set(slot, cell, SubpageState::Missing);
                 if from != SubpageState::Missing {
-                    trace_transition(&self.tracer, at, cell, sp, from, SubpageState::Missing);
+                    trace_transition(&mut self.tracer, at, cell, sp, from, SubpageState::Missing);
                     if from.readable() && !chunk.holders(slot).any_valid() {
                         self.spilled.insert(sp);
                     }
@@ -830,9 +867,7 @@ impl MemorySystem {
             // serializes against other same-sub-page traffic.
             let transit = self.rejection_transit(cell, h, owner);
             let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
-            let timing = self
-                .fabric
-                .transact(t0, cell, transit, sp, PacketKind::GetSubPage);
+            let timing = self.transact(t0, cell, transit, sp, PacketKind::GetSubPage);
             self.perf[cell].ring_transactions += 1;
             if matches!(transit, Transit::CrossRing { .. }) {
                 self.perf[cell].remote_references += 1;
@@ -947,9 +982,7 @@ impl MemorySystem {
             }
             _ => Transit::Local,
         };
-        let timing = self
-            .fabric
-            .transact(t0, cell, transit, sp, PacketKind::Poststore);
+        let timing = self.transact(t0, cell, transit, sp, PacketKind::Poststore);
         self.perf[cell].ring_transactions += 1;
         if matches!(transit, Transit::CrossRing { .. }) {
             self.perf[cell].remote_references += 1;
@@ -991,7 +1024,7 @@ impl MemorySystem {
                 } else {
                     PacketKind::ReadData
                 };
-                let timing = self.fabric.transact(now, cell, Transit::Local, sp, kind);
+                let timing = self.transact(now, cell, Transit::Local, sp, kind);
                 self.perf[cell].localcache_misses += 1;
                 self.perf[cell].ring_transactions += 1;
                 self.perf[cell].ring_wait_cycles += timing.slot_wait;
@@ -1008,8 +1041,7 @@ impl MemorySystem {
             MemOp::GetSubPage => {
                 if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
                     let timing =
-                        self.fabric
-                            .transact(now, cell, Transit::Local, sp, PacketKind::GetSubPage);
+                        self.transact(now, cell, Transit::Local, sp, PacketKind::GetSubPage);
                     self.perf[cell].ring_transactions += 1;
                     let done_at = timing.response_at + self.timing.atomic_overhead;
                     if owner == cell {
@@ -1023,9 +1055,7 @@ impl MemorySystem {
                     });
                     return Outcome::AtomicFailed { done_at };
                 }
-                let timing =
-                    self.fabric
-                        .transact(now, cell, Transit::Local, sp, PacketKind::GetSubPage);
+                let timing = self.transact(now, cell, Transit::Local, sp, PacketKind::GetSubPage);
                 self.perf[cell].ring_transactions += 1;
                 let done_at = timing.response_at + self.timing.atomic_overhead;
                 self.set_state(sp, cell, SubpageState::Atomic, done_at);
@@ -1040,8 +1070,7 @@ impl MemorySystem {
                      cell {cell}, sub-page {sp}"
                 );
                 let timing =
-                    self.fabric
-                        .transact(now, cell, Transit::Local, sp, PacketKind::ReleaseSubPage);
+                    self.transact(now, cell, Transit::Local, sp, PacketKind::ReleaseSubPage);
                 self.perf[cell].ring_transactions += 1;
                 let done_at = timing.response_at;
                 self.set_state(sp, cell, SubpageState::Missing, done_at);

@@ -67,7 +67,6 @@ pub struct Bus {
     cfg: BusConfig,
     free_at: Cycles,
     stats: BusStats,
-    tracer: Tracer,
 }
 
 impl Bus {
@@ -78,14 +77,7 @@ impl Bus {
             cfg,
             free_at: 0,
             stats: BusStats::default(),
-            tracer: Tracer::disabled(),
         })
-    }
-
-    /// Attach a tracer; every bus grant emits a [`TraceEvent::RingSlot`]
-    /// (the event is fabric-agnostic: "admission won after `wait`").
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// The bus configuration.
@@ -100,8 +92,10 @@ impl Bus {
         self.stats
     }
 
-    /// Book one bus transaction requested at `now`. Strictly FIFO.
-    pub fn transact(&mut self, now: Cycles, kind: PacketKind) -> RingTiming {
+    /// Book one bus transaction requested at `now`. Strictly FIFO. The
+    /// grant emits a [`TraceEvent::RingSlot`] (the event is
+    /// fabric-agnostic: "admission won after `wait`").
+    pub fn transact(&mut self, now: Cycles, kind: PacketKind, tracer: &mut Tracer) -> RingTiming {
         let blocked = self.free_at > now;
         let start = self.free_at.max(now) + self.cfg.arbitration_cycles;
         let hold = if kind.carries_data() {
@@ -114,7 +108,7 @@ impl Bus {
         self.stats.transactions += 1;
         self.stats.wait_cycles += start - now;
         self.stats.busy_cycles += hold;
-        self.tracer.emit_with(|| TraceEvent::RingSlot {
+        tracer.emit_with(|| TraceEvent::RingSlot {
             at: start,
             wait: start - now,
             blocked,
@@ -131,10 +125,15 @@ impl Bus {
 mod tests {
     use super::*;
 
+    /// A tracer with no sink: these tests book transactions untraced.
+    fn untraced() -> Tracer {
+        Tracer::disabled()
+    }
+
     #[test]
     fn idle_bus_costs_arbitration_plus_hold() {
         let mut b = Bus::new(BusConfig::symmetry()).unwrap();
-        let t = b.transact(100, PacketKind::ReadData);
+        let t = b.transact(100, PacketKind::ReadData, &mut untraced());
         assert_eq!(t.injected_at, 102);
         assert_eq!(t.response_at, 122);
     }
@@ -142,18 +141,22 @@ mod tests {
     #[test]
     fn command_transactions_are_shorter() {
         let mut b = Bus::new(BusConfig::symmetry()).unwrap();
-        let d = b.transact(0, PacketKind::ReadData).response_at;
+        let d = b
+            .transact(0, PacketKind::ReadData, &mut untraced())
+            .response_at;
         let mut b2 = Bus::new(BusConfig::symmetry()).unwrap();
-        let c = b2.transact(0, PacketKind::Invalidate).response_at;
+        let c = b2
+            .transact(0, PacketKind::Invalidate, &mut untraced())
+            .response_at;
         assert!(c < d);
     }
 
     #[test]
     fn concurrent_requests_serialize() {
         let mut b = Bus::new(BusConfig::symmetry()).unwrap();
-        let t1 = b.transact(0, PacketKind::ReadData);
-        let t2 = b.transact(0, PacketKind::ReadData);
-        let t3 = b.transact(0, PacketKind::ReadData);
+        let t1 = b.transact(0, PacketKind::ReadData, &mut untraced());
+        let t2 = b.transact(0, PacketKind::ReadData, &mut untraced());
+        let t3 = b.transact(0, PacketKind::ReadData, &mut untraced());
         assert!(t2.injected_at >= t1.response_at);
         assert!(t3.injected_at >= t2.response_at);
         // Serialization: total time for 3 = 3x one transfer (+arb).
@@ -163,16 +166,16 @@ mod tests {
     #[test]
     fn bus_frees_after_transaction() {
         let mut b = Bus::new(BusConfig::symmetry()).unwrap();
-        b.transact(0, PacketKind::ReadData);
-        let t = b.transact(10_000, PacketKind::ReadData);
+        b.transact(0, PacketKind::ReadData, &mut untraced());
+        let t = b.transact(10_000, PacketKind::ReadData, &mut untraced());
         assert_eq!(t.slot_wait, 2);
     }
 
     #[test]
     fn stats_accumulate() {
         let mut b = Bus::new(BusConfig::symmetry()).unwrap();
-        b.transact(0, PacketKind::ReadData);
-        b.transact(0, PacketKind::Invalidate);
+        b.transact(0, PacketKind::ReadData, &mut untraced());
+        b.transact(0, PacketKind::Invalidate, &mut untraced());
         let s = b.stats();
         assert_eq!(s.transactions, 2);
         assert_eq!(s.busy_cycles, 26);

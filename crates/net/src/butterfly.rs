@@ -99,7 +99,6 @@ pub struct Butterfly {
     cfg: ButterflyConfig,
     module_free_at: Vec<Cycles>,
     stats: ButterflyStats,
-    tracer: Tracer,
 }
 
 impl Butterfly {
@@ -110,14 +109,7 @@ impl Butterfly {
             module_free_at: vec![0; cfg.ports],
             cfg,
             stats: ButterflyStats::default(),
-            tracer: Tracer::disabled(),
         })
-    }
-
-    /// Attach a tracer; every module grant emits a
-    /// [`TraceEvent::RingSlot`] whose wait is the module-queue wait.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// The network configuration.
@@ -132,10 +124,18 @@ impl Butterfly {
         self.stats
     }
 
-    /// Book a request from a processor to memory module `module` at `now`.
-    /// `_kind` participates only in accounting today; all requests are one
-    /// word on the Butterfly (no cache lines — there are no caches).
-    pub fn transact(&mut self, now: Cycles, module: usize, _kind: PacketKind) -> RingTiming {
+    /// Book a request from a processor to memory module `module` at `now`,
+    /// emitting a [`TraceEvent::RingSlot`] whose wait is the module-queue
+    /// wait. `_kind` participates only in accounting today; all requests
+    /// are one word on the Butterfly (no cache lines — there are no
+    /// caches).
+    pub fn transact(
+        &mut self,
+        now: Cycles,
+        module: usize,
+        _kind: PacketKind,
+        tracer: &mut Tracer,
+    ) -> RingTiming {
         assert!(module < self.cfg.ports, "memory module out of range");
         let transit = self.cfg.transit();
         let arrive = now + transit;
@@ -144,7 +144,7 @@ impl Butterfly {
         self.module_free_at[module] = done;
         self.stats.requests += 1;
         self.stats.module_wait_cycles += start - arrive;
-        self.tracer.emit_with(|| TraceEvent::RingSlot {
+        tracer.emit_with(|| TraceEvent::RingSlot {
             at: start,
             wait: start - arrive,
             blocked: start > arrive,
@@ -161,6 +161,11 @@ impl Butterfly {
 mod tests {
     use super::*;
 
+    /// A tracer with no sink: these tests book transactions untraced.
+    fn untraced() -> Tracer {
+        Tracer::disabled()
+    }
+
     #[test]
     fn stage_count_grows_logarithmically() {
         assert_eq!(ButterflyConfig::bbn(4).stages(), 1);
@@ -172,7 +177,7 @@ mod tests {
     #[test]
     fn uncontended_latency_is_two_transits_plus_service() {
         let mut n = Butterfly::new(ButterflyConfig::bbn(16)).unwrap();
-        let t = n.transact(0, 3, PacketKind::ReadData);
+        let t = n.transact(0, 3, PacketKind::ReadData, &mut untraced());
         assert_eq!(t.response_at, 2 * 8 + 10);
         assert_eq!(t.slot_wait, 0);
     }
@@ -180,8 +185,8 @@ mod tests {
     #[test]
     fn distinct_modules_proceed_in_parallel() {
         let mut n = Butterfly::new(ButterflyConfig::bbn(16)).unwrap();
-        let a = n.transact(0, 0, PacketKind::ReadData);
-        let b = n.transact(0, 1, PacketKind::ReadData);
+        let a = n.transact(0, 0, PacketKind::ReadData, &mut untraced());
+        let b = n.transact(0, 1, PacketKind::ReadData, &mut untraced());
         assert_eq!(a.response_at, b.response_at, "parallel paths exist");
     }
 
@@ -189,7 +194,7 @@ mod tests {
     fn hot_module_serializes() {
         let mut n = Butterfly::new(ButterflyConfig::bbn(16)).unwrap();
         let t: Vec<_> = (0..8)
-            .map(|_| n.transact(0, 5, PacketKind::ReadData))
+            .map(|_| n.transact(0, 5, PacketKind::ReadData, &mut untraced()))
             .collect();
         for w in t.windows(2) {
             assert_eq!(
@@ -204,8 +209,8 @@ mod tests {
     #[test]
     fn module_frees_after_service() {
         let mut n = Butterfly::new(ButterflyConfig::bbn(16)).unwrap();
-        n.transact(0, 5, PacketKind::ReadData);
-        let t = n.transact(1_000, 5, PacketKind::ReadData);
+        n.transact(0, 5, PacketKind::ReadData, &mut untraced());
+        let t = n.transact(1_000, 5, PacketKind::ReadData, &mut untraced());
         assert_eq!(t.slot_wait, 0);
     }
 
@@ -235,6 +240,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_module_panics() {
         let mut n = Butterfly::new(ButterflyConfig::bbn(4)).unwrap();
-        let _ = n.transact(0, 4, PacketKind::ReadData);
+        let _ = n.transact(0, 4, PacketKind::ReadData, &mut untraced());
     }
 }

@@ -49,16 +49,6 @@ pub enum Fabric {
 }
 
 impl Fabric {
-    /// Attach one shared tracer to whichever interconnect is active; every
-    /// admission grant then emits a `RingSlot` event.
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        match self {
-            Self::Ring(h) => h.set_tracer(tracer),
-            Self::Bus(b) => b.set_tracer(tracer.clone()),
-            Self::Butterfly(n) => n.set_tracer(tracer.clone()),
-        }
-    }
-
     /// Whether this machine has hardware-coherent caches. `false` only for
     /// the Butterfly — the fact §3.2.3 hinges on (no global wakeup flag
     /// possible; every spin is a network transaction).
@@ -81,6 +71,8 @@ impl Fabric {
     ///   only).
     /// * `interleave_key` — sub-page index, selects the sub-ring on rings
     ///   and the memory module (`key % ports`) on the Butterfly.
+    /// * `tracer` — the machine's trace buffer; every admission grant
+    ///   emits a `RingSlot` event into it.
     pub fn transact(
         &mut self,
         now: Cycles,
@@ -88,13 +80,14 @@ impl Fabric {
         transit: Transit,
         interleave_key: u64,
         kind: PacketKind,
+        tracer: &mut Tracer,
     ) -> RingTiming {
         match self {
-            Self::Ring(h) => h.transact(now, src_cell, transit, interleave_key, kind),
-            Self::Bus(b) => b.transact(now, kind),
+            Self::Ring(h) => h.transact(now, src_cell, transit, interleave_key, kind, tracer),
+            Self::Bus(b) => b.transact(now, kind, tracer),
             Self::Butterfly(n) => {
                 let module = (interleave_key % n.config().ports as u64) as usize;
-                n.transact(now, module, kind)
+                n.transact(now, module, kind, tracer)
             }
         }
     }
@@ -141,6 +134,11 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A tracer with no sink: these tests book transactions untraced.
+    fn untraced() -> Tracer {
+        Tracer::disabled()
+    }
     use crate::Topology;
 
     #[test]
@@ -168,8 +166,15 @@ mod tests {
         let mut ring = Topology::ksr1_32().build(32).unwrap();
         let ring_t: Vec<_> = (0..12)
             .map(|i| {
-                ring.transact(0, i, Transit::Local, 0, PacketKind::ReadData)
-                    .response_at
+                ring.transact(
+                    0,
+                    i,
+                    Transit::Local,
+                    0,
+                    PacketKind::ReadData,
+                    &mut untraced(),
+                )
+                .response_at
             })
             .collect();
         let spread = ring_t.iter().max().unwrap() - ring_t.iter().min().unwrap();
@@ -181,8 +186,15 @@ mod tests {
         let mut bus = Topology::bus().build(32).unwrap();
         let bus_t: Vec<_> = (0..12)
             .map(|i| {
-                bus.transact(0, i, Transit::Local, 0, PacketKind::ReadData)
-                    .response_at
+                bus.transact(
+                    0,
+                    i,
+                    Transit::Local,
+                    0,
+                    PacketKind::ReadData,
+                    &mut untraced(),
+                )
+                .response_at
             })
             .collect();
         assert!(bus_t.windows(2).all(|w| w[1] > w[0]));
@@ -191,8 +203,22 @@ mod tests {
     #[test]
     fn stats_normalize() {
         let mut f = Topology::butterfly(8).build(8).unwrap();
-        f.transact(0, 0, Transit::Local, 3, PacketKind::ReadData);
-        f.transact(0, 1, Transit::Local, 3, PacketKind::ReadData);
+        f.transact(
+            0,
+            0,
+            Transit::Local,
+            3,
+            PacketKind::ReadData,
+            &mut untraced(),
+        );
+        f.transact(
+            0,
+            1,
+            Transit::Local,
+            3,
+            PacketKind::ReadData,
+            &mut untraced(),
+        );
         let s = f.stats();
         assert_eq!(s.packets, 2);
         assert!(s.wait_cycles > 0, "second request queued at module 3");

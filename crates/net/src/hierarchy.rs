@@ -288,19 +288,6 @@ impl RingHierarchy {
         &self.cfg
     }
 
-    /// Attach one shared tracer to every ring of the hierarchy (a
-    /// cross-ring transaction emits one slot event per ring it books).
-    pub fn set_tracer(&mut self, tracer: &Tracer) {
-        for leaf in &mut self.leaves {
-            leaf.set_tracer(tracer.clone());
-        }
-        for level in &mut self.uppers {
-            for ring in level {
-                ring.set_tracer(tracer.clone());
-            }
-        }
-    }
-
     /// Which leaf ring a cell lives on.
     #[must_use]
     pub fn leaf_of(&self, cell: usize) -> usize {
@@ -341,7 +328,8 @@ impl RingHierarchy {
     /// `transit` says how far the coherence engine determined the request
     /// must travel. A [`Transit::CrossRing`] transaction books a slot on
     /// every ring of the up-over-down path through the lowest common
-    /// ancestor, paying one ARD latency per inter-ring crossing.
+    /// ancestor, paying one ARD latency per inter-ring crossing, and
+    /// emits one slot event per ring it books.
     pub fn transact(
         &mut self,
         now: Cycles,
@@ -349,11 +337,12 @@ impl RingHierarchy {
         transit: Transit,
         interleave_key: u64,
         kind: PacketKind,
+        tracer: &mut Tracer,
     ) -> RingTiming {
         let src_leaf = self.leaf_of(src_cell);
         let subring = self.subring_of(interleave_key);
         match transit {
-            Transit::Local => self.leaves[src_leaf].transact(now, subring, kind),
+            Transit::Local => self.leaves[src_leaf].transact(now, subring, kind, tracer),
             Transit::CrossRing { dst_leaf } => {
                 assert!(
                     dst_leaf < self.leaves.len(),
@@ -361,9 +350,9 @@ impl RingHierarchy {
                 );
                 let lca = self.lca_level(src_leaf, dst_leaf);
                 if lca == 0 {
-                    return self.leaves[src_leaf].transact(now, subring, kind);
+                    return self.leaves[src_leaf].transact(now, subring, kind, tracer);
                 }
-                let first = self.leaves[src_leaf].transact(now, subring, kind);
+                let first = self.leaves[src_leaf].transact(now, subring, kind, tracer);
                 if self.cfg.combining && Self::combinable(kind) {
                     let key = (src_leaf, interleave_key);
                     let at_ard = first.response_at + self.cfg.levels[0].ard_cycles;
@@ -391,11 +380,11 @@ impl RingHierarchy {
                             };
                         }
                     }
-                    let t = self.climb(first, src_leaf, dst_leaf, lca, subring, kind);
+                    let t = self.climb(first, src_leaf, dst_leaf, lca, subring, kind, tracer);
                     self.combine_window.insert(key, t.response_at);
                     return t;
                 }
-                self.climb(first, src_leaf, dst_leaf, lca, subring, kind)
+                self.climb(first, src_leaf, dst_leaf, lca, subring, kind, tracer)
             }
         }
     }
@@ -403,6 +392,7 @@ impl RingHierarchy {
     /// Book the up-over-down path above an already-booked source-leaf
     /// rotation: source-side rings to the LCA at `lca`, then
     /// destination-side rings back down to `dst_leaf`.
+    #[allow(clippy::too_many_arguments)] // the booked path plus the tracer
     fn climb(
         &mut self,
         first: RingTiming,
@@ -411,6 +401,7 @@ impl RingHierarchy {
         lca: usize,
         subring: usize,
         kind: PacketKind,
+        tracer: &mut Tracer,
     ) -> RingTiming {
         let mut cur = first;
         let mut slot_wait = first.slot_wait;
@@ -421,6 +412,7 @@ impl RingHierarchy {
                 cur.response_at + self.cfg.levels[lvl - 1].ard_cycles,
                 subring,
                 kind,
+                tracer,
             );
             slot_wait += cur.slot_wait;
         }
@@ -431,6 +423,7 @@ impl RingHierarchy {
                 cur.response_at + self.cfg.levels[lvl].ard_cycles,
                 subring,
                 kind,
+                tracer,
             );
             slot_wait += cur.slot_wait;
         }
@@ -438,6 +431,7 @@ impl RingHierarchy {
             cur.response_at + self.cfg.levels[0].ard_cycles,
             subring,
             kind,
+            tracer,
         );
         RingTiming {
             injected_at: first.injected_at,
@@ -509,6 +503,11 @@ impl RingHierarchy {
 mod tests {
     use super::*;
 
+    /// A tracer with no sink: these tests book transactions untraced.
+    fn untraced() -> Tracer {
+        Tracer::disabled()
+    }
+
     #[test]
     fn ksr1_32_validates() {
         RingHierarchyConfig::ksr1_32().validate().unwrap();
@@ -578,21 +577,36 @@ mod tests {
     fn local_transit_matches_single_ring() {
         let mut h = RingHierarchy::new(RingHierarchyConfig::ksr_64()).unwrap();
         let mut solo = SlottedRing::new(RingConfig::ksr1_leaf()).unwrap();
-        let a = h.transact(100, 5, Transit::Local, 0, PacketKind::ReadData);
-        let b = solo.transact(100, 0, PacketKind::ReadData);
+        let a = h.transact(
+            100,
+            5,
+            Transit::Local,
+            0,
+            PacketKind::ReadData,
+            &mut untraced(),
+        );
+        let b = solo.transact(100, 0, PacketKind::ReadData, &mut untraced());
         assert_eq!(a, b);
     }
 
     #[test]
     fn cross_ring_costs_much_more_than_local() {
         let mut h = RingHierarchy::new(RingHierarchyConfig::ksr_64()).unwrap();
-        let local = h.transact(0, 0, Transit::Local, 0, PacketKind::ReadData);
+        let local = h.transact(
+            0,
+            0,
+            Transit::Local,
+            0,
+            PacketKind::ReadData,
+            &mut untraced(),
+        );
         let cross = h.transact(
             0,
             0,
             Transit::CrossRing { dst_leaf: 1 },
             0,
             PacketKind::ReadData,
+            &mut untraced(),
         );
         let ll = local.latency(0);
         let cl = cross.latency(0);
@@ -613,15 +627,26 @@ mod tests {
             Transit::CrossRing { dst_leaf: 1 },
             0,
             PacketKind::ReadData,
+            &mut untraced(),
         );
         // Each uncontended SlottedRing books injection-wait + rotation;
         // reproduce the exact figure from its own arithmetic.
         let mut leaf = SlottedRing::new(RingConfig::ksr1_leaf()).unwrap();
-        let first = leaf.transact(0, 0, PacketKind::ReadData);
+        let first = leaf.transact(0, 0, PacketKind::ReadData, &mut untraced());
         let mut top = SlottedRing::new(RingConfig::ksr1_top(2)).unwrap();
-        let up = top.transact(first.response_at + 130, 0, PacketKind::ReadData);
+        let up = top.transact(
+            first.response_at + 130,
+            0,
+            PacketKind::ReadData,
+            &mut untraced(),
+        );
         let mut dst = SlottedRing::new(RingConfig::ksr1_leaf()).unwrap();
-        let down = dst.transact(up.response_at + 130, 0, PacketKind::ReadData);
+        let down = dst.transact(
+            up.response_at + 130,
+            0,
+            PacketKind::ReadData,
+            &mut untraced(),
+        );
         assert_eq!(t.response_at, down.response_at);
         assert_eq!(t.latency(0), down.response_at);
     }
@@ -633,7 +658,14 @@ mod tests {
         // dwarfs a local access.
         let fresh = || RingHierarchy::new(RingHierarchyConfig::ring_levels(&[32, 4, 2])).unwrap();
         let local = fresh()
-            .transact(0, 0, Transit::Local, 0, PacketKind::ReadData)
+            .transact(
+                0,
+                0,
+                Transit::Local,
+                0,
+                PacketKind::ReadData,
+                &mut untraced(),
+            )
             .latency(0);
         let one = fresh()
             .transact(
@@ -642,6 +674,7 @@ mod tests {
                 Transit::CrossRing { dst_leaf: 1 },
                 0,
                 PacketKind::ReadData,
+                &mut untraced(),
             )
             .latency(0);
         let two = fresh()
@@ -651,6 +684,7 @@ mod tests {
                 Transit::CrossRing { dst_leaf: 4 },
                 0,
                 PacketKind::ReadData,
+                &mut untraced(),
             )
             .latency(0);
         assert!(local < one && one < two, "{local} < {one} < {two} violated");
@@ -669,6 +703,7 @@ mod tests {
             Transit::CrossRing { dst_leaf: 4 },
             0,
             PacketKind::ReadData,
+            &mut untraced(),
         );
         assert_eq!(h.leaf_stats(0).packets, 1, "source leaf");
         assert_eq!(h.leaf_stats(4).packets, 1, "destination leaf");
@@ -686,9 +721,17 @@ mod tests {
             Transit::CrossRing { dst_leaf: 0 },
             0,
             PacketKind::ReadData,
+            &mut untraced(),
         );
         let mut h2 = RingHierarchy::new(RingHierarchyConfig::ksr_64()).unwrap();
-        let b = h2.transact(0, 0, Transit::Local, 0, PacketKind::ReadData);
+        let b = h2.transact(
+            0,
+            0,
+            Transit::Local,
+            0,
+            PacketKind::ReadData,
+            &mut untraced(),
+        );
         assert_eq!(a, b);
     }
 
@@ -701,6 +744,7 @@ mod tests {
             Transit::CrossRing { dst_leaf: 1 },
             0,
             PacketKind::ReadData,
+            &mut untraced(),
         );
         assert_eq!(h.leaf_stats(0).packets, 1);
         assert_eq!(h.top_stats().packets, 1);
@@ -717,6 +761,7 @@ mod tests {
             Transit::CrossRing { dst_leaf: 0 },
             1,
             PacketKind::ReadData,
+            &mut untraced(),
         );
         assert_eq!(t.latency(0), 141);
     }
@@ -727,15 +772,22 @@ mod tests {
         cfg.combining = true;
         let mut h = RingHierarchy::new(cfg).unwrap();
         let cross = Transit::CrossRing { dst_leaf: 1 };
-        let a = h.transact(0, 0, cross, 7, PacketKind::GetSubPage);
+        let a = h.transact(0, 0, cross, 7, PacketKind::GetSubPage, &mut untraced());
         // Issued while a's response is still in flight, same leaf, same
         // sub-page: merged at the ARD, completes with a.
-        let b = h.transact(10, 1, cross, 7, PacketKind::GetSubPage);
+        let b = h.transact(10, 1, cross, 7, PacketKind::GetSubPage, &mut untraced());
         assert_eq!(b.response_at, a.response_at, "shares the combined response");
         assert_eq!(h.combined_packets(), 1);
         assert_eq!(h.top_stats().packets, 1, "the merged request never climbed");
         // Long after the window closes, the same key climbs again.
-        let c = h.transact(a.response_at + 10_000, 2, cross, 7, PacketKind::GetSubPage);
+        let c = h.transact(
+            a.response_at + 10_000,
+            2,
+            cross,
+            7,
+            PacketKind::GetSubPage,
+            &mut untraced(),
+        );
         assert!(c.response_at > a.response_at);
         assert_eq!(h.top_stats().packets, 2);
         assert_eq!(h.combined_packets(), 1);
@@ -747,11 +799,11 @@ mod tests {
         cfg.combining = true;
         let mut h = RingHierarchy::new(cfg).unwrap();
         let cross = Transit::CrossRing { dst_leaf: 1 };
-        let _ = h.transact(0, 0, cross, 7, PacketKind::GetSubPage);
+        let _ = h.transact(0, 0, cross, 7, PacketKind::GetSubPage, &mut untraced());
         // A different sub-page cannot merge.
-        let _ = h.transact(10, 1, cross, 8, PacketKind::GetSubPage);
+        let _ = h.transact(10, 1, cross, 8, PacketKind::GetSubPage, &mut untraced());
         // An invalidation is never combinable.
-        let _ = h.transact(12, 2, cross, 7, PacketKind::Invalidate);
+        let _ = h.transact(12, 2, cross, 7, PacketKind::Invalidate, &mut untraced());
         assert_eq!(h.combined_packets(), 0);
         assert_eq!(h.top_stats().packets, 3);
     }
@@ -765,8 +817,8 @@ mod tests {
         cfg.combining = true;
         let mut h = RingHierarchy::new(cfg).unwrap();
         let cross = Transit::CrossRing { dst_leaf: 1 };
-        let head = h.transact(0, 0, cross, 7, PacketKind::GetSubPage);
-        let follower = h.transact(5, 1, cross, 7, PacketKind::ReadData);
+        let head = h.transact(0, 0, cross, 7, PacketKind::GetSubPage, &mut untraced());
+        let follower = h.transact(5, 1, cross, 7, PacketKind::ReadData, &mut untraced());
         assert_eq!(follower.response_at, head.response_at);
         assert_eq!(h.combined_packets(), 1);
     }
@@ -781,9 +833,16 @@ mod tests {
         cfg.combining = true;
         let mut h = RingHierarchy::new(cfg).unwrap();
         let cross = Transit::CrossRing { dst_leaf: 1 };
-        let head = h.transact(0, 0, cross, 7, PacketKind::GetSubPage);
+        let head = h.transact(0, 0, cross, 7, PacketKind::GetSubPage, &mut untraced());
         for (i, cell) in [(1u64, 1usize), (2, 2), (3, 3)] {
-            let t = h.transact(10 * i, cell, cross, 7, PacketKind::GetSubPage);
+            let t = h.transact(
+                10 * i,
+                cell,
+                cross,
+                7,
+                PacketKind::GetSubPage,
+                &mut untraced(),
+            );
             if t.response_at == head.response_at {
                 assert!(
                     t.response_at >= t.injected_at,
@@ -800,8 +859,22 @@ mod tests {
         let mut h = RingHierarchy::new(RingHierarchyConfig::ksr_64()).unwrap();
         let cross = Transit::CrossRing { dst_leaf: 1 };
         for i in 0..20 {
-            let a = plain.transact(i * 3, (i % 32) as usize, cross, 7, PacketKind::GetSubPage);
-            let b = h.transact(i * 3, (i % 32) as usize, cross, 7, PacketKind::GetSubPage);
+            let a = plain.transact(
+                i * 3,
+                (i % 32) as usize,
+                cross,
+                7,
+                PacketKind::GetSubPage,
+                &mut untraced(),
+            );
+            let b = h.transact(
+                i * 3,
+                (i % 32) as usize,
+                cross,
+                7,
+                PacketKind::GetSubPage,
+                &mut untraced(),
+            );
             assert_eq!(a, b);
         }
     }
@@ -848,6 +921,7 @@ mod tests {
                         Transit::CrossRing { dst_leaf: dst },
                         0,
                         PacketKind::ReadData,
+                        &mut untraced(),
                     );
                     for (k, &g) in group.iter().enumerate() {
                         let level = k + 1;

@@ -216,7 +216,6 @@ pub struct SlottedRing {
     /// slot frees (when the packet returns to its injection station).
     busy_until: Vec<Vec<Cycles>>,
     stats: RingStats,
-    tracer: Tracer,
 }
 
 impl SlottedRing {
@@ -240,14 +239,7 @@ impl SlottedRing {
                 .then(|| cfg.subrings as u64 - 1),
             cfg,
             stats: RingStats::default(),
-            tracer: Tracer::disabled(),
         })
-    }
-
-    /// Attach a tracer; every slot grant emits a
-    /// [`TraceEvent::RingSlot`].
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
     }
 
     /// The ring's configuration.
@@ -271,12 +263,19 @@ impl SlottedRing {
         }
     }
 
-    /// Book one full-rotation transaction on `subring`, requested at `now`.
+    /// Book one full-rotation transaction on `subring`, requested at `now`,
+    /// emitting the slot grant as a [`TraceEvent::RingSlot`].
     ///
     /// Returns the injection and response times. Requests must be presented
     /// in non-decreasing `now` order (the coordinator guarantees this);
     /// grants are then strictly FIFO per sub-ring.
-    pub fn transact(&mut self, now: Cycles, subring: usize, kind: PacketKind) -> RingTiming {
+    pub fn transact(
+        &mut self,
+        now: Cycles,
+        subring: usize,
+        kind: PacketKind,
+        tracer: &mut Tracer,
+    ) -> RingTiming {
         assert!(subring < self.cfg.subrings, "sub-ring index out of range");
         let cap = self.cap;
         let lane = &mut self.busy_until[subring];
@@ -327,7 +326,7 @@ impl SlottedRing {
         if blocked {
             self.stats.blocked_packets += 1;
         }
-        self.tracer.emit_with(|| TraceEvent::RingSlot {
+        tracer.emit_with(|| TraceEvent::RingSlot {
             at: injected_at,
             wait: slot_wait,
             blocked,
@@ -353,6 +352,11 @@ impl SlottedRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A tracer with no sink: these tests book transactions untraced.
+    fn untraced() -> Tracer {
+        Tracer::disabled()
+    }
 
     fn ring() -> SlottedRing {
         SlottedRing::new(RingConfig::ksr1_leaf()).unwrap()
@@ -430,7 +434,7 @@ mod tests {
         let mut r = SlottedRing::new(cfg).unwrap();
         let mut last = 0;
         for _ in 0..10 {
-            let t = r.transact(0, 0, PacketKind::ReadData);
+            let t = r.transact(0, 0, PacketKind::ReadData, &mut untraced());
             assert!(t.response_at > last, "grants strictly ordered");
             last = t.response_at;
         }
@@ -440,7 +444,7 @@ mod tests {
     #[test]
     fn single_transaction_latency_is_rotation_plus_half_spacing() {
         let mut r = ring();
-        let t = r.transact(1000, 0, PacketKind::ReadData);
+        let t = r.transact(1000, 0, PacketKind::ReadData, &mut untraced());
         assert_eq!(t.injected_at, 1005); // half of the 11-cycle slot spacing truncates to 5
         assert_eq!(t.response_at, 1005 + 136);
         assert_eq!(t.latency(1000), 141);
@@ -452,7 +456,7 @@ mod tests {
         // 12 simultaneous transactions fill one sub-ring without blocking;
         // slot-entry waits grow with occupancy but stay below a rotation.
         let timings: Vec<RingTiming> = (0..12)
-            .map(|_| r.transact(0, 0, PacketKind::ReadData))
+            .map(|_| r.transact(0, 0, PacketKind::ReadData, &mut untraced()))
             .collect();
         let lat0 = timings[0].latency(0);
         assert_eq!(lat0, 141, "idle latency: rotation + half slot spacing");
@@ -475,9 +479,9 @@ mod tests {
     fn thirteenth_simultaneous_transaction_waits_a_rotation() {
         let mut r = ring();
         for _ in 0..12 {
-            r.transact(0, 0, PacketKind::ReadData);
+            r.transact(0, 0, PacketKind::ReadData, &mut untraced());
         }
-        let t = r.transact(0, 0, PacketKind::ReadData);
+        let t = r.transact(0, 0, PacketKind::ReadData, &mut untraced());
         // Must wait for the first slot to come home (~one rotation).
         assert!(
             t.slot_wait >= 136,
@@ -491,10 +495,10 @@ mod tests {
     fn subrings_are_independent() {
         let mut r = ring();
         for _ in 0..12 {
-            r.transact(0, 0, PacketKind::ReadData);
+            r.transact(0, 0, PacketKind::ReadData, &mut untraced());
         }
         // Sub-ring 1 is still empty: no blocking there.
-        let t = r.transact(0, 1, PacketKind::ReadData);
+        let t = r.transact(0, 1, PacketKind::ReadData, &mut untraced());
         assert_eq!(t.slot_wait, 5, "idle-lane entry wait");
     }
 
@@ -502,10 +506,10 @@ mod tests {
     fn slots_free_after_rotation() {
         let mut r = ring();
         for _ in 0..12 {
-            r.transact(0, 0, PacketKind::ReadData);
+            r.transact(0, 0, PacketKind::ReadData, &mut untraced());
         }
         // Well after the rotation completes, the lane is free again.
-        let t = r.transact(10_000, 0, PacketKind::ReadData);
+        let t = r.transact(10_000, 0, PacketKind::ReadData, &mut untraced());
         assert_eq!(t.slot_wait, 5);
         assert_eq!(r.in_flight(0, 10_000), 1);
     }
@@ -514,11 +518,11 @@ mod tests {
     fn fifo_grants_under_contention() {
         let mut r = ring();
         for _ in 0..12 {
-            r.transact(0, 0, PacketKind::ReadData);
+            r.transact(0, 0, PacketKind::ReadData, &mut untraced());
         }
-        let a = r.transact(1, 0, PacketKind::ReadData);
-        let b = r.transact(2, 0, PacketKind::ReadData);
-        let c = r.transact(3, 0, PacketKind::ReadData);
+        let a = r.transact(1, 0, PacketKind::ReadData, &mut untraced());
+        let b = r.transact(2, 0, PacketKind::ReadData, &mut untraced());
+        let c = r.transact(3, 0, PacketKind::ReadData, &mut untraced());
         assert!(a.injected_at <= b.injected_at && b.injected_at <= c.injected_at);
     }
 
@@ -529,7 +533,10 @@ mod tests {
         // measure the completion time of the last: throughput must be ~12
         // per 136-cycle rotation.
         let last = (0..200)
-            .map(|_| r.transact(0, 0, PacketKind::ReadData).response_at)
+            .map(|_| {
+                r.transact(0, 0, PacketKind::ReadData, &mut untraced())
+                    .response_at
+            })
             .max()
             .unwrap();
         let rotations_needed = (200f64 / 12f64).ceil();
@@ -544,8 +551,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut r = ring();
-        r.transact(0, 0, PacketKind::ReadData);
-        r.transact(0, 0, PacketKind::Invalidate);
+        r.transact(0, 0, PacketKind::ReadData, &mut untraced());
+        r.transact(0, 0, PacketKind::Invalidate, &mut untraced());
         let s = r.stats();
         assert_eq!(s.packets, 2);
         assert_eq!(s.data_packets, 1);
@@ -602,6 +609,6 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_subring_panics() {
         let mut r = ring();
-        let _ = r.transact(0, 2, PacketKind::ReadData);
+        let _ = r.transact(0, 2, PacketKind::ReadData, &mut untraced());
     }
 }

@@ -4,7 +4,7 @@
 //! in this crate *consumes* events and never feeds back into the
 //! simulator, so attaching any of these checkers cannot perturb virtual
 //! time — a checked run produces bit-identical results to an unchecked
-//! one (asserted by the `tracing_preserves_determinism` suite).
+//! one (asserted by the `trace_determinism` suite).
 //!
 //! Five passes:
 //!

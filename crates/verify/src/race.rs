@@ -73,6 +73,10 @@ impl TraceSink for CollectingSink {
     fn record(&mut self, event: &TraceEvent) {
         self.events.push(*event);
     }
+
+    fn record_batch(&mut self, events: &[TraceEvent]) {
+        self.events.extend_from_slice(events);
+    }
 }
 
 /// One side of a racy pair.

@@ -6,10 +6,16 @@
 //! events are buffered or delivered must leave every digest unchanged.
 //! A change that alters the stream on purpose replaces [`PINNED`] with
 //! the lines the failing tests print, and says why.
+//!
+//! The digests were taken when every event reached its sink on its own,
+//! so the same digests from batched delivery prove that batching loses,
+//! repeats and reorders nothing, across several full buffers
+//! (`long_hot_spot_on_two_levels`) and across flush points
+//! (`multi_page_warm`).
 
 use std::sync::{Arc, Mutex};
 
-use ksr_core::trace::{TraceEvent, TraceKind, TraceState, Tracer};
+use ksr_core::trace::{TraceEvent, TraceKind, TraceSink, TraceState, Tracer};
 use ksr_core::FingerprintBuilder;
 use ksr_machine::{program, Machine, MachineConfig, Program};
 use ksr_net::{RingHierarchyConfig, Topology};
@@ -104,16 +110,39 @@ fn check(run: &str, events: &[TraceEvent], reaches: &[TraceKind]) {
     );
 }
 
-/// A machine with a collecting sink attached from construction on.
-fn traced(cfg: MachineConfig) -> (Machine, Arc<Mutex<CollectingSink>>) {
+/// A [`CollectingSink`] that also logs the size of every batch it is
+/// handed.
+#[derive(Default)]
+struct Recorder {
+    events: CollectingSink,
+    batches: Vec<usize>,
+}
+
+impl TraceSink for Recorder {
+    fn record(&mut self, event: &TraceEvent) {
+        self.record_batch(std::slice::from_ref(event));
+    }
+
+    fn record_batch(&mut self, events: &[TraceEvent]) {
+        self.events.record_batch(events);
+        self.batches.push(events.len());
+    }
+}
+
+/// A machine with a recording sink attached from construction on.
+fn traced(cfg: MachineConfig) -> (Machine, Arc<Mutex<Recorder>>) {
     let mut m = Machine::new(cfg).expect("machine");
-    let (tracer, sink) = Tracer::attach(CollectingSink::new());
+    let (tracer, sink) = Tracer::attach(Recorder::default());
     m.set_tracer(tracer);
     (m, sink)
 }
 
-fn take(sink: &Arc<Mutex<CollectingSink>>) -> Vec<TraceEvent> {
-    sink.lock().expect("collector").take()
+fn take(sink: &Arc<Mutex<Recorder>>) -> Vec<TraceEvent> {
+    sink.lock().expect("recorder").events.take()
+}
+
+fn batches(sink: &Arc<Mutex<Recorder>>) -> Vec<usize> {
+    sink.lock().expect("recorder").batches.clone()
 }
 
 /// Every processor fetch-adds one counter and reads it back: the
@@ -180,6 +209,11 @@ fn long_hot_spot_on_two_levels() {
     assert_eq!(m.peek_u64(counter).unwrap(), 8 * 160);
     let events = take(&sink);
     assert!(events.len() > 16_384, "only {} events", events.len());
+    // Full buffers as they filled, then the rest when the run returned.
+    let full = events.len() / Tracer::BATCH;
+    let mut expected = vec![Tracer::BATCH; full];
+    expected.push(events.len() % Tracer::BATCH);
+    assert_eq!(batches(&sink), expected);
     check("long_hot_spot", &events, &[TraceKind::AtomicRejection]);
 }
 
@@ -260,6 +294,7 @@ fn multi_page_warm() {
     m.warm(0, base, 4 * PAGE);
     m.warm(1, base + PAGE, 4 * PAGE);
     m.warm(0, base + 2 * PAGE, PAGE / 2);
+    assert_eq!(batches(&sink).len(), 3, "one batch as each warm-up returns");
     let events = take(&sink);
     assert!(events.iter().all(|e| e.at() == 0), "warm-up is untimed");
     check("warm_pages", &events, &[TraceKind::Coherence]);

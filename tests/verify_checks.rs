@@ -16,7 +16,9 @@ use ksr1_repro::net::Topology;
 use ksr1_repro::verify::{CheckingSink, CollectingSink, RaceDetector, RaceReport, Rule, Violation};
 
 /// A four-cell memory system with an optional seeded protocol bug, its
-/// event stream shadowed by a [`CheckingSink`].
+/// event stream shadowed by a [`CheckingSink`]. A bare memory system
+/// buffers its events until `flush_trace` (or its drop), so each test
+/// flushes before it reads the sink.
 fn checked_mem(fault: Option<ProtocolFault>) -> (MemorySystem, Arc<Mutex<CheckingSink>>) {
     let mut mem = MemorySystem::with_options(
         MemGeometry::scaled(64),
@@ -46,6 +48,7 @@ fn correct_protocol_checks_clean() {
     let _ = mem.access(0, 128, MemOp::Write, 5_000).done_at();
     let _ = mem.access(2, 128, MemOp::Read, 10_000).done_at();
     let _ = mem.access(3, 128, MemOp::Read, 15_000).done_at();
+    mem.flush_trace();
     let s = sink.lock().unwrap();
     assert!(s.is_clean(), "{:?}", s.violations());
     assert!(s.events_seen() > 0);
@@ -60,6 +63,7 @@ fn checker_catches_missed_invalidation() {
     // Cell 0 writes the same sub-page; the buggy fetch leaves cell 1's
     // Exclusive copy valid.
     let _ = mem.access(0, 128, MemOp::Write, 5_000).done_at();
+    mem.flush_trace();
     let vs = violations(&sink);
     let hit = vs
         .iter()
@@ -79,6 +83,7 @@ fn checker_catches_missed_demotion() {
     // Cell 1 reads: the buggy fetch grants Shared without demoting the
     // Exclusive owner.
     let _ = mem.access(1, 128, MemOp::Read, 5_000).done_at();
+    mem.flush_trace();
     let vs = violations(&sink);
     let hit = vs
         .iter()
