@@ -39,7 +39,6 @@
 //! sink and starts with an empty buffer, so an event pending in the
 //! original is delivered once, by the original.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::time::Cycles;
@@ -399,7 +398,10 @@ impl TraceSink for CountingSink {
 #[derive(Debug, Clone)]
 pub struct RingBufferSink {
     capacity: usize,
-    buf: VecDeque<TraceEvent>,
+    /// The retained events. Once full, `next` indexes the oldest, which
+    /// the next event overwrites.
+    buf: Vec<TraceEvent>,
+    next: usize,
     dropped: u64,
 }
 
@@ -409,14 +411,16 @@ impl RingBufferSink {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            buf: VecDeque::new(),
+            buf: Vec::new(),
+            next: 0,
             dropped: 0,
         }
     }
 
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
+        let (newer, older) = self.buf.split_at(self.next);
+        older.iter().chain(newer)
     }
 
     /// Number of retained events.
@@ -439,12 +443,18 @@ impl RingBufferSink {
 }
 
 impl TraceSink for RingBufferSink {
+    #[inline]
     fn record(&mut self, event: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
+        if self.buf.len() < self.capacity {
+            self.buf.push(*event);
+            return;
         }
-        self.buf.push_back(*event);
+        self.buf[self.next] = *event;
+        self.next += 1;
+        if self.next == self.capacity {
+            self.next = 0;
+        }
+        self.dropped += 1;
     }
 }
 

@@ -354,12 +354,24 @@ impl Machine {
         let start = self.epoch;
         let traced = self.mem.tracer_mut().is_enabled();
         let cpus = self.build_cpus(n, start, traced);
-        let oracle = self.oracle.as_deref_mut();
-        let (proc_end, proc_flops) = if traced {
-            coordinate_event::<true>(&mut self.mem, &mut programs, cpus, oracle)
+        let slots = if traced {
+            cpus.iter().map(Cpu::slot).collect()
         } else {
-            coordinate_event::<false>(&mut self.mem, &mut programs, cpus, oracle)
+            Vec::new()
         };
+        // Delivers the trace when the run ends, by return or by unwinding.
+        let run = RunTrace {
+            mem: &mut self.mem,
+            slots,
+        };
+        let (proc_end, proc_flops) = coordinate_event(
+            &mut *run.mem,
+            &run.slots,
+            &mut programs,
+            cpus,
+            self.oracle.as_deref_mut(),
+        );
+        drop(run);
         let finished_at = proc_end.iter().copied().max().unwrap_or(start);
         self.epoch = finished_at;
         Ok(RunReport {
@@ -688,25 +700,17 @@ fn deadlock_panic(live: usize, parked: &FxHashMap<u64, Vec<(usize, Cycles)>>) ->
 /// unwinds straight through this loop with its original payload — it is
 /// already on the coordinator's thread.
 ///
-/// `TRACED` says whether the memory system's tracer has a sink. Only a
-/// traced run appends the events processors stamp in their slots (right
-/// after the `start` or `resume` that stamped them), so an untraced run
-/// does no trace work per resume.
-fn coordinate_event<const TRACED: bool>(
+/// On a traced run, `slots` holds every processor's slot, and the events
+/// a processor stamps there are appended to the trace right after the
+/// `start` or `resume` that stamped them; an untraced run passes none.
+fn coordinate_event(
     mem: &mut MemorySystem,
+    slots: &[Rc<Slot>],
     programs: &mut [Box<dyn Program + '_>],
     cpus: Vec<Cpu>,
     mut oracle: Option<&mut (dyn ScheduleOracle + '_)>,
 ) -> (Vec<Cycles>, Vec<u64>) {
     let n = programs.len();
-    let slots = if TRACED {
-        cpus.iter().map(Cpu::slot).collect()
-    } else {
-        Vec::new()
-    };
-    // Delivers the trace when the run ends, by return or by unwinding.
-    let run = RunTrace { mem, slots };
-    let mem = &mut *run.mem;
     // Op yielded by each suspended processor, serviced when its
     // timestamp is globally smallest.
     let mut pending: Vec<Option<AccessOp>> = (0..n).map(|_| None).collect();
@@ -723,8 +727,8 @@ fn coordinate_event<const TRACED: bool>(
     macro_rules! on_step {
         ($p:expr, $step:expr) => {{
             let step = $step;
-            if TRACED {
-                run.slots[$p].drain_events_into(mem.tracer_mut());
+            if let Some(slot) = slots.get($p) {
+                slot.drain_events_into(mem.tracer_mut());
             }
             match step {
                 Step::Yield { at, op } => {

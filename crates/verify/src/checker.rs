@@ -543,6 +543,7 @@ impl CheckingSink {
 }
 
 impl TraceSink for CheckingSink {
+    #[inline]
     fn record(&mut self, event: &TraceEvent) {
         self.events_seen += 1;
         self.recent.record(event);

@@ -475,6 +475,7 @@ impl PredictiveSink {
 }
 
 impl TraceSink for PredictiveSink {
+    #[inline]
     fn record(&mut self, event: &TraceEvent) {
         self.checker.record(event);
         self.lock_graph.record(event);
