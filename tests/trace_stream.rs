@@ -10,8 +10,10 @@
 //! The digests were taken when every event reached its sink on its own,
 //! so the same digests from batched delivery prove that batching loses,
 //! repeats and reorders nothing, across several full buffers
-//! (`long_hot_spot_on_two_levels`) and across flush points
-//! (`multi_page_warm`).
+//! (`long_hot_spot_on_two_levels`), across flush points
+//! (`multi_page_warm`), and where a processor's barrier episode, handed
+//! over after its step, meets wake-ups in the same coordinator
+//! iteration (`flag_handoff_orders_episodes_before_wakes`).
 
 use std::sync::{Arc, Mutex};
 
@@ -31,6 +33,7 @@ const PINNED: &[(&str, usize, &str)] = &[
     ("symmetry_bus", 163, "4567b7ada375a8f8634bec88b20f8b79"),
     ("butterfly", 60, "f05d2e16a444f71cd487b36b4512a87a"),
     ("long_hot_spot", 21158, "6a2952d8623a20f931d7756b84af809a"),
+    ("flag_handoff", 113, "b20bb09c5d93af31ddef00461c2ce150"),
 ];
 
 fn state_code(s: TraceState) -> u64 {
@@ -252,6 +255,54 @@ fn mcs_barrier_episodes() {
     );
 }
 
+/// A processor writes a flag two others are parked on and stamps a
+/// barrier episode in the step that follows the write, so the same
+/// coordinator iteration emits the write, the episode and the two
+/// wake-ups. The episode must come right after the write, before the
+/// wake-ups, as it did when a processor emitted its episode itself.
+#[test]
+fn flag_handoff_orders_episodes_before_wakes() {
+    let (mut m, sink) = traced(MachineConfig::ksr1(6));
+    let flag = m.alloc_subpage(8).expect("alloc");
+    let out = m.alloc_subpage(64).expect("alloc");
+    let programs: Vec<Box<dyn Program>> = (0..3)
+        .map(|p| {
+            program(move |mut cpu| async move {
+                for round in 1..=3 {
+                    if p == 0 {
+                        cpu.compute(400);
+                        cpu.write_u64(flag, round).await;
+                    } else {
+                        cpu.spin_until(flag, move |v| v >= round).await;
+                    }
+                    cpu.trace_barrier_episode(round);
+                    cpu.write_u64(out + 8 * p as u64, round).await;
+                }
+            })
+        })
+        .collect();
+    m.run(programs).expect("run");
+    let events = take(&sink);
+    for (i, e) in events.iter().enumerate() {
+        if let TraceEvent::BarrierEpisode { cell: 0, at, .. } = *e {
+            assert_eq!(
+                events[i - 1],
+                TraceEvent::DataWrite {
+                    at,
+                    cell: 0,
+                    addr: flag
+                }
+            );
+            assert_eq!(events[i + 1].kind(), TraceKind::LockHandoff);
+        }
+    }
+    check(
+        "flag_handoff",
+        &events,
+        &[TraceKind::BarrierEpisode, TraceKind::LockHandoff],
+    );
+}
+
 /// The FCFS ticket lock: waiters park on the serving word, are woken by
 /// the holder's release and leave on a satisfying spin read.
 #[test]
@@ -338,12 +389,12 @@ fn butterfly_switch() {
     );
 }
 
-/// The table pins each of the seven runs above exactly once.
+/// The table pins each of the eight runs above exactly once.
 #[test]
 fn pinned_table_names_each_run_once() {
     let mut names: Vec<&str> = PINNED.iter().map(|&(n, _, _)| n).collect();
     names.sort_unstable();
     names.dedup();
     assert_eq!(names.len(), PINNED.len(), "a run is pinned twice");
-    assert_eq!(PINNED.len(), 7);
+    assert_eq!(PINNED.len(), 8);
 }
