@@ -1,6 +1,6 @@
 //! `--check` verification mode for the experiment harness.
 //!
-//! Four passes from `ksr-verify`, all consuming the trace stream and
+//! Three passes from `ksr-verify`, all consuming the trace stream and
 //! never feeding back into virtual time (a checked run's result files
 //! are bit-identical to an unchecked run's):
 //!
@@ -26,9 +26,6 @@
 //!    mutant from `ksr_sync::mutants` must be flagged as a potential
 //!    deadlock *from its clean default-schedule trace* while the
 //!    correctly nested counterpart stays silent (both self-tests).
-//! 4. **Schedule lints** — the declarative schedule of the IS kernel is
-//!    linted ([`lint_schedules`]), and a deliberately broken schedule
-//!    must produce findings (another self-test).
 //!
 //! Everything lands in `<results>/violations.json`; any violation makes
 //! the run exit non-zero, which is how `scripts/check.sh` gates CI.
@@ -47,10 +44,10 @@ use ksr_core::Json;
 use ksr_machine::{Machine, MachineObserver, ObserverScope};
 use ksr_nas::{IsConfig, IsSetup};
 use ksr_sync::mutants::LockOrderMutant;
-use ksr_verify::report::{lint_to_json, predict_to_json, race_to_json, violation_to_json};
+use ksr_verify::report::{predict_to_json, race_to_json, violation_to_json};
 use ksr_verify::{
-    lint_schedules, lockset_analysis, CollectingSink, LintFinding, LockOrderGraph, PredictFinding,
-    PredictRule, PredictiveSink, ProcSchedule, RaceDetector, RaceReport, SchedOp, Violation,
+    lockset_analysis, CollectingSink, LockOrderGraph, PredictFinding, PredictRule, PredictiveSink,
+    RaceDetector, RaceReport, Violation,
 };
 
 use crate::common::RunOpts;
@@ -171,10 +168,10 @@ impl CheckScope {
     }
 }
 
-/// Run the race/lint suites, assemble the `violations.json` document
-/// from the per-experiment coherence results (already merged in job
-/// order), and write it. Returns the file path and whether the whole
-/// run was clean. Suite progress goes to stderr.
+/// Run the race and predict suites, assemble the `violations.json`
+/// document from the per-experiment coherence results (already merged
+/// in job order), and write it. Returns the file path and whether the
+/// whole run was clean. Suite progress goes to stderr.
 pub fn finalize(
     entries: &[(&'static str, ExpCheck)],
     opts: &RunOpts,
@@ -184,9 +181,7 @@ pub fn finalize(
     let (racy_is_events, _) = is_trace(opts, true);
     let (race_json, races_clean) = race_suite(&clean_is_events, &racy_is_events, procs);
     let (predict_json, predicts_clean) = predict_suite(opts, &clean_is_events);
-    let (lint_json, lints_clean) = lint_suite();
-
-    let clean = coherence_violations == 0 && races_clean && predicts_clean && lints_clean;
+    let clean = coherence_violations == 0 && races_clean && predicts_clean;
     let doc = Json::obj([
         ("quick", Json::from(opts.quick)),
         ("seed", Json::from(opts.seed)),
@@ -203,45 +198,34 @@ pub fn finalize(
         ),
         ("races", race_json),
         ("predict", predict_json),
-        ("lints", lint_json),
     ]);
     let path = opts.results_dir.join("violations.json");
     std::fs::create_dir_all(&opts.results_dir)?;
     std::fs::write(&path, doc.render_pretty())?;
     eprintln!("[violations: {}]", path.display());
     if clean {
-        eprintln!(
-            "[check: PASS — no coherence violations, no races, no predictive findings, no \
-             lint findings]"
-        );
+        eprintln!("[check: PASS — no coherence violations, no races, no predictive findings]");
     } else {
         eprintln!(
             "[check: FAIL — {coherence_violations} coherence violation(s), races clean: \
-             {races_clean}, predictive clean: {predicts_clean}, lints clean: {lints_clean}]"
+             {races_clean}, predictive clean: {predicts_clean}]"
         );
     }
     Ok((path, clean))
 }
 
-/// IS configuration for the verification suites: small enough to run on
-/// every `--check` invocation, large enough that phase 6 overlaps across
-/// processors.
-fn suite_is_config() -> (IsConfig, usize) {
-    (
-        IsConfig {
-            keys: 1 << 12,
-            max_key: 256,
-            seed: 19_930_401,
-            chunk: 64,
-        },
-        4,
-    )
-}
-
 /// Run IS under a collecting tracer and hand back its full trace (the
-/// race and predictive suites both analyze it).
+/// race and predictive suites both analyze it) and its processor count.
+/// The configuration is small enough to run on every `--check`
+/// invocation, large enough that phase 6 overlaps across processors.
 fn is_trace(opts: &RunOpts, racy: bool) -> (Vec<TraceEvent>, usize) {
-    let (cfg, procs) = suite_is_config();
+    let procs = 4;
+    let cfg = IsConfig {
+        keys: 1 << 12,
+        max_key: 256,
+        seed: 19_930_401,
+        chunk: 64,
+    };
     let mut m = Machine::ksr1_scaled(opts.machine_seed(50), 64).expect("machine");
     let (tracer, sink) = Tracer::attach(CollectingSink::new());
     m.set_tracer(tracer);
@@ -361,89 +345,9 @@ fn predict_suite(opts: &RunOpts, locked_is_events: &[TraceEvent]) -> (Json, bool
     )
 }
 
-/// The declarative schedule of the IS kernel (Figure 9): six barrier
-/// waits separating the phases, and phase 6's per-chunk lock/
-/// update/unlock loop. This is what the schedule linter sees.
-fn is_schedules(procs: usize, n_chunks: usize) -> Vec<ProcSchedule> {
-    (0..procs)
-        .map(|p| {
-            let mut ops = Vec::new();
-            let barrier = SchedOp::Barrier {
-                id: 0,
-                arity: procs,
-            };
-            // Phases 1–5 end in barrier waits (the data accesses are
-            // untyped at this level; the linter checks sync shape).
-            for _ in 0..5 {
-                ops.push(barrier);
-            }
-            // Phase 6: rotate over every chunk under its lock.
-            for s in 0..n_chunks {
-                let c = ((p * n_chunks / procs) + s) % n_chunks;
-                ops.push(SchedOp::Acquire { lock: c as u64 });
-                ops.push(SchedOp::Write { subpage: c as u64 });
-                ops.push(SchedOp::Release { lock: c as u64 });
-            }
-            ops.push(barrier);
-            ProcSchedule::new(p, ops)
-        })
-        .collect()
-}
-
-/// A deliberately broken schedule set for the lint self-test: mismatched
-/// barrier arity, an unreleased lock, and a useless prefetch.
-fn broken_schedules() -> Vec<ProcSchedule> {
-    vec![
-        ProcSchedule::new(
-            0,
-            vec![
-                SchedOp::Prefetch { subpage: 40 },
-                SchedOp::Acquire { lock: 1 },
-                SchedOp::Barrier { id: 9, arity: 2 },
-            ],
-        ),
-        ProcSchedule::new(1, vec![SchedOp::Barrier { id: 9, arity: 3 }]),
-    ]
-}
-
-/// The lint pass: the real IS schedule must lint clean, and the broken
-/// fixture must produce findings.
-fn lint_suite() -> (Json, bool) {
-    let (cfg, procs) = suite_is_config();
-    let findings = lint_schedules(&is_schedules(procs, cfg.max_key / cfg.chunk));
-    let self_test = lint_schedules(&broken_schedules());
-    let schedules_clean = findings.is_empty();
-    let self_test_fires = !self_test.is_empty();
-    eprintln!(
-        "[check: lints: IS schedule {} ({} finding(s)); broken-schedule self-test {}]",
-        if schedules_clean { "clean" } else { "DIRTY" },
-        findings.len(),
-        if self_test_fires { "caught" } else { "MISSED" },
-    );
-    let to_arr = |fs: &[LintFinding]| Json::arr(fs.iter().map(lint_to_json));
-    let json = Json::obj([
-        ("is_schedule_findings", to_arr(&findings)),
-        (
-            "broken_schedule_selfcheck",
-            Json::obj([
-                ("findings_expected", Json::from(true)),
-                ("findings", to_arr(&self_test)),
-            ]),
-        ),
-    ]);
-    (json, schedules_clean && self_test_fires)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn is_schedule_lints_clean_and_broken_fixture_fires() {
-        assert!(lint_schedules(&is_schedules(4, 4)).is_empty());
-        let findings = lint_schedules(&broken_schedules());
-        assert!(findings.len() >= 3, "{findings:?}");
-    }
 
     #[test]
     fn check_scope_attaches_a_sink_per_machine() {

@@ -13,8 +13,9 @@
 //!   parallelism capped at [`MAX_DEFAULT_JOBS`]);
 //! * `--check` — verification mode: every machine gets a
 //!   `ksr-verify` coherence-checking sink, the race-detector and
-//!   schedule-lint suites run afterwards, and `violations.json` lands
-//!   next to the results (non-zero exit on any violation);
+//!   predictive suites run over a traced IS kernel afterwards, and
+//!   `violations.json` lands next to the results (non-zero exit on any
+//!   violation);
 //! * `--cache DIR` — content-addressed results cache: jobs whose
 //!   fingerprint is present load instead of executing, everything else
 //!   executes and populates the cache (bypassed under `--check`, whose
@@ -166,7 +167,7 @@ fn print_registry_to_stderr() {
 /// `timings.json` are written too; an `--only` run writes just the
 /// selected experiments' files. Under `--check`, the per-experiment
 /// coherence results are merged in job order and
-/// [`crate::check::finalize`] runs the race/lint suites and writes
+/// [`crate::check::finalize`] runs the race and predict suites and writes
 /// `violations.json`.
 ///
 /// With `opts.shard` set this is a shard run instead: execute this
@@ -176,10 +177,7 @@ fn print_registry_to_stderr() {
 fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
-    let (progress, drainer) = Progress::stderr();
-    let report = exec::execute(plans, opts, &progress);
-    drop(progress);
-    drainer.join();
+    let report = exec::execute(plans, opts, &Progress::stderr());
     let wall_seconds = wall_start.elapsed().as_secs_f64();
     let cache = report.cache.map(|stats| (stats, report.total_jobs));
 

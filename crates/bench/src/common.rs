@@ -23,9 +23,10 @@ pub struct RunOpts {
     pub results_dir: PathBuf,
     /// Verification mode (`--check`): attach a
     /// `ksr-verify` coherence-checking sink to every machine built, run
-    /// the race-detector and schedule-lint suites afterwards, and write
-    /// `violations.json`. Checking observes the trace only — cycle
-    /// counts and result files are bit-identical with it on or off.
+    /// the race-detector and predictive suites over a traced IS kernel
+    /// afterwards, and write `violations.json`. Checking observes the
+    /// trace only — cycle counts and result files are bit-identical with
+    /// it on or off.
     pub check: bool,
     /// Worker threads the executor schedules jobs over (`--jobs N`;
     /// `run_all`'s default is the host parallelism capped at

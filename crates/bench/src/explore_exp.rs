@@ -251,7 +251,6 @@ pub fn budget(quick: bool) -> ExploreConfig {
     ExploreConfig {
         max_runs: if quick { 64 } else { 512 },
         max_choice_points: if quick { 12 } else { 24 },
-        prune_seen_states: false,
     }
 }
 

@@ -31,6 +31,31 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// The per-job progress lines on `run_all`'s stderr, sorted into the
+/// `[i/N] label` prefixes of its start, `done in` and `cached` lines.
+fn progress_lines(out: &Output) -> [Vec<String>; 3] {
+    let mut lines: [Vec<String>; 3] = Default::default();
+    for line in stderr_of(out).lines() {
+        let Some((counter, _)) = line.strip_prefix('[').and_then(|l| l.split_once("] ")) else {
+            continue;
+        };
+        if !counter.split('/').all(|n| n.parse::<usize>().is_ok()) {
+            continue;
+        }
+        let (prefix, kind) = if let Some(p) = line.strip_suffix(" ...") {
+            (p, 0)
+        } else if let Some((p, _)) = line.split_once(" done in ") {
+            (p, 1)
+        } else if let Some(p) = line.strip_suffix(" cached") {
+            (p, 2)
+        } else {
+            panic!("unexpected progress line {line:?}");
+        };
+        lines[kind].push(prefix.to_string());
+    }
+    lines
+}
+
 /// `summary.json` must name every registered experiment id — the
 /// contract `run_all` (and anything consuming `results/`) relies on.
 #[test]
@@ -119,7 +144,9 @@ fn only_run_leaves_the_whole_run_index_alone() {
 /// shards fill a cache, `--prune` removes a planted corrupt entry and
 /// keeps every live one, and a plain `--cache` run then executes
 /// nothing and prints each output's `render()` — the bytes of its
-/// `.txt` file.
+/// `.txt` file. Along the way stderr carries one start line and one
+/// `done in` line per executed job, and only `cached` lines on the
+/// warm run.
 #[test]
 fn shards_prune_and_a_warm_run_through_the_binary() {
     let dir = temp_dir("shard");
@@ -137,6 +164,12 @@ fn shards_prune_and_a_warm_run_through_the_binary() {
         );
         assert!(stderr_of(&out).contains(&line), "{}", stderr_of(&out));
         assert!(!results.exists(), "a shard run writes no artifacts");
+        let [mut started, mut done, cached] = progress_lines(&out);
+        assert_eq!(started.len(), executed, "{}", stderr_of(&out));
+        assert!(cached.is_empty(), "{}", stderr_of(&out));
+        started.sort();
+        done.sort();
+        assert_eq!(started, done, "one `done in` line per started job");
     }
 
     let corrupt = cache.join("deadbeefdeadbeefdeadbeefdeadbeef.json");
@@ -155,7 +188,31 @@ fn shards_prune_and_a_warm_run_through_the_binary() {
         "{}",
         stderr_of(&out)
     );
+    let [started, done, cached] = progress_lines(&out);
+    assert!(started.is_empty() && done.is_empty(), "{}", stderr_of(&out));
+    assert_eq!(cached.len(), 4, "{}", stderr_of(&out));
     let txt = std::fs::read_to_string(results.join("sec31a.txt")).unwrap();
     assert_eq!(String::from_utf8(out.stdout).unwrap(), format!("{txt}\n"));
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `run_all --check --quick` at seed 0 must write the committed
+/// `tests/checked/quick.violations.json` byte for byte. Besides the
+/// verdicts, the report holds every experiment's machine and
+/// checked-event counts, so a trace event lost or delivered twice fails
+/// here even when the checker stays clean.
+#[test]
+fn quick_checked_report_matches_its_committed_copy() {
+    let dir = temp_dir("checked");
+    let _ = std::fs::remove_dir_all(&dir);
+    run_all(&["--check", "--quick", "--jobs", "2"], &dir);
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/checked/quick.violations.json");
+    let expected = std::fs::read_to_string(golden).unwrap();
+    let actual = std::fs::read_to_string(dir.join("violations.json")).unwrap();
+    assert!(
+        actual == expected,
+        "violations.json differs from tests/checked/quick.violations.json; if the change is \
+         deliberate, replace that file with this one and say why:\n{actual}"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -1,185 +1,63 @@
-//! `Sender`-based progress reporting for long runs.
+//! Progress lines for long runs.
 //!
 //! The experiment grid can run hundreds of simulations; users want a
 //! live status line without the status ever contaminating the
-//! machine-readable results on stdout. The contract here:
+//! machine-readable results on stdout. Workers (possibly many threads)
+//! hold a [`Progress`] handle: [`Progress::stderr`] writes each report
+//! as one line on **stderr** from the thread that makes it, and
+//! [`Progress::disabled`] drops every report, letting library code
+//! report unconditionally when nobody is listening.
 //!
-//! * Workers (possibly many threads) hold a cloneable [`Progress`]
-//!   handle and send [`ProgressEvent`]s through an `mpsc::Sender`.
-//! * A single drainer thread ([`Progress::stderr`]) renders them as
-//!   human-readable lines on **stderr**, so stdout stays pipeable.
-//! * A [`Progress::disabled`] handle makes every send a no-op, letting
-//!   library code report unconditionally with zero cost when nobody is
-//!   listening.
-//!
-//! Rendering happens on one thread, so lines never interleave
-//! mid-character even when many workers report at once.
+//! Each line is one `eprintln!`, which holds the stderr lock for the
+//! whole line, so lines never interleave even when many workers report
+//! at once.
 
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::thread::JoinHandle;
+use std::fmt::Display;
 
-/// One progress event from a worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProgressEvent {
-    /// A work unit started executing.
-    Started {
-        /// Human-readable label of the work unit.
-        label: String,
-        /// 1-based position in the overall run.
-        index: usize,
-        /// Total number of work units in the run.
-        total: usize,
-    },
-    /// A work unit finished.
-    Finished {
-        /// Human-readable label of the work unit.
-        label: String,
-        /// 1-based position in the overall run.
-        index: usize,
-        /// Total number of work units in the run.
-        total: usize,
-        /// Wall-clock duration of the unit, in milliseconds.
-        millis: u64,
-    },
-    /// A work unit was satisfied from a results cache without running.
-    Cached {
-        /// Human-readable label of the work unit.
-        label: String,
-        /// 1-based position in the overall run.
-        index: usize,
-        /// Total number of work units in the run.
-        total: usize,
-    },
-    /// A free-form status line.
-    Note(String),
-}
-
-impl ProgressEvent {
-    /// The status line a drainer prints for this event.
-    #[must_use]
-    pub fn render(&self) -> String {
-        match self {
-            Self::Started {
-                label,
-                index,
-                total,
-            } => format!("[{index}/{total}] {label} ..."),
-            Self::Finished {
-                label,
-                index,
-                total,
-                millis,
-            } => format!("[{index}/{total}] {label} done in {millis} ms"),
-            Self::Cached {
-                label,
-                index,
-                total,
-            } => format!("[{index}/{total}] {label} cached"),
-            Self::Note(msg) => msg.clone(),
-        }
-    }
-}
-
-/// A cloneable handle workers report progress through. Either connected
-/// to a drainer ([`Progress::stderr`], [`Progress::channel`]) or
-/// disabled (every send is a no-op).
-#[derive(Clone)]
+/// A handle workers report progress through: either writing to stderr
+/// ([`Progress::stderr`]) or disabled (every report is a no-op).
+#[derive(Debug, Clone, Copy)]
 pub struct Progress {
-    tx: Option<Sender<ProgressEvent>>,
-}
-
-impl std::fmt::Debug for Progress {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Progress")
-            .field("connected", &self.tx.is_some())
-            .finish()
-    }
+    enabled: bool,
 }
 
 impl Progress {
-    /// A handle that drops every event (for tests and library callers
+    /// A handle that drops every report (for tests and library callers
     /// that don't want status output).
     #[must_use]
     pub fn disabled() -> Self {
-        Self { tx: None }
+        Self { enabled: false }
     }
 
-    /// A handle paired with the raw receiving end (for tests or custom
-    /// drainers).
+    /// A handle that writes every report to stderr, one line each.
     #[must_use]
-    pub fn channel() -> (Self, Receiver<ProgressEvent>) {
-        let (tx, rx) = mpsc::channel();
-        (Self { tx: Some(tx) }, rx)
-    }
-
-    /// A handle whose events a dedicated thread renders to stderr, one
-    /// line per event. Drop every clone of the handle, then
-    /// [`ProgressDrainer::join`] to flush the remaining lines.
-    #[must_use]
-    pub fn stderr() -> (Self, ProgressDrainer) {
-        let (progress, rx) = Self::channel();
-        let handle = std::thread::spawn(move || {
-            for ev in rx {
-                eprintln!("{}", ev.render());
-            }
-        });
-        (progress, ProgressDrainer { handle })
-    }
-
-    /// Report an event. Silently dropped when disabled or when the
-    /// drainer is gone — progress must never fail a run.
-    pub fn send(&self, ev: ProgressEvent) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(ev);
-        }
+    pub fn stderr() -> Self {
+        Self { enabled: true }
     }
 
     /// Report a free-form status line.
-    pub fn note(&self, msg: impl Into<String>) {
-        self.send(ProgressEvent::Note(msg.into()));
+    pub fn note(&self, msg: impl Display) {
+        if self.enabled {
+            eprintln!("{msg}");
+        }
     }
 
-    /// Report the start of work unit `index` of `total`.
+    /// Report the start of work unit `index` (1-based) of `total`.
     pub fn started(&self, label: &str, index: usize, total: usize) {
-        self.send(ProgressEvent::Started {
-            label: label.to_string(),
-            index,
-            total,
-        });
+        self.note(format_args!("[{index}/{total}] {label} ..."));
     }
 
-    /// Report the completion of work unit `index` of `total`.
+    /// Report the completion of work unit `index` of `total`, which took
+    /// `millis` milliseconds of wall-clock time.
     pub fn finished(&self, label: &str, index: usize, total: usize, millis: u64) {
-        self.send(ProgressEvent::Finished {
-            label: label.to_string(),
-            index,
-            total,
-            millis,
-        });
+        self.note(format_args!(
+            "[{index}/{total}] {label} done in {millis} ms"
+        ));
     }
 
     /// Report that work unit `index` of `total` was served from a cache.
     pub fn cached(&self, label: &str, index: usize, total: usize) {
-        self.send(ProgressEvent::Cached {
-            label: label.to_string(),
-            index,
-            total,
-        });
-    }
-}
-
-/// Join handle for the stderr drainer thread. The thread exits when
-/// every [`Progress`] clone feeding it has been dropped.
-#[derive(Debug)]
-pub struct ProgressDrainer {
-    handle: JoinHandle<()>,
-}
-
-impl ProgressDrainer {
-    /// Wait for the drainer to print every pending line. Call after
-    /// dropping the last `Progress` clone, or this blocks forever.
-    pub fn join(self) {
-        let _ = self.handle.join();
+        self.note(format_args!("[{index}/{total}] {label} cached"));
     }
 }
 
@@ -193,30 +71,5 @@ mod tests {
         p.note("nobody hears this");
         p.started("x", 1, 2);
         p.finished("x", 1, 2, 5);
-    }
-
-    #[test]
-    fn channel_delivers_in_order() {
-        let (p, rx) = Progress::channel();
-        let worker = p.clone();
-        worker.started("fig2", 1, 14);
-        worker.finished("fig2", 1, 14, 120);
-        worker.cached("fig3", 2, 14);
-        p.note("done");
-        drop((p, worker));
-        let events: Vec<_> = rx.into_iter().collect();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0].render(), "[1/14] fig2 ...");
-        assert_eq!(events[1].render(), "[1/14] fig2 done in 120 ms");
-        assert_eq!(events[2].render(), "[2/14] fig3 cached");
-        assert_eq!(events[3].render(), "done");
-    }
-
-    #[test]
-    fn stderr_drainer_joins_after_handles_drop() {
-        let (p, drainer) = Progress::stderr();
-        p.note("status goes to stderr");
-        drop(p);
-        drainer.join();
     }
 }

@@ -59,17 +59,6 @@ impl Summary {
             p95: percentile_sorted(&sorted, 95.0),
         })
     }
-
-    /// Relative standard deviation (coefficient of variation); 0 when the
-    /// mean is 0.
-    #[must_use]
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.stddev / self.mean
-        }
-    }
 }
 
 /// Percentile `p` (in `[0, 100]`) of an already-sorted sample, with linear
@@ -182,12 +171,6 @@ mod tests {
         assert_eq!(s.median, 2.0);
         assert!(s.mean.is_nan());
         assert!(s.max.is_nan());
-    }
-
-    #[test]
-    fn cv_of_constant_sample_is_zero() {
-        let s = Summary::of(&[2.0, 2.0, 2.0]).unwrap();
-        assert_eq!(s.cv(), 0.0);
     }
 
     #[test]

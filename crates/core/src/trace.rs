@@ -576,18 +576,6 @@ impl Tracer {
         )
     }
 
-    /// Convenience: a tracer counting events per kind.
-    #[must_use]
-    pub fn counting() -> (Self, Arc<Mutex<CountingSink>>) {
-        Self::attach(CountingSink::default())
-    }
-
-    /// Convenience: a tracer keeping the last `capacity` events.
-    #[must_use]
-    pub fn ring_buffer(capacity: usize) -> (Self, Arc<Mutex<RingBufferSink>>) {
-        Self::attach(RingBufferSink::new(capacity))
-    }
-
     /// Whether a sink is attached.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
@@ -640,7 +628,7 @@ mod tests {
 
     #[test]
     fn counting_sink_counts_per_kind() {
-        let (mut t, counts) = Tracer::counting();
+        let (mut t, counts) = Tracer::attach(CountingSink::default());
         assert!(t.is_enabled());
         t.emit_with(|| ev(10));
         t.emit_with(|| ev(20));
@@ -660,7 +648,7 @@ mod tests {
 
     #[test]
     fn ring_buffer_keeps_most_recent() {
-        let (mut t, buf) = Tracer::ring_buffer(2);
+        let (mut t, buf) = Tracer::attach(RingBufferSink::new(2));
         for i in 0..5 {
             t.emit_with(|| ev(i));
         }
@@ -723,7 +711,7 @@ mod tests {
 
     #[test]
     fn drop_delivers_what_is_pending() {
-        let (mut t, counts) = Tracer::counting();
+        let (mut t, counts) = Tracer::attach(CountingSink::default());
         t.emit_with(|| ev(1));
         drop(t);
         assert_eq!(counts.lock().unwrap().total(), 1);
@@ -884,7 +872,7 @@ mod tests {
 
     #[test]
     fn counting_sink_totals_cover_every_kind() {
-        let (mut t, counts) = Tracer::counting();
+        let (mut t, counts) = Tracer::attach(CountingSink::default());
         // Emit each kind a distinct number of times: kind i fires i+1
         // times, so any cross-kind misattribution shows up as a wrong
         // per-kind total.

@@ -51,11 +51,6 @@ pub struct MachineConfig {
     pub seed: u64,
     /// Timer-interrupt model, if enabled.
     pub interrupts: Option<InterruptConfig>,
-    /// Whether the processor has a native fetch-and-Φ instruction. The
-    /// KSR-1 does not (fetch-and-add is synthesised from `get_sub_page`,
-    /// §3.2.2); the Symmetry and Butterfly do, which matters for the
-    /// §3.2.3 barrier comparison.
-    pub native_fetch_op: bool,
     /// Coherence-protocol feature toggles (ablations).
     pub protocol: ProtocolOptions,
 }
@@ -73,7 +68,6 @@ impl MachineConfig {
             flops_per_cycle: 2,
             seed,
             interrupts: None,
-            native_fetch_op: false,
             protocol: ProtocolOptions::default(),
         }
     }
@@ -128,7 +122,6 @@ impl MachineConfig {
             flops_per_cycle: 1,
             seed,
             interrupts: None,
-            native_fetch_op: true,
             protocol: ProtocolOptions::default(),
         }
     }
@@ -222,7 +215,7 @@ mod tests {
     fn ksr_ring_spans_1024_cells() {
         let c = MachineConfig::ksr_ring(0, &[32, 8, 4]);
         assert_eq!(c.cells, 1024);
-        assert_eq!(c.topology.ring_depth(), Some(3));
+        assert_eq!(c.topology.describe(), "ring[32x8x4]", "three levels");
         assert_eq!(c.clock_hz, 20_000_000, "KSR-1 cells throughout");
     }
 

@@ -291,7 +291,7 @@ impl Drop for Cpu {
 }
 
 impl Cpu {
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring MachineConfig fields
+    #[allow(clippy::too_many_arguments)] // internal constructor taking the machine's per-cell settings
     pub(crate) fn new(
         id: usize,
         nprocs: usize,

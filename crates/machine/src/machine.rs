@@ -42,7 +42,7 @@ use ksr_core::time::Cycles;
 use ksr_core::trace::{TraceEvent, Tracer};
 use ksr_core::{Error, FxHashMap, Result};
 use ksr_mem::{MemOp, MemorySystem, Outcome, PerfMon};
-use ksr_net::FabricStats;
+use ksr_net::{FabricStats, Topology};
 
 use crate::config::MachineConfig;
 use crate::cpu::{AccessOp, Cpu, Reply, Slot};
@@ -384,6 +384,10 @@ impl Machine {
     }
 
     fn build_cpus(&self, n: usize, start: Cycles, traced: bool) -> Vec<Cpu> {
+        // A KSR ring synthesises fetch-and-add from `get_sub_page`
+        // (§3.2.2); the bus and the Butterfly have a native fetch-and-Φ,
+        // which matters for the §3.2.3 barrier comparison.
+        let native_fetch_op = !matches!(self.cfg.topology, Topology::Ring(_));
         (0..n)
             .map(|p| {
                 Cpu::new(
@@ -393,7 +397,7 @@ impl Machine {
                     self.cfg.clock_hz,
                     self.cfg.flops_per_cycle,
                     self.cfg.interrupts,
-                    self.cfg.native_fetch_op,
+                    native_fetch_op,
                     traced,
                 )
             })

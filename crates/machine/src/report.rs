@@ -31,12 +31,6 @@ impl RunReport {
         cycles_to_seconds(self.duration_cycles(), self.clock_hz)
     }
 
-    /// One processor's elapsed seconds.
-    #[must_use]
-    pub fn proc_seconds(&self, p: usize) -> f64 {
-        cycles_to_seconds(self.proc_end[p] - self.started_at, self.clock_hz)
-    }
-
     /// Total floating-point operations across all processors.
     #[must_use]
     pub fn total_flops(&self) -> u64 {
@@ -75,7 +69,6 @@ mod tests {
         let r = report();
         assert_eq!(r.duration_cycles(), 20_000);
         assert!((r.seconds() - 0.001).abs() < 1e-12);
-        assert!((r.proc_seconds(0) - 0.0005).abs() < 1e-12);
     }
 
     #[test]

@@ -132,18 +132,6 @@ impl LocalCache {
         Ok(PageAlloc::Allocated { evicted })
     }
 
-    /// Drop a page frame (used when the protocol migrates the last copy
-    /// away or a test wants a cold cache).
-    pub fn drop_page(&mut self, page: u64) {
-        let set = self.set_of(page);
-        let lane = set * self.ways;
-        for t in &mut self.tags[lane..lane + self.ways] {
-            if *t == page {
-                *t = EMPTY_TAG;
-            }
-        }
-    }
-
     /// Number of resident pages (diagnostics).
     #[must_use]
     pub fn resident_pages(&self) -> usize {
@@ -193,15 +181,6 @@ mod tests {
             other => panic!("expected eviction, got {other:?}"),
         }
         assert_eq!(c.resident_pages(), 16);
-    }
-
-    #[test]
-    fn drop_page_frees_frame() {
-        let mut c = cache();
-        c.ensure_page(0);
-        c.drop_page(0);
-        assert!(!c.page_present(0));
-        assert_eq!(c.resident_pages(), 0);
     }
 
     #[test]

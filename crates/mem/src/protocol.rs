@@ -457,15 +457,10 @@ impl MemorySystem {
         self.watched.remove(&subpage);
     }
 
-    /// Drain pending visibility events.
-    pub fn take_events(&mut self) -> Vec<MemEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Drain pending visibility events into a caller-owned buffer,
     /// keeping both buffers' capacity. The coordinator calls this once
-    /// per scheduled request; unlike [`Self::take_events`] it stops
-    /// allocating once the buffers reach their high-water mark.
+    /// per scheduled request, so it stops allocating once the buffers
+    /// reach their high-water mark.
     pub fn drain_events_into(&mut self, out: &mut Vec<MemEvent>) {
         out.append(&mut self.events);
     }
@@ -1464,17 +1459,17 @@ mod tests {
         m.watch(0);
         m.access(0, 0, MemOp::GetSubPage, 0);
         m.access(0, 0, MemOp::ReleaseSubPage, 500);
-        let ev = m.take_events();
+        let mut ev = Vec::new();
+        m.drain_events_into(&mut ev);
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].subpage, 0);
         assert!(ev[0].at >= 500);
         m.unwatch(0);
         m.access(0, 0, MemOp::GetSubPage, 1000);
         m.access(0, 0, MemOp::ReleaseSubPage, 2000);
-        assert!(
-            m.take_events().is_empty(),
-            "unwatched sub-pages stay silent"
-        );
+        ev.clear();
+        m.drain_events_into(&mut ev);
+        assert!(ev.is_empty(), "unwatched sub-pages stay silent");
     }
 
     #[test]
@@ -1482,7 +1477,9 @@ mod tests {
         let mut m = ksr(1);
         m.watch(subpage_of(256));
         m.access(0, 256, MemOp::Write, 0);
-        assert_eq!(m.take_events().len(), 1);
+        let mut ev = Vec::new();
+        m.drain_events_into(&mut ev);
+        assert_eq!(ev.len(), 1);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Sparse matrices for the CG kernel, in both of the paper's formats.
+//! The sparse matrix for the CG kernel, in the paper's improved
+//! row-start / column-index format.
 //!
 //! "The sequential code uses a sparse matrix representation based on a
 //! column start, row index format... the elements of y are computed in a
@@ -25,22 +26,6 @@ pub struct CsrMatrix {
     pub values: Vec<f64>,
 }
 
-/// Column-start / row-index (CSC) — the original NASA Ames format, kept
-/// for the format-comparison ablation: parallelizing over columns makes
-/// multiple processors update the same `y[row]`, necessitating
-/// synchronization on every `y` access.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CscMatrix {
-    /// Dimension.
-    pub n: usize,
-    /// `col_start[j]..col_start[j+1]` indexes column `j`'s entries.
-    pub col_start: Vec<usize>,
-    /// Row of each entry.
-    pub row_idx: Vec<usize>,
-    /// Value of each entry.
-    pub values: Vec<f64>,
-}
-
 impl CsrMatrix {
     /// Number of stored entries.
     #[must_use]
@@ -58,51 +43,6 @@ impl CsrMatrix {
                 sum += self.values[k] * x[self.col_idx[k]];
             }
             *yi = sum;
-        }
-    }
-
-    /// Convert to the original column-start format.
-    #[must_use]
-    pub fn to_csc(&self) -> CscMatrix {
-        let mut col_counts = vec![0usize; self.n + 1];
-        for &c in &self.col_idx {
-            col_counts[c + 1] += 1;
-        }
-        for j in 0..self.n {
-            col_counts[j + 1] += col_counts[j];
-        }
-        let mut col_start = col_counts.clone();
-        let mut row_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0.0; self.nnz()];
-        for i in 0..self.n {
-            for k in self.row_start[i]..self.row_start[i + 1] {
-                let j = self.col_idx[k];
-                let dst = col_start[j];
-                col_start[j] += 1;
-                row_idx[dst] = i;
-                values[dst] = self.values[k];
-            }
-        }
-        CscMatrix {
-            n: self.n,
-            col_start: col_counts,
-            row_idx,
-            values,
-        }
-    }
-}
-
-impl CscMatrix {
-    /// `y = A x` — the verbatim Figure-6 loop: piece-meal accumulation
-    /// into `y` through the `row_idx` indirection.
-    pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        y.fill(0.0);
-        for (j, &xj) in x.iter().enumerate() {
-            for k in self.col_start[j]..self.col_start[j + 1] {
-                y[self.row_idx[k]] += self.values[k] * xj;
-            }
         }
     }
 }
@@ -214,20 +154,6 @@ mod tests {
                 cols.windows(2).all(|w| w[0] < w[1]),
                 "row {i} unsorted or dup"
             );
-        }
-    }
-
-    #[test]
-    fn csr_and_csc_matvec_agree() {
-        let a = random_spd(64, 7, 11);
-        let csc = a.to_csc();
-        let x: Vec<f64> = (0..a.n).map(|i| (i as f64).sin()).collect();
-        let mut y1 = vec![0.0; a.n];
-        let mut y2 = vec![0.0; a.n];
-        a.matvec(&x, &mut y1);
-        csc.matvec(&x, &mut y2);
-        for i in 0..a.n {
-            assert!((y1[i] - y2[i]).abs() < 1e-9, "mismatch at {i}");
         }
     }
 

@@ -21,7 +21,7 @@
 
 pub mod matrix;
 
-pub use matrix::{random_spd, CscMatrix, CsrMatrix};
+pub use matrix::{random_spd, CsrMatrix};
 
 use ksr_core::Result;
 use ksr_machine::{program, Machine, Program, SharedF64, SharedU64};

@@ -98,15 +98,6 @@ impl Topology {
         }
     }
 
-    /// Ring depth (levels), if this is a ring topology.
-    #[must_use]
-    pub fn ring_depth(&self) -> Option<usize> {
-        match self {
-            Self::Ring(cfg) => Some(cfg.depth()),
-            _ => None,
-        }
-    }
-
     /// Validate the shape (geometry only; [`Topology::validate_for`] also
     /// checks a cell count against capacity).
     pub fn validate(&self) -> Result<()> {

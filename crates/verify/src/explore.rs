@@ -18,9 +18,7 @@
 //! This enumerates each complete decision vector exactly once, in
 //! lexicographic order (deterministic output), bounded by a run budget
 //! and a choice-point depth. A per-run **state hash** counts distinct
-//! terminal states and, optionally, prunes subtrees rooted at a state
-//! already fully explored — the small-scope analogue of the stateful
-//! pruning in DPOR-family model checkers.
+//! terminal states.
 //!
 //! The module is machine-agnostic: the caller supplies a closure that
 //! runs one schedule and reports its [`RunOutcome`], so `ksr-verify`
@@ -38,11 +36,6 @@ pub struct ExploreConfig {
     /// Choice points beyond this depth are never branched on (their
     /// default resolution is still taken).
     pub max_choice_points: usize,
-    /// Skip branching out of a run whose terminal state hash was already
-    /// seen. Sound for detecting *which* violations are reachable (a
-    /// repeated terminal state cannot surface a new one from the same
-    /// workload), unsound for counting schedules.
-    pub prune_seen_states: bool,
 }
 
 impl Default for ExploreConfig {
@@ -50,7 +43,6 @@ impl Default for ExploreConfig {
         Self {
             max_runs: 4096,
             max_choice_points: 64,
-            prune_seen_states: false,
         }
     }
 }
@@ -123,7 +115,6 @@ pub fn explore(
     let mut runs = 0;
     let mut truncated = false;
     let mut states: BTreeSet<u64> = BTreeSet::new();
-    let mut explored_states: BTreeSet<u64> = BTreeSet::new();
     let mut seen_violations: BTreeSet<(String, String)> = BTreeSet::new();
     let mut violations: Vec<WitnessedViolation> = Vec::new();
 
@@ -148,9 +139,6 @@ pub fn explore(
                     schedule: outcome.decisions.clone(),
                 });
             }
-        }
-        if cfg.prune_seen_states && !explored_states.insert(outcome.state_hash) {
-            continue;
         }
         // Children: flip each not-yet-fixed choice point. Only positions
         // at or beyond the prefix can branch (earlier ones were fixed by
@@ -263,36 +251,6 @@ mod tests {
         let report = explore(cfg, binary_tree_runner(4, &[9, 9, 9, 9]));
         assert_eq!(report.runs, 4);
         assert!(!report.truncated);
-    }
-
-    #[test]
-    fn state_pruning_collapses_confluent_schedules() {
-        // A workload whose state ignores the first decision: pruning
-        // must cut the subtree revisit while exact mode runs all 8.
-        let runner = |prefix: &[usize]| {
-            let decisions: Vec<usize> = (0..3)
-                .map(|i| prefix.get(i).copied().unwrap_or(0).min(1))
-                .collect();
-            let state = decisions[1] as u64 * 2 + decisions[2] as u64;
-            RunOutcome {
-                fanouts: vec![2; 3],
-                decisions,
-                state_hash: state,
-                violations: Vec::new(),
-            }
-        };
-        let exact = explore(ExploreConfig::default(), runner);
-        assert_eq!(exact.runs, 8);
-        assert_eq!(exact.distinct_states, 4);
-        let pruned = explore(
-            ExploreConfig {
-                prune_seen_states: true,
-                ..ExploreConfig::default()
-            },
-            runner,
-        );
-        assert!(pruned.runs < exact.runs, "{} runs", pruned.runs);
-        assert_eq!(pruned.distinct_states, 4);
     }
 
     #[test]

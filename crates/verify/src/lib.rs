@@ -6,7 +6,7 @@
 //! time — a checked run produces bit-identical results to an unchecked
 //! one (asserted by the `trace_determinism` suite).
 //!
-//! Five passes:
+//! Four passes:
 //!
 //! * [`checker`] — a [`checker::CheckingSink`] that shadows every
 //!   sub-page's global coherence state from the event stream and asserts
@@ -20,9 +20,6 @@
 //!   detector over per-processor data accesses, with synchronization
 //!   edges derived from `get_sub_page`/`release_sub_page`, native atomic
 //!   RMWs, and flag handoffs (write → poststore/snarf → spin).
-//! * [`lint`] — static checks over program *schedules* before any
-//!   simulation runs: mismatched barrier arity, lock acquire without
-//!   release, prefetch of a sub-page that is never read.
 //! * [`predict`] — predictive passes over one observed trace: an
 //!   Eraser-style lockset detector ([`predict::lockset_analysis`])
 //!   catching locking-discipline violations even when this run's vector
@@ -32,21 +29,20 @@
 //! * [`explore`] — a small-scope exhaustive schedule explorer
 //!   ([`explore::explore`]): enumerate every resolution of the
 //!   coordinator's equal-time ties (via `ksr_machine::ScheduleOracle`),
-//!   re-running the checkers on each interleaving with state-hash
-//!   pruning and a bounded budget.
+//!   re-running the checkers on each interleaving within a bounded
+//!   budget.
 //!
-//! The bench harness wires all of these into `run_all --check` and
-//! writes a machine-readable `violations.json`.
+//! The bench harness wires the first three into `run_all --check`,
+//! which writes a machine-readable `violations.json`; the explorer
+//! drives the `EXPLORE` experiment.
 
 pub mod checker;
 pub mod explore;
-pub mod lint;
 pub mod predict;
 pub mod race;
 pub mod report;
 
 pub use checker::{CheckerConfig, CheckingSink, Rule, Violation};
 pub use explore::{ExploreConfig, ExploreReport, RunOutcome, WitnessedViolation};
-pub use lint::{lint_schedules, LintFinding, LintRule, ProcSchedule, SchedOp};
 pub use predict::{lockset_analysis, LockOrderGraph, PredictFinding, PredictRule, PredictiveSink};
 pub use race::{Access, CollectingSink, RaceDetector, RaceReport};

@@ -143,14 +143,8 @@ struct VarState {
     reads: FxHashMap<usize, (u64, Cycles)>,
 }
 
-/// Vector-clock happens-before race detector.
-///
-/// Feed it one or more event batches with [`ingest`](Self::ingest),
-/// marking global barriers between batches (e.g. separate
-/// `Machine::run` calls, which join every program) with
-/// [`run_boundary`](Self::run_boundary), then collect reports with
-/// [`finish`](Self::finish). For a single-run workload,
-/// [`analyze`](Self::analyze) does all three.
+/// Vector-clock happens-before race detector over one run's events
+/// ([`analyze`](Self::analyze)).
 #[derive(Debug)]
 pub struct RaceDetector {
     nprocs: usize,
@@ -185,11 +179,12 @@ impl RaceDetector {
         }
     }
 
-    /// One-shot analysis of a single run's events.
+    /// Analyze a single run's events and return the reports found, in
+    /// detection order (deterministic).
     #[must_use]
     pub fn analyze(mut self, events: &[TraceEvent]) -> Vec<RaceReport> {
         self.ingest(events);
-        self.finish()
+        self.reports
     }
 
     /// Sub-pages acting as synchronization objects anywhere in `events`:
@@ -326,9 +321,8 @@ impl RaceDetector {
         }
     }
 
-    /// Feed one batch of events (typically everything collected from one
-    /// `Machine::run`). Events are processed in virtual-time order.
-    pub fn ingest(&mut self, events: &[TraceEvent]) {
+    /// Feed the run's events, in virtual-time order.
+    fn ingest(&mut self, events: &[TraceEvent]) {
         let sync = Self::sync_subpages(events);
         let mut order: Vec<usize> = (0..events.len()).collect();
         // Stable sort: equal-cycle events keep arrival (coordinator
@@ -363,27 +357,6 @@ impl RaceDetector {
                 _ => {}
             }
         }
-    }
-
-    /// Mark a global barrier between runs: every program of the previous
-    /// `Machine::run` happens-before every program of the next one (the
-    /// coordinator drains all programs before `run` returns).
-    pub fn run_boundary(&mut self) {
-        let mut all = VectorClock::new(self.nprocs);
-        for c in &self.clocks {
-            all.join(c);
-        }
-        for (p, c) in self.clocks.iter_mut().enumerate() {
-            c.join(&all);
-            c.tick(p);
-        }
-    }
-
-    /// Consume the detector and return the reports found, in detection
-    /// order (deterministic).
-    #[must_use]
-    pub fn finish(self) -> Vec<RaceReport> {
-        self.reports
     }
 }
 
@@ -511,15 +484,6 @@ mod tests {
             },
         ]);
         assert!(reports.is_empty(), "{reports:?}");
-    }
-
-    #[test]
-    fn run_boundary_orders_across_runs() {
-        let mut det = RaceDetector::new(2);
-        det.ingest(&[write(10, 0, 512)]);
-        det.run_boundary();
-        det.ingest(&[write(10, 1, 512)]);
-        assert!(det.finish().is_empty());
     }
 
     #[test]

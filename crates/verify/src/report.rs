@@ -1,16 +1,15 @@
 //! Machine-readable rendering of verification results.
 //!
 //! Helpers turning [`TraceEvent`]s, checker [`Violation`]s, race
-//! reports, and lint findings into [`ksr_core::Json`] values, plus the
-//! assembler for the `violations.json` document the bench harness writes
-//! in `--check` mode. Rendering is deterministic (insertion-order keys),
+//! reports, and predictive findings into [`ksr_core::Json`] values, the
+//! pieces of the `violations.json` document the bench harness writes in
+//! `--check` mode. Rendering is deterministic (insertion-order keys),
 //! so a fixed seeded run produces a byte-identical file.
 
 use ksr_core::trace::TraceEvent;
 use ksr_core::Json;
 
 use crate::checker::Violation;
-use crate::lint::LintFinding;
 use crate::predict::PredictFinding;
 use crate::race::RaceReport;
 
@@ -101,16 +100,6 @@ pub fn race_to_json(r: &RaceReport) -> Json {
     ])
 }
 
-/// One lint finding.
-#[must_use]
-pub fn lint_to_json(f: &LintFinding) -> Json {
-    Json::obj([
-        ("rule", Json::from(f.rule.label())),
-        ("proc", f.proc.map_or(Json::Null, Json::from)),
-        ("message", Json::from(f.message.as_str())),
-    ])
-}
-
 /// One predictive finding (lockset / lock-order pass).
 #[must_use]
 pub fn predict_to_json(f: &PredictFinding) -> Json {
@@ -126,7 +115,6 @@ pub fn predict_to_json(f: &PredictFinding) -> Json {
 mod tests {
     use super::*;
     use crate::checker::Rule;
-    use crate::lint::LintRule;
     use crate::race::Access;
     use ksr_core::trace::TraceState;
 
@@ -209,15 +197,5 @@ mod tests {
             predict_to_json(&f).render(),
             r#"{"rule":"potential_deadlock","addr":7,"cells":[0,1],"message":"m"}"#
         );
-    }
-
-    #[test]
-    fn lint_json_null_proc_for_global_findings() {
-        let f = LintFinding {
-            rule: LintRule::BarrierParticipantCount,
-            proc: None,
-            message: "m".into(),
-        };
-        assert!(lint_to_json(&f).render().contains(r#""proc":null"#));
     }
 }

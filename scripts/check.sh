@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Repo-wide gate: formatting, lints, docs, the workspace tests (among
 # them the quick-suite goldens, which also cover worker counts, the
-# results cache, prune and sharding), a run of every example, the
-# host-speed benchmark's digests, checked runs whose reports must equal
-# their committed copies, and a full-size run that must reproduce the
-# committed results/ byte for byte. Run from the repo root before
-# pushing.
+# results cache, prune and sharding, and the checked quick run, whose
+# report must equal its committed copy), a run of every example, the
+# host-speed benchmark's digests, a full-size checked run of the
+# 1024-cell storms whose report must equal its committed copy, and a
+# full-size run that must reproduce the committed results/ byte for
+# byte. Run from the repo root before pushing.
 #
 # Every run lands in a throwaway directory. The one file this script
 # writes under results/ is timings.json, copied from the full-size run:
@@ -69,40 +70,30 @@ for w in lock_handoff_1024 atomic_hotspot_1024 apps_32 checked_mix; do
 done
 rm -f "$bench_err"
 
-tmp_check=$(mktemp -d)
 tmp_check_full=$(mktemp -d)
 tmp_full=$(mktemp -d)
-trap 'rm -rf "$tmp_check" "$tmp_check_full" "$tmp_full"' EXIT
-
-# Each checked run's violations.json must equal its committed copy byte
-# for byte. Besides the verdicts, the copy holds every experiment's
-# machine and checked-event counts, so a trace event lost or delivered
-# twice fails here even when the checker stays clean. A change that
-# alters a report on purpose replaces the copy and says why.
-checked_goldens=crates/bench/tests/checked
-compare_violations() {
-    if ! cmp -s "$checked_goldens/$1" "$2/violations.json"; then
-        diff "$checked_goldens/$1" "$2/violations.json" | head -n 20 >&2 || true
-        echo "checked gate: $2/violations.json differs from $checked_goldens/$1" >&2
-        exit 1
-    fi
-}
-
-echo "==> run_all --check --quick (coherence + race + predictive + lint verification)"
-# Exits non-zero on any coherence violation, data race, predictive
-# finding, or schedule lint; the full report lands in violations.json.
-cargo run --quiet --release -p ksr-bench --bin run_all -- \
-    --check --quick --results "$tmp_check" > "$tmp_check/stdout.txt"
-compare_violations quick.violations.json "$tmp_check"
+trap 'rm -rf "$tmp_check_full" "$tmp_full"' EXIT
 
 echo "==> run_all --check --full --only CMB,LCK (1024-cell hot spot and lock storms under the checker)"
-# The aggregate quick run above already checks every experiment. This
-# run checks the full-size hot spot and lock storms, where one sub-page's
-# holder list reaches every one of 1024 cells: the sizes at which an
-# O(holders) step per event in the protocol or the checker would show.
+# Exits non-zero on any coherence violation, data race or predictive
+# finding. The quick checked run of every experiment is a workspace test
+# (crates/bench/tests/pipeline.rs); this run checks the full-size hot
+# spot and lock storms, where one sub-page's holder list reaches every
+# one of 1024 cells: the sizes at which an O(holders) step per event in
+# the protocol or the checker would show. Its violations.json must equal
+# the committed copy byte for byte: besides the verdicts, the copy holds
+# every experiment's machine and checked-event counts, so a trace event
+# lost or delivered twice fails here even when the checker stays clean.
+# A change that alters the report on purpose replaces the copy and says
+# why.
+golden=crates/bench/tests/checked/full-CMB-LCK.violations.json
 cargo run --quiet --release -p ksr-bench --bin run_all -- \
     --check --full --only CMB,LCK --results "$tmp_check_full" > "$tmp_check_full/stdout.txt"
-compare_violations full-CMB-LCK.violations.json "$tmp_check_full"
+if ! cmp -s "$golden" "$tmp_check_full/violations.json"; then
+    diff "$golden" "$tmp_check_full/violations.json" | head -n 20 >&2 || true
+    echo "checked gate: $tmp_check_full/violations.json differs from $golden" >&2
+    exit 1
+fi
 
 echo "==> full-size golden gate: run_all --full --seed 0 must reproduce results/ byte for byte"
 # Every committed artifact except the wall-clock timings.json must come

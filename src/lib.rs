@@ -16,8 +16,9 @@
 //! * [`sync`] — locks and the nine barrier algorithms of §3.2.
 //! * [`nas`] — the EP, CG, IS kernels and the SP application of §3.3.
 //! * [`verify`] — trace-driven coherence checking, happens-before race
-//!   detection, predictive lockset/lock-order analysis, small-scope
-//!   schedule exploration, and static schedule lints (`run_all --check`).
+//!   detection and predictive lockset/lock-order analysis (`run_all
+//!   --check`), and small-scope schedule exploration (the `EXPLORE`
+//!   experiment).
 //! * [`bench`](mod@bench) — the experiment registry, executor, and
 //!   `--check` harness behind every `results/` artifact, driven by the
 //!   `run_all` binary.

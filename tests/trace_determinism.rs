@@ -2,7 +2,7 @@
 //! cycle of the simulation, and the machine must report identical
 //! virtual-time results with tracing on or off.
 
-use ksr_core::trace::{TraceKind, Tracer};
+use ksr_core::trace::{CountingSink, TraceKind, Tracer};
 use ksr_machine::{program, read_stream, Machine, PerfSnapshot, Program};
 use ksr_sync::{AnyBarrier, BarrierAlg, BarrierKind, Episode};
 
@@ -51,7 +51,7 @@ fn run_workload(tracer: Option<Tracer>) -> RunOutcome {
 #[test]
 fn tracing_does_not_change_the_simulation() {
     let off = run_workload(None);
-    let (tracer, counts) = Tracer::counting();
+    let (tracer, counts) = Tracer::attach(CountingSink::default());
     let on = run_workload(Some(tracer));
 
     assert_eq!(
