@@ -27,15 +27,12 @@ use ksr_net::{RingHierarchyConfig, Topology};
 use ksr_sync::{episode_seconds, BarrierAlg, McsBarrier, TournamentBarrier};
 
 use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "ABL";
 /// Registry title.
 pub const TITLE: &str = "Ablations of the paper's explanatory mechanisms";
-/// Cache schema version of the ablation jobs — bump when any driver or
-/// the job layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// Mean barrier episode seconds, after two warm-up episodes, of the
 /// barrier `alloc` places on a machine built from `cfg`.
@@ -94,32 +91,26 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     ];
     let seed1 = opts.machine_seed(1);
     for (variant, protocol) in wakeup_variants {
-        let desc = JobDesc::new(ID, SCHEMA, format!("ABL wakeup {variant}"), opts)
-            .seed(seed1)
-            .param("mechanism", "wakeup")
-            .param("variant", variant)
-            .param("procs", procs)
-            .param("episodes", episodes);
-        jobs.push(Job::value(desc, "wakeup_episode_seconds", "s", move || {
-            let mut cfg = MachineConfig::ksr1(seed1);
-            cfg.protocol = protocol;
-            episode_secs(cfg, episodes, |m| {
-                TournamentBarrier::alloc(m, procs, true).expect("alloc")
-            })
-        }));
+        jobs.push(Job::value(
+            format!("ABL wakeup {variant}"),
+            "wakeup_episode_seconds",
+            "s",
+            move || {
+                let mut cfg = MachineConfig::ksr1(seed1);
+                cfg.protocol = protocol;
+                episode_secs(cfg, episodes, |m| {
+                    TournamentBarrier::alloc(m, procs, true).expect("alloc")
+                })
+            },
+        ));
     }
 
     // 2. Sub-ring interleaving: one pooled 24-slot lane. The two
     // interleaved 12-slot lanes it is compared with are the default
     // ring, which the slot sweep's 24-slot job already runs.
     let seed2 = opts.machine_seed(2);
-    let desc = JobDesc::new(ID, SCHEMA, "ABL subrings=1", opts)
-        .seed(seed2)
-        .param("mechanism", "subrings")
-        .param("subrings", 1usize)
-        .param("procs", procs);
     jobs.push(Job::value(
-        desc,
+        "ABL subrings=1",
         "hammer_latency_cycles",
         "cycles",
         move || {
@@ -134,13 +125,8 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     // 3. Slot-count sweep: where does the saturation knee go?
     let seed3 = opts.machine_seed(3);
     for slots in [8usize, 16, 24, 32] {
-        let desc = JobDesc::new(ID, SCHEMA, format!("ABL slots={slots}"), opts)
-            .seed(seed3)
-            .param("mechanism", "slots")
-            .param("slots", slots)
-            .param("procs", procs);
         jobs.push(Job::value(
-            desc,
+            format!("ABL slots={slots}"),
             "hammer_latency_cycles",
             "cycles",
             move || {
@@ -156,20 +142,19 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     // 4. MCS arrival-arity sweep: tree height vs packed-word false sharing.
     let seed4 = opts.machine_seed(4);
     for arity in [2usize, 4, 8] {
-        let desc = JobDesc::new(ID, SCHEMA, format!("ABL mcs arity={arity}"), opts)
-            .seed(seed4)
-            .param("mechanism", "mcs_arity")
-            .param("arity", arity)
-            .param("procs", procs)
-            .param("episodes", episodes);
-        jobs.push(Job::value(desc, "mcs_episode_seconds", "s", move || {
-            episode_secs(MachineConfig::ksr1(seed4), episodes, |m| {
-                McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
-            })
-        }));
+        jobs.push(Job::value(
+            format!("ABL mcs arity={arity}"),
+            "mcs_episode_seconds",
+            "s",
+            move || {
+                episode_secs(MachineConfig::ksr1(seed4), episodes, |m| {
+                    McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
+                })
+            },
+        ));
     }
 
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let full = res.value(0);
         let snarf_only = res.value(1);

@@ -29,12 +29,6 @@
 //!
 //! Everything lands in `<results>/violations.json`; any violation makes
 //! the run exit non-zero, which is how `scripts/check.sh` gates CI.
-//!
-//! Checked runs bypass the results cache entirely (`--cache` is
-//! ignored, with a notice): a cache hit would skip the job and with it
-//! every verification pass, and a checked run's purpose is to observe
-//! the execution, not to reuse old rows. `--shard` with `--check` is
-//! rejected at argument parsing for the same reason.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};

@@ -15,33 +15,21 @@
 //!   `ksr-verify` coherence-checking sink, the race-detector and
 //!   predictive suites run over a traced IS kernel afterwards, and
 //!   `violations.json` lands next to the results (non-zero exit on any
-//!   violation);
-//! * `--cache DIR` — content-addressed results cache: jobs whose
-//!   fingerprint is present load instead of executing, everything else
-//!   executes and populates the cache (bypassed under `--check`, whose
-//!   point is observing execution);
-//! * `--shard i/N` — run only shard `i` of `N` of the flattened job
-//!   list into the cache (requires `--cache`; writes no artifacts). A
-//!   plain `--cache` run after every shard has finished executes nothing
-//!   and writes the artifacts; its `[cache: ...]` line counts as misses
-//!   any jobs a missing shard left out;
-//! * `--prune` — delete cache entries from dead generations (stale
-//!   schemas, removed experiments, corrupt files), then exit (requires
-//!   `--cache`).
+//!   violation).
 //!
 //! Output discipline: rendered experiment results go to **stdout** (so
 //! runs pipe cleanly into files and diffs); everything else — per-job
-//! progress, `[written:]` / `[summary:]` / `[check:]` / `[cache:]`
-//! status lines, errors — goes to **stderr**.
+//! progress, `[written:]` / `[summary:]` / `[check:]` status lines,
+//! errors — goes to **stderr**.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use ksr_core::{Json, Progress};
 
-use crate::common::{write_summary, ExperimentOutput, RunOpts, Shard, MAX_DEFAULT_JOBS};
-use crate::exec::{self, CacheStats, PlanTimings};
-use crate::registry::{find, live_schemas, Experiment, REGISTRY};
+use crate::common::{write_summary, ExperimentOutput, RunOpts, MAX_DEFAULT_JOBS};
+use crate::exec::{self, PlanTimings};
+use crate::registry::{find, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus the selection flags.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,16 +41,12 @@ pub struct Cli {
     /// `--only`: ids to run, upper-cased, each once in first-seen
     /// order (empty means all).
     pub only: Vec<String>,
-    /// `--prune`: drop dead cache generations instead of running.
-    pub prune: bool,
 }
 
 /// Parse `args` (not including the program name) over the defaults:
-/// full size, seed 0, `results/`, no check, no cache, and the host
-/// parallelism capped at [`MAX_DEFAULT_JOBS`] workers. Returns an error
-/// message for unknown or malformed flags (including an `--only` that
-/// names no id) and for inconsistent combinations (sharding without a
-/// cache, `--shard` with `--check`).
+/// full size, seed 0, `results/`, no check, and the host parallelism
+/// capped at [`MAX_DEFAULT_JOBS`] workers. Returns an error message for
+/// unknown or malformed flags (including an `--only` that names no id).
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         opts: RunOpts {
@@ -73,7 +57,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
         },
         list: false,
         only: Vec::new(),
-        prune: false,
     };
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
@@ -82,20 +65,12 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
             "--full" => cli.opts.quick = false,
             "--check" => cli.opts.check = true,
             "--list" => cli.list = true,
-            "--prune" => cli.prune = true,
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value")?;
                 cli.opts.seed = v.parse().map_err(|_| format!("bad --seed value: {v}"))?;
             }
             "--results" => {
                 cli.opts.results_dir = args.next().ok_or("--results needs a directory")?.into();
-            }
-            "--cache" => {
-                cli.opts.cache = Some(args.next().ok_or("--cache needs a directory")?.into());
-            }
-            "--shard" => {
-                let v = args.next().ok_or("--shard needs i/N")?;
-                cli.opts.shard = Some(Shard::parse(&v)?);
             }
             "--jobs" | "-j" => {
                 let v = args.next().ok_or("--jobs needs a worker count")?;
@@ -123,30 +98,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if cli.opts.shard.is_some() {
-        if cli.opts.cache.is_none() {
-            return Err("--shard requires --cache DIR: shards \
-                 communicate through the cache"
-                .into());
-        }
-        if cli.opts.check {
-            return Err(
-                "--shard conflicts with --check: checked runs bypass the cache, \
-                 so a checked shard would produce nothing"
-                    .into(),
-            );
-        }
-    }
-    if cli.prune && cli.opts.cache.is_none() {
-        return Err("--prune requires --cache DIR: it needs a cache to clean".into());
-    }
     Ok(cli)
 }
 
 fn usage() -> String {
     format!(
         "usage: run_all [--quick|--full] [--check] [--seed N] [--results DIR] [--jobs N] \
-         [--cache DIR] [--shard i/N] [--list] [--only ID,ID...] [--prune]\n\
+         [--list] [--only ID,ID...]\n\
          ids: {}",
         crate::registry::ids().join(", ")
     )
@@ -168,57 +126,23 @@ fn print_registry_to_stderr() {
 /// selected experiments' files. Under `--check`, the per-experiment
 /// coherence results are merged in job order and
 /// [`crate::check::finalize`] runs the race and predict suites and writes
-/// `violations.json`.
-///
-/// With `opts.shard` set this is a shard run instead: execute this
-/// process's slice of the job list into the cache and stop — no
-/// rendering, no artifacts except, with `summary` set, `timings.json`
-/// (which carries the hit/miss/skip counters).
+/// `violations.json`. A result file that cannot be written fails the
+/// run, as a failed `summary.json` or `violations.json` write does.
 fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
     let report = exec::execute(plans, opts, &Progress::stderr());
     let wall_seconds = wall_start.elapsed().as_secs_f64();
-    let cache = report.cache.map(|stats| (stats, report.total_jobs));
-
-    if let Some(shard) = opts.shard {
-        let stats = report.cache.expect("--shard requires --cache");
-        let cache_dir = opts.cache.as_deref().expect("--shard requires --cache");
-        eprintln!(
-            "[shard {shard}: {} executed, {} already cached, {} left to other shards → {}]",
-            stats.misses,
-            stats.hits,
-            stats.skipped,
-            cache_dir.display(),
-        );
-        if summary {
-            if let Err(e) = write_timings(&report.timings, wall_seconds, opts, cache) {
-                eprintln!("[warning: could not write timings: {e}]");
-            }
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(stats) = report.cache {
-        let cache_dir = opts.cache.as_deref().expect("stats imply a cache");
-        eprintln!(
-            "[cache: {} hit(s), {} miss(es) of {} job(s) → {}]",
-            stats.hits,
-            stats.misses,
-            report.total_jobs,
-            cache_dir.display(),
-        );
-    } else if opts.cache.is_some() && opts.check {
-        eprintln!("[cache: bypassed under --check (violations are observed, not cached)]");
-    }
-
     let mut outputs: Vec<ExperimentOutput> = Vec::with_capacity(report.results.len());
     let mut checks = Vec::new();
     for (exp, result) in selected.iter().zip(report.results) {
         println!("{}", result.output.render());
         match result.output.write_to(&opts.results_dir) {
             Ok(path) => eprintln!("[written: {}]", path.display()),
-            Err(e) => eprintln!("[warning: could not write results file: {e}]"),
+            Err(e) => {
+                eprintln!("error: could not write results file: {e}");
+                return ExitCode::FAILURE;
+            }
         }
         if let Some(check) = result.check {
             eprintln!(
@@ -241,7 +165,7 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> Exi
                 return ExitCode::FAILURE;
             }
         }
-        if let Err(e) = write_timings(&report.timings, wall_seconds, opts, cache) {
+        if let Err(e) = write_timings(&report.timings, wall_seconds, opts) {
             eprintln!("[warning: could not write timings: {e}]");
         }
     }
@@ -261,56 +185,34 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> Exi
 }
 
 /// Write `timings.json`: per-experiment wall-clock seconds, each with
-/// its executed jobs' labels and seconds in plan order (jobs served from
-/// the cache are left out), plus the run's worker count, total wall
-/// time, and (when a cache was active) the hit/miss/skip counters.
-/// Timings are the one nondeterministic output, so they live in their
-/// own file that the determinism gates exclude from byte comparison —
-/// which is also why the cache counters belong here and not in
-/// `summary.json`.
+/// its jobs' labels and seconds in plan order, plus the run's worker
+/// count and total wall time. Timings are the one nondeterministic
+/// output, so they live in their own file that the determinism gates
+/// exclude from byte comparison.
 fn write_timings(
     timings: &[PlanTimings],
     wall_seconds: f64,
     opts: &RunOpts,
-    cache: Option<(CacheStats, usize)>,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(&opts.results_dir)?;
-    let mut doc = Json::obj([
+    let experiments = timings.iter().map(|t| {
+        let jobs = t.jobs.iter().map(|(label, seconds)| {
+            Json::obj([
+                ("label", Json::from(label.as_str())),
+                ("seconds", Json::from(*seconds)),
+            ])
+        });
+        Json::obj([
+            ("id", Json::from(t.id)),
+            ("seconds", Json::from(t.seconds())),
+            ("jobs", Json::arr(jobs)),
+        ])
+    });
+    let doc = Json::obj([
         ("jobs", Json::from(opts.jobs)),
         ("wall_seconds", Json::from(wall_seconds)),
+        ("experiments", Json::arr(experiments)),
     ]);
-    if let Some((stats, total_jobs)) = cache {
-        doc.push_field(
-            "cache",
-            Json::obj([
-                ("hits", Json::from(stats.hits)),
-                ("misses", Json::from(stats.misses)),
-                ("skipped", Json::from(stats.skipped)),
-                ("total_jobs", Json::from(total_jobs)),
-            ]),
-        );
-    }
-    doc.push_field(
-        "experiments",
-        Json::Arr(
-            timings
-                .iter()
-                .map(|t| {
-                    let jobs = t.jobs.iter().map(|(label, seconds)| {
-                        Json::obj([
-                            ("label", Json::from(label.as_str())),
-                            ("seconds", Json::from(*seconds)),
-                        ])
-                    });
-                    Json::obj([
-                        ("id", Json::from(t.id)),
-                        ("seconds", Json::from(t.seconds())),
-                        ("jobs", Json::arr(jobs)),
-                    ])
-                })
-                .collect(),
-        ),
-    );
     let path = opts.results_dir.join("timings.json");
     let mut body = doc.render_pretty();
     body.push('\n');
@@ -331,16 +233,12 @@ pub fn run_all_main() -> ExitCode {
     };
     if cli.list {
         // Job counts come from plan() under the effective options, so
-        // `--quick --list` shows the quick grid — exactly what a user
-        // sizing --shard N is about to run.
+        // `--quick --list` shows the quick grid.
         for e in REGISTRY {
             let jobs = e.plan(&cli.opts).jobs().len();
             println!("{:<8} {:>4} job(s)  {}", e.id(), jobs, e.title());
         }
         return ExitCode::SUCCESS;
-    }
-    if cli.prune {
-        return prune_cache(&cli.opts);
     }
     let selected: Vec<&Experiment> = if cli.only.is_empty() {
         REGISTRY.iter().collect()
@@ -359,28 +257,6 @@ pub fn run_all_main() -> ExitCode {
         sel
     };
     run_selection(&selected, &cli.opts, cli.only.is_empty())
-}
-
-/// Delete cache entries no current experiment generation can ever hit:
-/// the [`live_schemas`] stay, anything else — stale schemas, removed
-/// experiments, corrupt files — goes.
-fn prune_cache(opts: &RunOpts) -> ExitCode {
-    let dir = opts.cache.clone().expect("parse_args enforces --cache");
-    match crate::cache::ResultsCache::new(&dir).prune(&live_schemas(opts)) {
-        Ok(stats) => {
-            eprintln!(
-                "[prune: {} entries removed, {} kept → {}]",
-                stats.pruned,
-                stats.kept,
-                dir.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: could not prune {}: {e}", dir.display());
-            ExitCode::FAILURE
-        }
-    }
 }
 
 #[cfg(test)]
@@ -439,38 +315,11 @@ mod tests {
             "an --only that names no id"
         );
         assert!(parse_args(["--only", ""].map(String::from)).is_err());
-    }
-
-    #[test]
-    fn cache_and_shard_flags_parse() {
-        let cli = parse_args(["--cache", "cdir", "--shard", "2/4"].map(String::from)).unwrap();
-        assert_eq!(cli.opts.cache, Some(std::path::PathBuf::from("cdir")));
-        assert_eq!(cli.opts.shard, Some(Shard { index: 2, count: 4 }));
-    }
-
-    #[test]
-    fn prune_flag_parses_and_requires_a_cache() {
-        let cli = parse_args(["--cache", "cdir", "--prune"].map(String::from)).unwrap();
-        assert!(cli.prune);
-        assert!(
-            parse_args(["--prune".to_string()]).is_err(),
-            "--prune without --cache"
-        );
-    }
-
-    #[test]
-    fn inconsistent_shard_combinations_are_errors() {
-        assert!(
-            parse_args(["--shard", "1/2"].map(String::from)).is_err(),
-            "--shard without --cache"
-        );
-        assert!(
-            parse_args(["--cache", "c", "--shard", "1/2", "--check"].map(String::from)).is_err(),
-            "--shard with --check"
-        );
-        assert!(parse_args(["--shard".to_string()]).is_err());
-        assert!(parse_args(["--shard", "0/2"].map(String::from)).is_err());
-        assert!(parse_args(["--shard", "3/2"].map(String::from)).is_err());
-        assert!(parse_args(["--cache".to_string()]).is_err());
+        for retired in [&["--cache", "d"][..], &["--shard", "1/2"], &["--prune"]] {
+            assert!(
+                parse_args(retired.iter().map(|a| a.to_string())).is_err(),
+                "{retired:?} is no flag"
+            );
+        }
     }
 }

@@ -16,15 +16,12 @@ use ksr_machine::{program, Machine, MachineConfig, Program};
 use ksr_net::{RingHierarchyConfig, Topology};
 
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "CMB";
 /// Registry title.
 pub const TITLE: &str = "Hot-spot fetch-and-add with ARD combining (ablation)";
-/// Cache schema version of the CMB jobs — bump when [`hot_spot`] or the
-/// two-row job layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// One hot-spot run: every cell performs `ops` fetch-adds on one shared
 /// counter. Returns `(seconds per op, fraction of packets combined)`.
@@ -86,21 +83,19 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     for &(cells, spec) in &sizes {
         for combining in [false, true] {
             let tag = if combining { "on" } else { "off" };
-            let desc = JobDesc::new(ID, SCHEMA, format!("CMB p={cells} combining={tag}"), opts)
-                .seed(seed + cells as u64)
-                .param("cells", cells)
-                .param("combining", combining)
-                .param("ops", ops);
-            jobs.push(Job::new(desc, move || {
-                let (per_op, frac) = hot_spot(spec, combining, ops, seed + cells as u64);
-                vec![
-                    MetricRow::new("hot_spot_op_seconds", &[], per_op, "s"),
-                    MetricRow::new("combined_fraction", &[], frac, "ratio"),
-                ]
-            }));
+            jobs.push(Job::new(
+                format!("CMB p={cells} combining={tag}"),
+                move || {
+                    let (per_op, frac) = hot_spot(spec, combining, ops, seed + cells as u64);
+                    vec![
+                        MetricRow::new("hot_spot_op_seconds", &[], per_op, "s"),
+                        MetricRow::new("combined_fraction", &[], frac, "ratio"),
+                    ]
+                },
+            ));
         }
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         out.line(format_args!(
             "hot-spot fetch-add, every cell incrementing one counter ({ops} ops each):"

@@ -35,56 +35,6 @@ pub struct RunOpts {
     /// and the reduce runs in job order. Not recorded in `summary.json`
     /// for exactly that reason.
     pub jobs: usize,
-    /// Results cache directory (`--cache DIR`): jobs are
-    /// keyed by the fingerprint of their canonical descriptor, hits skip
-    /// execution, misses execute and populate the cache. `None` disables
-    /// caching. Like `jobs`, never recorded in result files — a warm run
-    /// is byte-identical to a cold one.
-    pub cache: Option<PathBuf>,
-    /// Shard assignment (`--shard i/N`): run only this process's slice
-    /// of the flattened job list into the cache, skipping reduces and
-    /// artifacts. Requires [`RunOpts::cache`].
-    pub shard: Option<Shard>,
-}
-
-/// One slice of a sharded sweep: this process is shard `index` (1-based)
-/// of `count`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    /// 1-based shard index in `1..=count`.
-    pub index: usize,
-    /// Total number of shards.
-    pub count: usize,
-}
-
-impl Shard {
-    /// Parse the `--shard i/N` form. Errors on anything but
-    /// `1 <= i <= N`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let err = || format!("bad --shard value {s:?}: expected i/N with 1 <= i <= N");
-        let (i, n) = s.split_once('/').ok_or_else(err)?;
-        let index: usize = i.parse().map_err(|_| err())?;
-        let count: usize = n.parse().map_err(|_| err())?;
-        if index == 0 || count == 0 || index > count {
-            return Err(err());
-        }
-        Ok(Self { index, count })
-    }
-
-    /// Whether this shard owns the job at 0-based flattened index
-    /// `job_index`. Round-robin over the index — not a hash — so every
-    /// shard gets an even slice of each experiment's sweep and the
-    /// partition is trivially exhaustive and disjoint.
-    #[must_use]
-    pub fn owns(&self, job_index: usize) -> bool {
-        job_index % self.count == self.index - 1
-    }
-}
-
-impl std::fmt::Display for Shard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
 }
 
 /// Cap on the jobs default inferred from host parallelism; an explicit
@@ -99,8 +49,6 @@ impl Default for RunOpts {
             results_dir: PathBuf::from("results"),
             check: false,
             jobs: 1,
-            cache: None,
-            shard: None,
         }
     }
 }
@@ -165,24 +113,6 @@ impl MetricRow {
             ("value", Json::from(self.value)),
             ("unit", Json::from(self.unit.as_str())),
         ])
-    }
-
-    /// Parse the [`MetricRow::to_json`] form back — how the results
-    /// cache deserializes entries. `None` on any shape mismatch, which
-    /// the cache treats as a miss. Round-trip contract:
-    /// `from_json(row.to_json())` re-renders byte-identically, so
-    /// cached rows reduce to byte-identical artifacts.
-    #[must_use]
-    pub fn from_json(v: &Json) -> Option<Self> {
-        Some(Self {
-            metric: v.get("metric")?.as_str()?.to_string(),
-            params: v.get("params")?.as_obj()?.to_vec(),
-            // `value` is rendered as a JSON number; a non-finite value
-            // renders `null` and deliberately fails to parse back (the
-            // job re-runs rather than resurrecting a guessed NaN).
-            value: v.get("value")?.as_f64()?,
-            unit: v.get("unit")?.as_str()?.to_string(),
-        })
     }
 }
 
@@ -441,63 +371,5 @@ mod tests {
             ..RunOpts::default()
         };
         assert_ne!(perturbed.machine_seed(42), 42);
-    }
-
-    #[test]
-    fn metric_rows_round_trip_through_json() {
-        let row = MetricRow::new(
-            "latency_cycles",
-            &[
-                ("procs", Json::from(16usize)),
-                ("series", Json::from("cg")),
-                ("ratio", Json::from(0.125)),
-            ],
-            17.5,
-            "cycles",
-        );
-        let back = MetricRow::from_json(&row.to_json()).expect("well-formed row");
-        assert_eq!(back.to_json().render(), row.to_json().render());
-        // A whole-number value survives byte-identically even though its
-        // Json variant may shift (Num(2.0) renders "2", reparses UInt).
-        let whole = MetricRow::new("m", &[], 2.0, "s");
-        let reparsed = Json::parse(&whole.to_json().render()).unwrap();
-        let back = MetricRow::from_json(&reparsed).expect("parses");
-        assert_eq!(back.to_json().render(), whole.to_json().render());
-    }
-
-    #[test]
-    fn malformed_rows_fail_to_parse() {
-        assert!(MetricRow::from_json(&Json::Null).is_none());
-        assert!(MetricRow::from_json(&Json::obj([("metric", Json::from("m"))])).is_none());
-        // Non-finite values render as null and must not round-trip.
-        let nan = MetricRow::new("m", &[], f64::NAN, "s");
-        let reparsed = Json::parse(&nan.to_json().render()).unwrap();
-        assert!(MetricRow::from_json(&reparsed).is_none());
-    }
-
-    #[test]
-    fn shard_parse_accepts_only_sane_slices() {
-        assert_eq!(Shard::parse("1/2"), Ok(Shard { index: 1, count: 2 }));
-        assert_eq!(Shard::parse("4/4"), Ok(Shard { index: 4, count: 4 }));
-        assert_eq!(Shard::parse("1/1").unwrap().to_string(), "1/1");
-        for bad in ["", "2", "0/2", "3/2", "1/0", "a/2", "1/b", "1/2/3", "-1/2"] {
-            assert!(Shard::parse(bad).is_err(), "must reject {bad:?}");
-        }
-    }
-
-    #[test]
-    fn shard_partition_is_exhaustive_and_disjoint() {
-        for count in 1..=5usize {
-            for job in 0..37usize {
-                let owners: Vec<usize> = (1..=count)
-                    .filter(|&index| Shard { index, count }.owns(job))
-                    .collect();
-                assert_eq!(owners.len(), 1, "job {job} with {count} shards: {owners:?}");
-            }
-        }
-        // Round-robin balance: with N shards, consecutive jobs land on
-        // consecutive shards.
-        let s = Shard { index: 2, count: 3 };
-        assert!(s.owns(1) && s.owns(4) && !s.owns(0) && !s.owns(2));
     }
 }

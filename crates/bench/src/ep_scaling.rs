@@ -11,15 +11,12 @@ use ksr_machine::Machine;
 use ksr_nas::{EpConfig, EpSetup};
 
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "EP";
 /// Registry title.
 pub const TITLE: &str = "Embarrassingly Parallel kernel (§3.3)";
-/// Cache schema version of the EP jobs — bump when [`ep_time`] or the
-/// two-row job layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// `(seconds, aggregate MFLOPS)` for one EP run.
 #[must_use]
@@ -51,11 +48,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let jobs: Vec<Job> = procs
         .iter()
         .map(|&p| {
-            let desc = JobDesc::new(ID, SCHEMA, format!("EP p={p}"), opts)
-                .seed(seed)
-                .param("pairs", cfg.pairs)
-                .param("procs", p);
-            Job::new(desc, move || {
+            Job::new(format!("EP p={p}"), move || {
                 let (t, mf) = ep_time(cfg, p, seed);
                 vec![
                     MetricRow::new("ep_run_seconds", &[], t, "s"),
@@ -64,7 +57,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             })
         })
         .collect();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let times: Vec<(usize, f64)> = procs
             .iter()

@@ -35,16 +35,12 @@ use ksr_verify::{
 };
 
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "EXPLORE";
 /// Registry title.
 pub const TITLE: &str = "Small-scope schedule exploration of seeded concurrency mutants";
-/// Cache schema version of the EXPLORE jobs — bump when [`run_one`], any
-/// verification pass, or the row layout changes meaning, so stale cache
-/// entries miss.
-const SCHEMA: u32 = 1;
 
 /// The workloads the explorer sweeps: two clean controls and the three
 /// seeded mutants.
@@ -262,13 +258,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let seed = opts.machine_seed(4600);
     let mut jobs = Vec::new();
     for s in Scenario::ALL {
-        let b = budget(quick);
-        let desc = JobDesc::new(ID, SCHEMA, format!("EXPLORE {}", s.label()), opts)
-            .seed(seed)
-            .param("scenario", s.label())
-            .param("max_runs", b.max_runs)
-            .param("max_choice_points", b.max_choice_points);
-        jobs.push(Job::new(desc, move || {
+        jobs.push(Job::new(format!("EXPLORE {}", s.label()), move || {
             let rep = explore_scenario(s, seed, budget(quick));
             let base = [("scenario", Json::from(s.label()))];
             let mut rows = vec![
@@ -306,7 +296,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             rows
         }));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         out.line(format_args!(
             "bounded DFS over coordinator tie-breaks, all verification passes per schedule \

@@ -21,16 +21,13 @@ use ksr_machine::{program, Machine};
 use ksr_nas::CgConfig;
 
 use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 use crate::table1_cg::cg_time;
 
 /// Registry id.
 pub const ID: &str = "EXT";
 /// Registry title.
 pub const TITLE: &str = "The §4 wish-list features, implemented and measured";
-/// Cache schema version of the wish-list jobs — bump when [`cg_seconds`]
-/// or [`sweep_cycles`] changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// CG run time with/without matrix sub-cache bypass.
 fn cg_seconds(uncache_matrix: bool, procs: usize, quick: bool, machine_seed: u64) -> f64 {
@@ -81,28 +78,22 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let sweep_seed = opts.machine_seed(901);
     let mut jobs = Vec::new();
     for uncache in [false, true] {
-        let desc = JobDesc::new(ID, SCHEMA, format!("EXT cg uncached={uncache}"), opts)
-            .seed(cg_seed)
-            .param("feature", "cg_uncache")
-            .param("uncache_matrix", uncache)
-            .param("procs", procs);
-        jobs.push(Job::value(desc, "cg_run_seconds", "s", move || {
-            cg_seconds(uncache, procs, quick, cg_seed)
-        }));
+        jobs.push(Job::value(
+            format!("EXT cg uncached={uncache}"),
+            "cg_run_seconds",
+            "s",
+            move || cg_seconds(uncache, procs, quick, cg_seed),
+        ));
     }
     for prefetch in [false, true] {
-        let desc = JobDesc::new(ID, SCHEMA, format!("EXT sweep prefetch={prefetch}"), opts)
-            .seed(sweep_seed)
-            .param("feature", "subcache_prefetch")
-            .param("prefetch", prefetch);
         jobs.push(Job::value(
-            desc,
+            format!("EXT sweep prefetch={prefetch}"),
             "sweep_cycles_per_access",
             "cycles",
             move || sweep_cycles(prefetch, sweep_seed),
         ));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let base = res.value(0);
         let bypass = res.value(1);

@@ -25,21 +25,16 @@ use ksr_core::Json;
 use ksr_machine::{program, Machine, Program, SharedU64};
 
 use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id of the Figure 2 sweep.
 pub const ID_FIG2: &str = "FIG2";
 /// Registry title of the Figure 2 sweep.
 pub const TITLE_FIG2: &str = "Read/Write Latencies on the KSR (Figure 2)";
-/// Cache schema version of the FIG2 jobs — bump when [`measure`] or the
-/// job layout changes meaning, so stale cache entries miss.
-const SCHEMA_FIG2: u32 = 1;
 /// Registry id of the §3.1 stride experiments.
 pub const ID_SEC31A: &str = "SEC31A";
 /// Registry title of the §3.1 stride experiments.
 pub const TITLE_SEC31A: &str = "Block/page allocation overheads at allocating strides (§3.1 text)";
-/// Cache schema version of the SEC31A jobs.
-const SCHEMA_SEC31A: u32 = 1;
 
 const MB: u64 = 1024 * 1024;
 
@@ -139,18 +134,15 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     for &p in &sweep {
         for &(name, target, stride, base) in &grid {
             let seed = opts.machine_seed(base);
-            let desc = JobDesc::new(ID_FIG2, SCHEMA_FIG2, format!("FIG2 {name} p={p}"), opts)
-                .seed(seed)
-                .param("target", name)
-                .param("procs", p)
-                .param("stride", stride)
-                .param("samples", samples);
-            jobs.push(Job::value(desc, "mean_access_seconds", "s", move || {
-                measure(target, p, stride, samples, seed)
-            }));
+            jobs.push(Job::value(
+                format!("FIG2 {name} p={p}"),
+                "mean_access_seconds",
+                "s",
+                move || measure(target, p, stride, samples, seed),
+            ));
         }
     }
-    ExperimentPlan::new(ID_FIG2, TITLE_FIG2, jobs, move |res| {
+    ExperimentPlan::new(ID_FIG2, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_FIG2, TITLE_FIG2);
         let mut series = vec![
             Series::new("Network Read"),
@@ -230,22 +222,15 @@ pub fn plan_strides(opts: &RunOpts) -> ExperimentPlan {
     let jobs = grid
         .iter()
         .map(|&(name, target, stride, n, seed)| {
-            let desc = JobDesc::new(
-                ID_SEC31A,
-                SCHEMA_SEC31A,
+            Job::value(
                 format!("SEC31A {name} stride={stride}"),
-                opts,
+                "mean_access_seconds",
+                "s",
+                move || measure(target, 1, stride, n, seed),
             )
-            .seed(seed)
-            .param("target", name)
-            .param("stride", stride)
-            .param("samples", n);
-            Job::value(desc, "mean_access_seconds", "s", move || {
-                measure(target, 1, stride, n, seed)
-            })
         })
         .collect();
-    ExperimentPlan::new(ID_SEC31A, TITLE_SEC31A, jobs, move |res| {
+    ExperimentPlan::new(ID_SEC31A, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_SEC31A, TITLE_SEC31A);
         let local_subblock = res.value(0);
         let local_block = res.value(1);

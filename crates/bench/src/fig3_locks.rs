@@ -20,15 +20,12 @@ use ksr_machine::{program, InterruptConfig, Machine, MachineConfig, Program};
 use ksr_sync::{HwLock, LockMode, SwRwLock};
 
 use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "FIG3";
 /// Registry title.
 pub const TITLE: &str = "Read/Write and Exclusive locks on the KSR (Figure 3)";
-/// Cache schema version of the FIG3 jobs — bump when the workload or
-/// row layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 const HOLD: u64 = 3_000;
 const DELAY: u64 = 10_000;
@@ -110,21 +107,15 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             }
             let seed = opts.machine_seed(300 + si as u64);
             points.push((si, p));
-            let desc = JobDesc::new(ID, SCHEMA, format!("FIG3 {label} p={p}"), opts)
-                .seed(seed)
-                .param(
-                    "read_pct",
-                    mix.map_or(ksr_core::Json::Null, |pct| {
-                        ksr_core::Json::from(u64::from(pct))
-                    }),
-                )
-                .param("procs", p);
-            jobs.push(Job::value(desc, "run_seconds", "s", move || {
-                run_workload(mix, p, seed)
-            }));
+            jobs.push(Job::value(
+                format!("FIG3 {label} p={p}"),
+                "run_seconds",
+                "s",
+                move || run_workload(mix, p, seed),
+            ));
         }
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let mut series: Vec<Series> = MIXES.iter().map(|&(_, l)| Series::new(l)).collect();
         for (i, &(si, p)) in points.iter().enumerate() {

@@ -18,7 +18,7 @@ use ksr_machine::Machine;
 use ksr_sync::{episode_seconds, AnyBarrier, BarrierKind};
 
 use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc, JobResults};
+use crate::exec::{ExperimentPlan, Job, JobResults};
 
 /// Registry id of the Figure 4 sweep.
 pub const ID_FIG4: &str = "FIG4";
@@ -33,10 +33,6 @@ pub const ID_SEC323: &str = "SEC323";
 /// Registry title of the §3.2.3 comparison.
 pub const TITLE_SEC323: &str =
     "Barrier comparison with the Sequent Symmetry and the BBN Butterfly (§3.2.3)";
-/// Cache schema version shared by the barrier sweeps — bump when
-/// [`episode_time`] or the job layout changes meaning, so stale cache
-/// entries miss.
-const SCHEMA: u32 = 1;
 
 /// Machines a barrier sweep can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +58,7 @@ impl BarrierMachine {
         .expect("machine")
     }
 
-    /// Stable config tag for job descriptors and cache keys.
+    /// Short machine name, as job labels print it.
     fn tag(self) -> &'static str {
         match self {
             Self::Ksr1 => "ksr1",
@@ -97,25 +93,13 @@ fn sweep_jobs(
     procs: &[usize],
     episodes: usize,
     base_seed: u64,
-    opts: &RunOpts,
 ) -> Vec<Job> {
     let mut jobs = Vec::new();
     for &kind in kinds {
         for &p in procs {
             let seed = base_seed + p as u64;
-            let desc = JobDesc::new(
-                experiment,
-                SCHEMA,
-                format!("{experiment} {} p={p}", kind.label()),
-                opts,
-            )
-            .seed(seed)
-            .param("machine", machine.tag())
-            .param("barrier", kind.label())
-            .param("procs", p)
-            .param("episodes", episodes);
             jobs.push(Job::value(
-                desc,
+                format!("{experiment} {} p={p}", kind.label()),
                 "barrier_episode_seconds",
                 "s",
                 move || episode_time(machine, kind, p, episodes, seed),
@@ -162,9 +146,8 @@ pub fn plan_fig4(opts: &RunOpts) -> ExperimentPlan {
         &procs,
         episodes,
         opts.machine_seed(1000),
-        opts,
     );
-    ExperimentPlan::new(ID_FIG4, TITLE_FIG4, jobs, move |res| {
+    ExperimentPlan::new(ID_FIG4, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_FIG4, TITLE_FIG4);
         let series = sweep_series(&res, &kinds, &procs);
         let at_max = |label: &str| {
@@ -220,9 +203,8 @@ pub fn plan_fig5(opts: &RunOpts) -> ExperimentPlan {
         &procs,
         episodes,
         opts.machine_seed(1000),
-        opts,
     );
-    ExperimentPlan::new(ID_FIG5, TITLE_FIG5, jobs, move |res| {
+    ExperimentPlan::new(ID_FIG5, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_FIG5, TITLE_FIG5);
         let series = sweep_series(&res, &kinds, &procs);
         // §3.2.4 analysis: the jump past one ring, and tournament vs MCS.
@@ -274,22 +256,11 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
         .copied()
         .collect();
     let mut jobs = Vec::new();
-    let sec323_desc = |machine: BarrierMachine, k: BarrierKind, seed: u64| {
-        JobDesc::new(
-            ID_SEC323,
-            SCHEMA,
-            format!("SEC323 {} {}", machine.tag(), k.label()),
-            opts,
-        )
-        .seed(seed)
-        .param("machine", machine.tag())
-        .param("barrier", k.label())
-        .param("procs", procs)
-        .param("episodes", episodes)
-    };
+    let label =
+        |machine: BarrierMachine, k: BarrierKind| format!("SEC323 {} {}", machine.tag(), k.label());
     for &k in BarrierKind::ALL.iter() {
         jobs.push(Job::value(
-            sec323_desc(BarrierMachine::Symmetry, k, sym_seed),
+            label(BarrierMachine::Symmetry, k),
             "barrier_episode_seconds",
             "s",
             move || episode_time(BarrierMachine::Symmetry, k, procs, episodes, sym_seed),
@@ -297,13 +268,13 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
     }
     for &k in &bfly_kinds {
         jobs.push(Job::value(
-            sec323_desc(BarrierMachine::Butterfly, k, bfly_seed),
+            label(BarrierMachine::Butterfly, k),
             "barrier_episode_seconds",
             "s",
             move || episode_time(BarrierMachine::Butterfly, k, procs, episodes, bfly_seed),
         ));
     }
-    ExperimentPlan::new(ID_SEC323, TITLE_SEC323, jobs, move |res| {
+    ExperimentPlan::new(ID_SEC323, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_SEC323, TITLE_SEC323);
         out.line(format_args!("Sequent Symmetry, {procs} procs, us/episode:"));
         let mut sym: Vec<(f64, &'static str)> = BarrierKind::ALL

@@ -6,7 +6,7 @@
 use ksr_core::table::Series;
 
 use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 use crate::table1_cg::{cg_time, paper_config as cg_config};
 use crate::table2_is::{is_time, paper_config as is_config};
 
@@ -14,10 +14,6 @@ use crate::table2_is::{is_time, paper_config as is_config};
 pub const ID: &str = "FIG8";
 /// Registry title.
 pub const TITLE: &str = "Speedup for CG and IS (Figure 8)";
-/// Cache schema version of the FIG8 jobs — bump when either kernel
-/// driver or the job layout changes meaning, so stale cache entries
-/// miss.
-const SCHEMA: u32 = 1;
 
 /// Plan the Figure 8 sweep: one job per (kernel, procs) point.
 #[must_use]
@@ -34,30 +30,22 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let is_seed = opts.machine_seed(901);
     let mut jobs = Vec::new();
     for &p in &procs {
-        let desc = JobDesc::new(ID, SCHEMA, format!("FIG8 cg p={p}"), opts)
-            .seed(cg_seed)
-            .param("kernel", "cg")
-            .param("n", cg_cfg.n)
-            .param("offdiag_per_row", cg_cfg.offdiag_per_row)
-            .param("iterations", cg_cfg.iterations)
-            .param("procs", p);
-        jobs.push(Job::value(desc, "cg_run_seconds", "s", move || {
-            cg_time(cg_cfg, p, cg_seed)
-        }));
+        jobs.push(Job::value(
+            format!("FIG8 cg p={p}"),
+            "cg_run_seconds",
+            "s",
+            move || cg_time(cg_cfg, p, cg_seed),
+        ));
     }
     for &p in &procs {
-        let desc = JobDesc::new(ID, SCHEMA, format!("FIG8 is p={p}"), opts)
-            .seed(is_seed)
-            .param("kernel", "is")
-            .param("keys", is_cfg.keys)
-            .param("max_key", is_cfg.max_key)
-            .param("chunk", is_cfg.chunk)
-            .param("procs", p);
-        jobs.push(Job::value(desc, "is_run_seconds", "s", move || {
-            is_time(is_cfg, p, is_seed).0
-        }));
+        jobs.push(Job::value(
+            format!("FIG8 is p={p}"),
+            "is_run_seconds",
+            "s",
+            move || is_time(is_cfg, p, is_seed).0,
+        ));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let n = procs.len();
         let mut cg = Series::new("CG");

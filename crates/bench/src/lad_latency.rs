@@ -18,24 +18,12 @@ use ksr_core::Json;
 use ksr_machine::{read_stream, Machine, MachineConfig};
 
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "LAD";
 /// Registry title.
 pub const TITLE: &str = "Remote-latency ladder and ring saturation on multi-level rings";
-/// Cache schema version of the LAD jobs — bump when [`probe_latency`],
-/// [`saturation_point`], or the job layout changes meaning, so stale
-/// cache entries miss.
-const SCHEMA: u32 = 1;
-
-/// The ring spec as a stable "32x8x4" tag for job descriptors.
-fn spec_tag(spec: &[usize]) -> String {
-    spec.iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("x")
-}
 
 /// Mean read latency (cycles) from cell 0 to data homed on `owner`,
 /// on an otherwise idle machine built from `spec`: 256 reads over a
@@ -98,23 +86,16 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let mut jobs: Vec<Job> = rungs
         .iter()
         .map(|&(label, owner, _)| {
-            let desc = JobDesc::new(ID, SCHEMA, format!("LAD ladder {label}"), opts)
-                .seed(seed)
-                .param("probe", "ladder")
-                .param("spec", spec_tag(spec))
-                .param("owner", owner);
-            Job::value(desc, "remote_read_cycles", "cycles", move || {
-                probe_latency(spec, owner, seed)
-            })
+            Job::value(
+                format!("LAD ladder {label}"),
+                "remote_read_cycles",
+                "cycles",
+                move || probe_latency(spec, owner, seed),
+            )
         })
         .collect();
     for &p in &sat_procs {
-        let desc = JobDesc::new(ID, SCHEMA, format!("LAD saturation p={p}"), opts)
-            .seed(seed)
-            .param("probe", "saturation")
-            .param("spec", spec_tag(spec))
-            .param("procs", p);
-        jobs.push(Job::new(desc, move || {
+        jobs.push(Job::new(format!("LAD saturation p={p}"), move || {
             let (lat, wait) = saturation_point(spec, p, seed);
             vec![
                 MetricRow::new("saturated_read_cycles", &[], lat, "cycles"),
@@ -123,7 +104,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         }));
     }
     let cells: usize = spec.iter().product();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         out.line(format_args!(
             "latency ladder on a {cells}-cell ring[{}] machine (idle, cycles/read):",

@@ -30,15 +30,12 @@ use ksr_machine::{program, Machine, MachineConfig, Program};
 use ksr_sync::{CohortLock, HwLock, LockMode, SwRwLock};
 
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "LCK";
 /// Registry title.
 pub const TITLE: &str = "Lock-contention crossover on ring trees, 1 to 1024 cells";
-/// Cache schema version of the LCK jobs — bump when the workload or
-/// row layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// Cycles the lock is held per critical section.
 const HOLD: u64 = 1_000;
@@ -200,42 +197,23 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 let procs = cells;
                 let ops = ops_per_proc(procs, quick);
                 let point_seed = seed + cells as u64;
-                let mut desc = JobDesc::new(
-                    ID,
-                    SCHEMA,
-                    format!("LCK {} {level} p={cells}", kind.label()),
-                    opts,
-                )
-                .seed(point_seed)
-                .param("lock", kind.label())
-                .param("cells", cells)
-                .param(
-                    "spec",
-                    spec.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("x"),
-                )
-                .param("hold", HOLD)
-                .param("delay", delay)
-                .param("ops", ops);
-                if kind == LockKind::Cohort {
-                    desc = desc.param("budget", BUDGET);
-                }
                 let label = kind.label();
-                jobs.push(Job::new(desc, move || {
-                    let (us, rmr) = run_workload(label, spec, procs, delay, ops, point_seed);
-                    vec![
-                        MetricRow::new("time_per_acquire_us", &[], us, "us"),
-                        MetricRow::new("rmr_per_acquire", &[], rmr, "refs"),
-                    ]
-                }));
+                jobs.push(Job::new(
+                    format!("LCK {label} {level} p={cells}"),
+                    move || {
+                        let (us, rmr) = run_workload(label, spec, procs, delay, ops, point_seed);
+                        vec![
+                            MetricRow::new("time_per_acquire_us", &[], us, "us"),
+                            MetricRow::new("rmr_per_acquire", &[], rmr, "refs"),
+                        ]
+                    },
+                ));
             }
         }
     }
     let levels: Vec<(&'static str, u64)> = levels.to_vec();
     let points: Vec<(usize, &'static [usize])> = points.to_vec();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let idx = |li: usize, ki: usize, pi: usize| (li * 3 + ki) * points.len() + pi;
         let time = |li: usize, ki: usize, pi: usize| res.rows(idx(li, ki, pi))[0].value;

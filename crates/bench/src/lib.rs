@@ -6,20 +6,14 @@
 //!
 //! Experiments are [`Experiment`]s: look them up in [`REGISTRY`]. Each
 //! experiment describes itself as an [`exec::ExperimentPlan`] — a list
-//! of pure [`exec::Job`]s (config + seed + program factory → typed
-//! [`MetricRow`]s) plus an ordered reduce — and [`exec::execute`]
-//! schedules the jobs of many plans over a pool of worker threads
-//! (`--jobs N`). Because every
-//! job is pure and the reduce runs in job order, `results/*.json` and
-//! `summary.json` are byte-identical at any worker count.
-//!
-//! Purity also powers the sweep-at-scale machinery: every job carries a
-//! canonical [`exec::JobDesc`] whose fingerprint keys the
-//! content-addressed results cache ([`cache::ResultsCache`],
-//! `--cache DIR` — warm re-runs execute nothing), and
-//! `--shard i/N` splits one sweep across processes that share a cache;
-//! a warm run over it then reduces artifacts byte-identical to an
-//! unsharded run.
+//! of pure [`exec::Job`]s plus an ordered reduce — and
+//! [`exec::execute`] schedules the jobs of many plans over a pool of
+//! worker threads (`--jobs N`). A job is a label, which names it in
+//! progress lines and `timings.json`, and a closure over config and
+//! seed that builds its own machines and returns typed [`MetricRow`]s.
+//! Because every job is pure and the reduce runs in job order,
+//! `results/*.json` and `summary.json` are byte-identical at any worker
+//! count.
 //!
 //! Each reduce returns an [`ExperimentOutput`] carrying rendered text,
 //! figure series, and typed [`MetricRow`]s; `write_to` persists
@@ -32,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod cache;
 pub mod check;
 pub mod cli;
 pub mod cmb_combining;
@@ -53,10 +46,8 @@ pub mod table1_cg;
 pub mod table2_is;
 pub mod table3_sp;
 
-pub use cache::ResultsCache;
-pub use common::{ExperimentOutput, MetricRow, RunOpts, Shard};
+pub use common::{ExperimentOutput, MetricRow, RunOpts};
 pub use exec::{
-    execute, CacheStats, ExecReport, ExperimentPlan, ExperimentResult, Job, JobDesc, JobResults,
-    PlanTimings,
+    execute, ExecReport, ExperimentPlan, ExperimentResult, Job, JobResults, PlanTimings,
 };
 pub use registry::{Experiment, REGISTRY};

@@ -169,25 +169,6 @@ pub fn ids() -> Vec<&'static str> {
     REGISTRY.iter().map(|e| e.id).collect()
 }
 
-/// The live cache generations: every (experiment, schema) pair a job of
-/// the registry planned under `opts` carries — what
-/// [`ResultsCache::prune`](crate::cache::ResultsCache::prune) keeps. The
-/// set spans the whole registry, so a prune never deletes entries a
-/// differently-scoped (`--only`) run still wants.
-#[must_use]
-pub fn live_schemas(opts: &RunOpts) -> Vec<(&'static str, u32)> {
-    let mut live = Vec::new();
-    for e in REGISTRY {
-        for job in e.plan(opts).jobs() {
-            let pair = (job.desc().experiment(), job.desc().schema());
-            if !live.contains(&pair) {
-                live.push(pair);
-            }
-        }
-    }
-    live
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,32 +197,31 @@ mod tests {
         assert!(find("NOPE").is_none());
     }
 
-    /// Every job descriptor in the registry must name its own
-    /// experiment, and no two jobs anywhere in a quick or a full-size
-    /// run may share a fingerprint — one collision would let the cache
-    /// serve one job's rows for another. Plans are only built, not run.
+    /// A job's label is its only identity: it names the job in progress
+    /// lines and `timings.json`. Every label of a quick and of a
+    /// full-size run must start with its experiment's id (ignoring case)
+    /// and be unique registry-wide. Plans are only built, not run.
     #[test]
-    fn descriptors_are_well_formed_and_unique_registry_wide() {
+    fn job_labels_are_unique_registry_wide_and_name_their_experiment() {
         for opts in [RunOpts::quick(), RunOpts::default()] {
-            let mut seen: std::collections::HashMap<String, String> =
-                std::collections::HashMap::new();
+            let mut seen = std::collections::HashSet::new();
             for e in REGISTRY {
                 let plan = e.plan(&opts);
                 assert!(!plan.jobs().is_empty(), "{}: plan must have jobs", e.id());
                 for job in plan.jobs() {
-                    assert_eq!(
-                        job.desc().experiment(),
-                        e.id(),
-                        "{}: descriptor names the wrong experiment",
-                        job.label()
+                    let label = job.label();
+                    assert!(
+                        label
+                            .get(..e.id().len())
+                            .is_some_and(|head| head.eq_ignore_ascii_case(e.id())),
+                        "{label:?} does not start with {}",
+                        e.id()
                     );
-                    let fp = job.desc().fingerprint().hex();
-                    if let Some(other) = seen.insert(fp, job.label().to_string()) {
-                        panic!(
-                            "fingerprint collision between {other:?} and {:?}",
-                            job.label()
-                        );
-                    }
+                    assert!(
+                        seen.insert(label.to_string()),
+                        "duplicate job label {label:?} (quick: {})",
+                        opts.quick
+                    );
                 }
             }
         }

@@ -26,15 +26,12 @@ use ksr_machine::{Machine, MachineConfig};
 use ksr_sync::{episode_seconds, AnyBarrier, BarrierKind};
 
 use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "SCB";
 /// Registry title.
 pub const TITLE: &str = "Barrier-episode scaling from 32 to 1024 cells on ring trees";
-/// Cache schema version of the SCB jobs — bump when [`episode_time`] or
-/// the job layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// The full sweep: `(cells, ring spec)` per point.
 pub const POINTS: &[(usize, &[usize])] = &[
@@ -77,27 +74,15 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     for &kind in &kinds {
         for &(cells, spec) in &points {
             let point_seed = seed + cells as u64;
-            let desc = JobDesc::new(ID, SCHEMA, format!("SCB {} p={cells}", kind.label()), opts)
-                .seed(point_seed)
-                .param("barrier", kind.label())
-                .param("cells", cells)
-                .param(
-                    "spec",
-                    spec.iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("x"),
-                )
-                .param("episodes", episodes);
             jobs.push(Job::value(
-                desc,
+                format!("SCB {} p={cells}", kind.label()),
                 "barrier_episode_seconds",
                 "s",
                 move || episode_time(spec, kind, episodes, point_seed),
             ));
         }
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let series: Vec<Series> = kinds
             .iter()

@@ -14,15 +14,12 @@ use ksr_machine::Machine;
 use ksr_nas::{CgConfig, CgSetup};
 
 use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id.
 pub const ID: &str = "TAB1";
 /// Registry title.
 pub const TITLE: &str = "Conjugate Gradient (Table 1, Figure 8)";
-/// Cache schema version of the TAB1 jobs — bump when [`cg_time`] or the
-/// row layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// Cache scale factor used for the kernel experiments.
 pub const SCALE: u64 = 64;
@@ -65,24 +62,12 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         vec![1, 2, 4, 8, 16, 32]
     };
     let seed = opts.machine_seed(500);
-    let desc = |label: String, p: usize, poststore: bool| {
-        JobDesc::new(ID, SCHEMA, label, opts)
-            .seed(seed)
-            .param("n", cfg.n)
-            .param("offdiag_per_row", cfg.offdiag_per_row)
-            .param("iterations", cfg.iterations)
-            .param("procs", p)
-            .param("poststore", poststore)
-    };
     let mut jobs: Vec<Job> = procs
         .iter()
         .map(|&p| {
-            Job::value(
-                desc(format!("TAB1 cg p={p}"), p, false),
-                "cg_run_seconds",
-                "s",
-                move || cg_time(cfg, p, seed),
-            )
+            Job::value(format!("TAB1 cg p={p}"), "cg_run_seconds", "s", move || {
+                cg_time(cfg, p, seed)
+            })
         })
         .collect();
     // Poststore comparison (paper: ~+3% at 16 procs, less at 32 where the
@@ -90,7 +75,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let ps_procs: Vec<usize> = if quick { vec![] } else { vec![8, 16, 32] };
     for &p in &ps_procs {
         jobs.push(Job::value(
-            desc(format!("TAB1 cg poststore p={p}"), p, true),
+            format!("TAB1 cg poststore p={p}"),
             "cg_run_seconds",
             "s",
             move || {
@@ -105,7 +90,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             },
         ));
     }
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let times: Vec<(usize, f64)> = procs
             .iter()

@@ -13,16 +13,13 @@ use ksr_machine::Machine;
 use ksr_nas::{IsConfig, IsSetup};
 
 use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 use crate::table1_cg::SCALE;
 
 /// Registry id.
 pub const ID: &str = "TAB2";
 /// Registry title.
 pub const TITLE: &str = "Integer Sort (Table 2, Figure 8)";
-/// Cache schema version of the TAB2 jobs — bump when [`is_time`] or the
-/// two-row job layout changes meaning, so stale cache entries miss.
-const SCHEMA: u32 = 1;
 
 /// Seconds for one IS run at `procs` processors. Also returns the mean
 /// remote-access latency observed by the performance monitor — the
@@ -65,13 +62,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let jobs: Vec<Job> = procs
         .iter()
         .map(|&p| {
-            let desc = JobDesc::new(ID, SCHEMA, format!("TAB2 is p={p}"), opts)
-                .seed(seed)
-                .param("keys", cfg.keys)
-                .param("max_key", cfg.max_key)
-                .param("chunk", cfg.chunk)
-                .param("procs", p);
-            Job::new(desc, move || {
+            Job::new(format!("TAB2 is p={p}"), move || {
                 let (t, lat) = is_time(cfg, p, seed);
                 vec![
                     MetricRow::new("is_run_seconds", &[], t, "s"),
@@ -80,7 +71,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             })
         })
         .collect();
-    ExperimentPlan::new(ID, TITLE, jobs, move |res| {
+    ExperimentPlan::new(ID, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID, TITLE);
         let times: Vec<(usize, f64)> = procs
             .iter()

@@ -13,7 +13,7 @@ use ksr_machine::Machine;
 use ksr_nas::{SpConfig, SpLayout, SpSetup};
 
 use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobDesc};
+use crate::exec::{ExperimentPlan, Job};
 
 /// Registry id of the Table 3 scaling run.
 pub const ID_TAB3: &str = "TAB3";
@@ -24,36 +24,6 @@ pub const TITLE_TAB3: &str =
 pub const ID_TAB4: &str = "TAB4";
 /// Registry title of the Table 4 optimisation ladder.
 pub const TITLE_TAB4: &str = "Scalar Pentadiagonal optimisation ladder (Table 4), 30 processors";
-/// Cache schema version shared by the SP jobs — bump when
-/// [`sp_time_per_iter`] or the row layout changes meaning, so stale
-/// cache entries miss.
-const SCHEMA: u32 = 1;
-
-/// Every SP config knob as descriptor params, so the fingerprint
-/// separates each rung of the optimisation ladder.
-fn sp_desc(
-    experiment: &'static str,
-    label: String,
-    cfg: SpConfig,
-    procs: usize,
-    seed: u64,
-    opts: &RunOpts,
-) -> JobDesc {
-    JobDesc::new(experiment, SCHEMA, label, opts)
-        .seed(seed)
-        .param("n", cfg.n)
-        .param("iterations", cfg.iterations)
-        .param(
-            "layout",
-            match cfg.layout {
-                SpLayout::Base => "base",
-                SpLayout::Padded => "padded",
-            },
-        )
-        .param("prefetch", cfg.prefetch)
-        .param("poststore", cfg.poststore)
-        .param("procs", procs)
-}
 
 /// Seconds **per iteration** for one SP run.
 #[must_use]
@@ -95,14 +65,14 @@ pub fn plan_table3(opts: &RunOpts) -> ExperimentPlan {
         .iter()
         .map(|&p| {
             Job::value(
-                sp_desc(ID_TAB3, format!("TAB3 sp p={p}"), cfg, p, seed, opts),
+                format!("TAB3 sp p={p}"),
                 "sp_seconds_per_iteration",
                 "s",
                 move || sp_time_per_iter(cfg, p, seed),
             )
         })
         .collect();
-    ExperimentPlan::new(ID_TAB3, TITLE_TAB3, jobs, move |res| {
+    ExperimentPlan::new(ID_TAB3, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_TAB3, TITLE_TAB3);
         let t1 = res.value(0);
         let mut table = TextTable::new(&["Processors", "Time per iteration (s)", "Speedup"]);
@@ -158,14 +128,14 @@ pub fn plan_table4(opts: &RunOpts) -> ExperimentPlan {
         .iter()
         .map(|&(label, cfg)| {
             Job::value(
-                sp_desc(ID_TAB4, format!("TAB4 sp {label}"), cfg, procs, seed, opts),
+                format!("TAB4 sp {label}"),
                 "sp_seconds_per_iteration",
                 "s",
                 move || sp_time_per_iter(cfg, procs, seed),
             )
         })
         .collect();
-    ExperimentPlan::new(ID_TAB4, TITLE_TAB4, jobs, move |res| {
+    ExperimentPlan::new(ID_TAB4, jobs, move |res| {
         let mut out = ExperimentOutput::new(ID_TAB4, TITLE_TAB4);
         let base = res.value(0);
         let mut table = TextTable::new(&["Optimizations", "Time per iteration (s)", "vs base"]);

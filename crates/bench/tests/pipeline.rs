@@ -32,9 +32,9 @@ fn stderr_of(out: &Output) -> String {
 }
 
 /// The per-job progress lines on `run_all`'s stderr, sorted into the
-/// `[i/N] label` prefixes of its start, `done in` and `cached` lines.
-fn progress_lines(out: &Output) -> [Vec<String>; 3] {
-    let mut lines: [Vec<String>; 3] = Default::default();
+/// `[i/N] label` prefixes of its start and its `done in` lines.
+fn progress_lines(out: &Output) -> [Vec<String>; 2] {
+    let mut lines: [Vec<String>; 2] = Default::default();
     for line in stderr_of(out).lines() {
         let Some((counter, _)) = line.strip_prefix('[').and_then(|l| l.split_once("] ")) else {
             continue;
@@ -46,8 +46,6 @@ fn progress_lines(out: &Output) -> [Vec<String>; 3] {
             (p, 0)
         } else if let Some((p, _)) = line.split_once(" done in ") {
             (p, 1)
-        } else if let Some(p) = line.strip_suffix(" cached") {
-            (p, 2)
         } else {
             panic!("unexpected progress line {line:?}");
         };
@@ -126,6 +124,9 @@ fn seed_perturbs_machine_seeds() {
 /// `run_all --only` writes the selected experiments' files and nothing
 /// else: the `summary.json` of an earlier whole run in the same
 /// directory stays byte-identical, and no `timings.json` appears.
+/// Along the way stdout is each output's `render()` plus a newline —
+/// the bytes of its `.txt` file — and stderr carries one start line and
+/// one `done in` line for every job of the plan.
 #[test]
 fn only_run_leaves_the_whole_run_index_alone() {
     let dir = temp_dir("only");
@@ -133,66 +134,51 @@ fn only_run_leaves_the_whole_run_index_alone() {
     std::fs::create_dir_all(&dir).unwrap();
     let summary = b"{\"experiments\": \"from an earlier whole run\"}\n";
     std::fs::write(dir.join("summary.json"), summary).unwrap();
-    run_all(&["--quick", "--only", "SEC31A"], &dir);
+    let out = run_all(&["--quick", "--only", "SEC31A", "--jobs", "2"], &dir);
     assert!(dir.join("sec31a.json").exists());
     assert_eq!(std::fs::read(dir.join("summary.json")).unwrap(), summary);
     assert!(!dir.join("timings.json").exists());
+
+    let txt = std::fs::read_to_string(dir.join("sec31a.txt")).unwrap();
+    assert_eq!(String::from_utf8_lossy(&out.stdout), format!("{txt}\n"));
+    let plan = find("SEC31A").unwrap().plan(&RunOpts::quick());
+    let n = plan.jobs().len();
+    let mut expected: Vec<String> = plan
+        .jobs()
+        .iter()
+        .enumerate()
+        .map(|(i, job)| format!("[{}/{n}] {}", i + 1, job.label()))
+        .collect();
+    expected.sort();
+    let [mut started, mut done] = progress_lines(&out);
+    started.sort();
+    done.sort();
+    assert_eq!(started, expected, "{}", stderr_of(&out));
+    assert_eq!(done, expected, "{}", stderr_of(&out));
     let _ = std::fs::remove_dir_all(dir);
 }
 
-/// The cache flags through the binary on SEC31A's four quick jobs: two
-/// shards fill a cache, `--prune` removes a planted corrupt entry and
-/// keeps every live one, and a plain `--cache` run then executes
-/// nothing and prints each output's `render()` — the bytes of its
-/// `.txt` file. Along the way stderr carries one start line and one
-/// `done in` line per executed job, and only `cached` lines on the
-/// warm run.
+/// A result file that cannot be written fails the run: `--results`
+/// under a regular file prints an `error:` line and exits 1, as a failed
+/// `summary.json` write does.
 #[test]
-fn shards_prune_and_a_warm_run_through_the_binary() {
-    let dir = temp_dir("shard");
+fn a_failed_artifact_write_fails_the_run() {
+    let dir = temp_dir("unwritable");
     let _ = std::fs::remove_dir_all(&dir);
-    let (cache, results) = (dir.join("cache"), dir.join("results"));
-    let cache_arg = cache.to_str().expect("utf-8 temp path");
-    let base = [
-        "--quick", "--only", "SEC31A", "--jobs", "2", "--cache", cache_arg,
-    ];
-
-    for (shard, executed) in [("1/2", 2), ("2/2", 2)] {
-        let out = run_all(&[&base[..], &["--shard", shard]].concat(), &results);
-        let line = format!(
-            "[shard {shard}: {executed} executed, 0 already cached, 2 left to other shards"
-        );
-        assert!(stderr_of(&out).contains(&line), "{}", stderr_of(&out));
-        assert!(!results.exists(), "a shard run writes no artifacts");
-        let [mut started, mut done, cached] = progress_lines(&out);
-        assert_eq!(started.len(), executed, "{}", stderr_of(&out));
-        assert!(cached.is_empty(), "{}", stderr_of(&out));
-        started.sort();
-        done.sort();
-        assert_eq!(started, done, "one `done in` line per started job");
-    }
-
-    let corrupt = cache.join("deadbeefdeadbeefdeadbeefdeadbeef.json");
-    std::fs::write(&corrupt, "not a cache entry").unwrap();
-    let out = run_all(&["--cache", cache_arg, "--prune"], &results);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("a_file");
+    std::fs::write(&file, "not a directory").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+        .args(["--quick", "--only", "SEC31A", "--results"])
+        .arg(file.join("results"))
+        .output()
+        .expect("spawn run_all");
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
     assert!(
-        stderr_of(&out).contains("[prune: 1 entries removed, 4 kept"),
+        stderr_of(&out).contains("error: could not write results file"),
         "{}",
         stderr_of(&out)
     );
-    assert!(!corrupt.exists());
-
-    let out = run_all(&base, &results);
-    assert!(
-        stderr_of(&out).contains("[cache: 4 hit(s), 0 miss(es) of 4 job(s)"),
-        "{}",
-        stderr_of(&out)
-    );
-    let [started, done, cached] = progress_lines(&out);
-    assert!(started.is_empty() && done.is_empty(), "{}", stderr_of(&out));
-    assert_eq!(cached.len(), 4, "{}", stderr_of(&out));
-    let txt = std::fs::read_to_string(results.join("sec31a.txt")).unwrap();
-    assert_eq!(String::from_utf8(out.stdout).unwrap(), format!("{txt}\n"));
     let _ = std::fs::remove_dir_all(dir);
 }
 

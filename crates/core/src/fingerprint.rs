@@ -1,20 +1,22 @@
-//! Deterministic 128-bit content fingerprints for job descriptors.
+//! Deterministic 128-bit content fingerprints for committed digests.
 //!
-//! The sweep cache keys each pure job by a fingerprint of its canonical
-//! descriptor (experiment id, label, config, seed, mode flags — see
-//! `ksr_bench::exec::JobDesc`). The requirements differ from the
-//! hot-path tables [`crate::hash::FxHasher`] serves:
+//! Three gates compare a fingerprint against a value committed in the
+//! repository: the quick goldens (`crates/bench/tests/quick.digests`,
+//! one digest per artifact of the quick suite), the ordered trace-event
+//! streams of `tests/trace_stream.rs`, and the host-speed benchmark's
+//! per-part digests (`benchmark/digests.txt`). The requirements differ
+//! from the hot-path tables [`crate::hash::FxHasher`] serves:
 //!
-//! * **Stability is a file-format contract.** A cache directory written
-//!   today must hit tomorrow, on another host, at either word size. The
-//!   known-value tests below pin the exact algorithm; changing it
-//!   silently invalidates every existing cache and must be deliberate.
-//! * **128 bits, not 64.** Cache entries are trusted by fingerprint
-//!   alone, so accidental collisions must be out of reach even across
-//!   millions of descriptors. Two independently-salted [`FxHasher`]
-//!   lanes give 128 bits without importing a cryptographic hash into a
-//!   zero-dependency workspace. (The input is our own descriptor text,
-//!   never untrusted data — adversarial collisions are out of scope.)
+//! * **Stability is a file-format contract.** A committed digest must
+//!   reproduce on another host and at either word size. The known-value
+//!   tests below pin the exact algorithm; changing it invalidates every
+//!   committed digest and must be deliberate.
+//! * **128 bits, not 64.** A digest stands for a whole artifact or
+//!   event stream, so accidental collisions must be out of reach. Two
+//!   independently-salted [`FxHasher`] lanes give 128 bits without
+//!   importing a cryptographic hash into a zero-dependency workspace.
+//!   (The input is the project's own output, never untrusted data —
+//!   adversarial collisions are out of scope.)
 //!
 //! [`FxHasher`]: crate::hash::FxHasher
 
@@ -32,8 +34,8 @@ const LANE2_SALT: u64 = 0x4b53_5246_5052_4e32;
 pub struct Fingerprint([u64; 2]);
 
 impl Fingerprint {
-    /// The 32-character lowercase hex form — used as the cache file
-    /// stem, so it must stay filesystem-safe and fixed-width.
+    /// The 32-character lowercase hex form, as the committed digest
+    /// files write it.
     #[must_use]
     pub fn hex(&self) -> String {
         format!("{:016x}{:016x}", self.0[0], self.0[1])
@@ -108,10 +110,10 @@ mod tests {
 
     #[test]
     fn known_values_pin_the_algorithm() {
-        // Golden values: the fingerprint is an on-disk cache-key format,
-        // so any change here invalidates every existing cache directory
-        // and must be deliberate. These exact strings must come out on
-        // x86-64 and aarch64 alike.
+        // Golden values: every committed digest depends on the
+        // algorithm, so any change here invalidates them all and must be
+        // deliberate. These exact strings must come out on x86-64 and
+        // aarch64 alike.
         assert_eq!(fingerprint(b"").hex(), "0000000000000000f9819c449563ec8c");
         assert_eq!(
             fingerprint(b"KSR-1").hex(),
@@ -156,10 +158,11 @@ mod tests {
         let mut split = FingerprintBuilder::new();
         split.update(b"abcde");
         split.update(b"fghij");
-        // FxHasher's length tag makes chunking observable; the cache
-        // always hashes one canonical buffer, so the builder only has to
-        // be self-consistent, not chunking-invariant. Pin the behaviour
-        // so nobody assumes otherwise.
+        // FxHasher's length tag makes chunking observable; a digest
+        // gate always feeds the same chunks in the same order, so the
+        // builder only has to be self-consistent, not
+        // chunking-invariant. Pin the behaviour so nobody assumes
+        // otherwise.
         assert_ne!(split.finish(), whole);
         let mut one = FingerprintBuilder::new();
         one.update(b"abcdefghij");

@@ -38,8 +38,9 @@
 //!   [`hash::FxHashMap`]/[`hash::FxHashSet`] aliases used by every
 //!   integer-keyed table on the simulator's memory-access hot path.
 //! * [`fingerprint`](mod@fingerprint) — stable 128-bit content
-//!   fingerprints (two salted FxHash lanes) keying the sweep harness's
-//!   results cache.
+//!   fingerprints (two salted FxHash lanes) behind the committed
+//!   digests: the quick suite's artifacts, traced event streams and the
+//!   host-speed benchmark's outputs.
 //! * [`error`] — the shared error type.
 
 #![warn(missing_docs)]

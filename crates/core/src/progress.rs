@@ -54,11 +54,6 @@ impl Progress {
             "[{index}/{total}] {label} done in {millis} ms"
         ));
     }
-
-    /// Report that work unit `index` of `total` was served from a cache.
-    pub fn cached(&self, label: &str, index: usize, total: usize) {
-        self.note(format_args!("[{index}/{total}] {label} cached"));
-    }
 }
 
 #[cfg(test)]

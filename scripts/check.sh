@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Repo-wide gate: formatting, lints, docs, the workspace tests (among
-# them the quick-suite goldens, which also cover worker counts, the
-# results cache, prune and sharding, and the checked quick run, whose
-# report must equal its committed copy), a run of every example, the
-# host-speed benchmark's digests, a full-size checked run of the
-# 1024-cell storms whose report must equal its committed copy, and a
-# full-size run that must reproduce the committed results/ byte for
-# byte. Run from the repo root before pushing.
+# them the quick-suite goldens, which also cover worker counts, and the
+# checked quick run, whose report must equal its committed copy), a run
+# of every example, the host-speed benchmark's digests, a full-size
+# checked run of the 1024-cell storms whose report must equal its
+# committed copy, and a full-size run that must reproduce the committed
+# results/ byte for byte. Run from the repo root before pushing.
 #
 # Every run lands in a throwaway directory. The one file this script
 # writes under results/ is timings.json, copied from the full-size run:
@@ -98,8 +97,7 @@ fi
 echo "==> full-size golden gate: run_all --full --seed 0 must reproduce results/ byte for byte"
 # Every committed artifact except the wall-clock timings.json must come
 # back identical, and no file may be missing or extra. run_all reads
-# nothing but its flags, so this is a full, seed-0, uncached, unchecked
-# run.
+# nothing but its flags, so this is a full, seed-0, unchecked run.
 cargo run --quiet --release -p ksr-bench --bin run_all -- \
     --full --seed 0 --jobs 2 --results "$tmp_full" > /dev/null
 if ! diff -rq -x timings.json results "$tmp_full"; then
