@@ -20,8 +20,11 @@
 //! Output discipline: rendered experiment results go to **stdout** (so
 //! runs pipe cleanly into files and diffs); everything else — per-job
 //! progress, `[written:]` / `[summary:]` / `[check:]` status lines,
-//! errors — goes to **stderr**.
+//! errors — goes to **stderr**. A reader that closes stdout early (`run_all
+//! --list | head -3`) stops the stdout output quietly; any other stdout
+//! write error fails the run.
 
+use std::io::{ErrorKind, StdoutLock, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -110,6 +113,42 @@ fn usage() -> String {
     )
 }
 
+/// `run_all`'s one stdout handle.
+struct Stdout {
+    lock: StdoutLock<'static>,
+    /// The reader went away: later lines are dropped.
+    closed: bool,
+}
+
+impl Stdout {
+    fn new() -> Self {
+        Self {
+            lock: std::io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    /// Write `text` and a newline. A broken pipe stops the output
+    /// quietly; any other write error prints an `error:` line and
+    /// returns the exit code that fails the run.
+    fn line(&mut self, text: &str) -> Result<(), ExitCode> {
+        if self.closed {
+            return Ok(());
+        }
+        match writeln!(self.lock, "{text}") {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            Err(e) => {
+                eprintln!("error: could not write to stdout: {e}");
+                Err(ExitCode::FAILURE)
+            }
+        }
+    }
+}
+
 /// Print the full registry (id + title per line) to stderr — shown when
 /// a selection names an unknown experiment.
 fn print_registry_to_stderr() {
@@ -127,7 +166,8 @@ fn print_registry_to_stderr() {
 /// coherence results are merged in job order and
 /// [`crate::check::finalize`] runs the race and predict suites and writes
 /// `violations.json`. A result file that cannot be written fails the
-/// run, as a failed `summary.json` or `violations.json` write does.
+/// run, as a failed `summary.json` or `violations.json` write does, and
+/// so does a stdout write error other than a closed reader.
 fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> ExitCode {
     let plans: Vec<crate::exec::ExperimentPlan> = selected.iter().map(|e| e.plan(opts)).collect();
     let wall_start = Instant::now();
@@ -135,8 +175,11 @@ fn run_selection(selected: &[&Experiment], opts: &RunOpts, summary: bool) -> Exi
     let wall_seconds = wall_start.elapsed().as_secs_f64();
     let mut outputs: Vec<ExperimentOutput> = Vec::with_capacity(report.results.len());
     let mut checks = Vec::new();
+    let mut out = Stdout::new();
     for (exp, result) in selected.iter().zip(report.results) {
-        println!("{}", result.output.render());
+        if let Err(code) = out.line(&result.output.render()) {
+            return code;
+        }
         match result.output.write_to(&opts.results_dir) {
             Ok(path) => eprintln!("[written: {}]", path.display()),
             Err(e) => {
@@ -234,9 +277,13 @@ pub fn run_all_main() -> ExitCode {
     if cli.list {
         // Job counts come from plan() under the effective options, so
         // `--quick --list` shows the quick grid.
+        let mut out = Stdout::new();
         for e in REGISTRY {
             let jobs = e.plan(&cli.opts).jobs().len();
-            println!("{:<8} {:>4} job(s)  {}", e.id(), jobs, e.title());
+            if let Err(code) = out.line(&format!("{:<8} {:>4} job(s)  {}", e.id(), jobs, e.title()))
+            {
+                return code;
+            }
         }
         return ExitCode::SUCCESS;
     }

@@ -182,6 +182,49 @@ fn a_failed_artifact_write_fails_the_run() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A reader that closes stdout before `run_all` writes to it stops the
+/// output quietly: `--list`, and a run whose result file still lands,
+/// both exit 0 with no panic. A stdout that fails otherwise (a full
+/// device) fails the run with an `error:` line and exit 1.
+#[test]
+fn a_closed_stdout_stops_output_quietly() {
+    let dir = temp_dir("closed_stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    for args in [&["--list"][..], &["--quick", "--only", "SEC31A"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .args(args)
+            .arg("--results")
+            .arg(&dir)
+            .stdout(writer)
+            .output()
+            .expect("spawn run_all");
+        let err = stderr_of(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
+    assert!(
+        dir.join("sec31a.json").exists(),
+        "the run still writes its results"
+    );
+    let full = Path::new("/dev/full");
+    if full.exists() {
+        let out = Command::new(env!("CARGO_BIN_EXE_run_all"))
+            .arg("--list")
+            .stdout(std::fs::File::create(full).expect("open /dev/full"))
+            .output()
+            .expect("spawn run_all");
+        assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+        assert!(
+            stderr_of(&out).contains("error: could not write to stdout"),
+            "{}",
+            stderr_of(&out)
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// `run_all --check --quick` at seed 0 must write the committed
 /// `tests/checked/quick.violations.json` byte for byte. Besides the
 /// verdicts, the report holds every experiment's machine and

@@ -604,18 +604,32 @@ fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Service
 }
 
 /// Min-queue of runnable processors keyed by (virtual time, proc id),
-/// with a fast path for the common single-runnable case (n == 1, or
-/// everyone else parked/done): the sole ready entry is held in `direct`
-/// and never touches the heap. Invariant: when `direct` is `Some`, the
-/// heap is empty — so `direct` is trivially the global minimum.
+/// in three parts:
 ///
-/// The heap orders one packed `u128` key, `(at << 64) | proc`: a single
-/// integer compare that orders exactly as the `(at, proc)` tuple for
-/// every `u64` time and every proc id below 2^64.
+/// * `direct`, the fast path for the common single-runnable case (n ==
+///   1, or everyone else parked/done): the sole ready entry never
+///   touches the heap. Invariant: when `direct` is `Some`, the heap and
+///   the run are empty — so `direct` is trivially the global minimum.
+/// * `heap`, for single pushes.
+/// * `run`, the keys of wake fan-outs ([`ReadyQueue::push_run`]) as one
+///   sorted run, kept in descending order so its minimum pops off the
+///   end in O(1); a fan-out that arrives while a run is still draining
+///   is merged into it.
+///
+/// `pop` takes the smaller of the heap top and the run's minimum. A
+/// processor is queued at most once, so keys are distinct, the order is
+/// total, and the queue pops exactly the sequence a heap of every key
+/// would.
+///
+/// Keys are one packed `u128`, `(at << 64) | proc`: a single integer
+/// compare that orders exactly as the `(at, proc)` tuple for every `u64`
+/// time and every proc id below 2^64.
 #[derive(Default)]
 struct ReadyQueue {
     direct: Option<(Cycles, usize)>,
     heap: BinaryHeap<Reverse<u128>>,
+    /// Descending.
+    run: Vec<u128>,
 }
 
 fn pack(at: Cycles, p: usize) -> u128 {
@@ -628,26 +642,61 @@ fn unpack(key: u128) -> (Cycles, usize) {
 
 impl ReadyQueue {
     fn push(&mut self, at: Cycles, p: usize) {
-        if self.direct.is_none() && self.heap.is_empty() {
+        if self.direct.is_none() && self.heap.is_empty() && self.run.is_empty() {
             self.direct = Some((at, p));
         } else {
-            if let Some((d_at, d_p)) = self.direct.take() {
-                self.heap.push(Reverse(pack(d_at, d_p)));
-            }
+            self.spill_direct();
             self.heap.push(Reverse(pack(at, p)));
         }
     }
 
+    /// Move the `direct` entry into the heap, before anything else joins
+    /// the queue.
+    fn spill_direct(&mut self) {
+        if let Some((at, p)) = self.direct.take() {
+            self.heap.push(Reverse(pack(at, p)));
+        }
+    }
+
+    /// Queue a wake fan-out: the packed keys in `keys`, in any order,
+    /// join the run; a single key goes through [`Self::push`]. Leaves
+    /// `keys` empty, for the caller to reuse.
+    fn push_run(&mut self, keys: &mut Vec<u128>) {
+        match keys[..] {
+            [] => {}
+            [key] => {
+                keys.clear();
+                let (at, p) = unpack(key);
+                self.push(at, p);
+            }
+            _ => {
+                self.spill_direct();
+                self.run.append(keys);
+                // The stable sort finds what is still draining as one
+                // presorted run, and the fan-out, woken in park order, as
+                // a few more, and merges them.
+                self.run.sort_by(|a, b| b.cmp(a));
+            }
+        }
+    }
+
     fn pop(&mut self) -> Option<(Cycles, usize)> {
-        self.direct
-            .take()
-            .or_else(|| self.heap.pop().map(|Reverse(k)| unpack(k)))
+        if let Some(d) = self.direct.take() {
+            return Some(d);
+        }
+        let key = match (self.run.last(), self.heap.peek()) {
+            (Some(&r), Some(&Reverse(h))) if r > h => self.heap.pop().map(|Reverse(k)| k),
+            (Some(_), _) => self.run.pop(),
+            (None, _) => self.heap.pop().map(|Reverse(k)| k),
+        };
+        key.map(unpack)
     }
 
     /// Pop the next runnable processor, letting `oracle` (when installed)
     /// resolve minimal-timestamp ties instead of the default ascending
     /// proc-id order. The `direct` fast path is by construction the sole
-    /// ready entry, so it never constitutes a choice point; with no
+    /// ready entry, so it never constitutes a choice point; the run is
+    /// folded into the heap first, so the ties are the heap's. With no
     /// oracle this is exactly [`ReadyQueue::pop`].
     fn pop_with(
         &mut self,
@@ -659,6 +708,7 @@ impl ReadyQueue {
         if let Some(d) = self.direct.take() {
             return Some(d);
         }
+        self.heap.extend(self.run.drain(..).map(Reverse));
         let (t, first) = unpack(self.heap.pop()?.0);
         if self.heap.peek().is_none_or(|r| unpack(r.0).0 != t) {
             return Some((t, first));
@@ -721,9 +771,11 @@ fn coordinate_event(
     let mut ready = ReadyQueue::default();
     // sub-page -> parked (proc, parked_at)
     let mut parked: FxHashMap<u64, Vec<(usize, Cycles)>> = FxHashMap::default();
-    // Reused across iterations so draining visibility events allocates
-    // only until the buffer reaches its high-water mark.
+    // Reused across iterations so draining visibility events and
+    // collecting a fan-out's wake keys allocate only until the buffers
+    // reach their high-water marks.
     let mut events = Vec::new();
+    let mut woken = Vec::new();
     let mut done = 0usize;
     let mut end_at = vec![0; n];
     let mut flops = vec![0; n];
@@ -791,8 +843,9 @@ fn coordinate_event(
                         cell: proc,
                         subpage: ev.subpage,
                     });
-                    ready.push(wake_at, proc);
+                    woken.push(pack(wake_at, proc));
                 }
+                ready.push_run(&mut woken);
             }
         }
     }
@@ -1087,10 +1140,14 @@ mod tests {
         }
     }
 
-    /// Seeded push/pop sequences over equal times, times near
-    /// `u64::MAX` and procs up to 1023. With `oracle`, every pop goes
-    /// through `pop_with`, and each tie it reports must be exactly the
-    /// reference's minimal-time entries in ascending proc order.
+    /// Seeded sequences of single pushes, wake fan-outs and bursts of
+    /// pops over equal times, times near `u64::MAX` and procs up to 1023.
+    /// A fan-out (`push_run`) queues 2 to 1024 procs in a random park
+    /// order, all at one time or at several, often while an earlier run
+    /// is still draining. Every pop must match a reference heap of every
+    /// key. With `oracle`, every pop goes through `pop_with`, and each
+    /// tie it reports must be exactly the reference's minimal-time
+    /// entries in ascending proc order.
     fn ready_queue_matches_reference(seed: u64, with_oracle: bool) {
         let mut rng = ksr_core::XorShift64::new(seed);
         let mut q = ReadyQueue::default();
@@ -1102,55 +1159,103 @@ mod tests {
         let bases = [0, 1 << 32, u64::MAX - 64];
         // Each proc is queued at most once, as in the coordinator.
         let mut queued = vec![false; 1024];
+        let mut keys = Vec::new();
+        let (mut fanouts, mut wide, mut into_draining) = (0, 0, 0);
         for _ in 0..20_000 {
-            if rng.next_below(5) < 3 {
+            let base = bases[rng.next_below(bases.len() as u64) as usize];
+            let action = rng.next_below(100);
+            if action < 3 {
+                let mut free: Vec<usize> = (0..1024).filter(|&p| !queued[p]).collect();
+                // Skewed towards small fan-outs, up to 1024 procs.
+                let cap = rng.next_below(1023) + 1;
+                let one_time = rng.next_bool(0.5);
+                let mut want = (2 + rng.next_below(cap) as usize).min(free.len());
+                if one_time && with_oracle {
+                    // Every pop of a tie costs O(tie) under an oracle.
+                    want = want.min(64);
+                }
+                if want < 2 {
+                    continue;
+                }
+                for i in 0..want {
+                    let j = i + rng.next_below((free.len() - i) as u64) as usize;
+                    free.swap(i, j);
+                }
+                let at0 = base + rng.next_below(8);
+                for &p in &free[..want] {
+                    let at = if one_time {
+                        at0
+                    } else {
+                        base + rng.next_below(64)
+                    };
+                    queued[p] = true;
+                    keys.push(pack(at, p));
+                    reference.push(Reverse((at, p)));
+                }
+                fanouts += 1;
+                wide += usize::from(want > 256);
+                into_draining += usize::from(!q.run.is_empty());
+                q.push_run(&mut keys);
+                assert!(keys.is_empty(), "push_run hands its buffer back empty");
+                continue;
+            }
+            if action < 40 {
                 let p = rng.next_below(1024) as usize;
                 if queued[p] {
                     continue;
                 }
-                let base = bases[rng.next_below(bases.len() as u64) as usize];
                 let at = base + rng.next_below(8) * rng.next_below(8);
                 queued[p] = true;
                 q.push(at, p);
                 reference.push(Reverse((at, p)));
                 continue;
             }
-            let (got, want) = if with_oracle {
-                let before = oracle.seen.len();
-                let got = q.pop_with(Some(&mut oracle));
-                // Replay the oracle's decision, if any, on the reference.
-                let want = if let Some((at, tied, i)) = oracle.seen.get(before) {
-                    let mut ties = Vec::new();
-                    while let Some(&Reverse((t, p))) = reference.peek() {
-                        if t != *at {
-                            break;
+            for _ in 0..1 + rng.next_below(32) {
+                let (got, want) = if with_oracle {
+                    let before = oracle.seen.len();
+                    let got = q.pop_with(Some(&mut oracle));
+                    // Replay the oracle's decision, if any, on the reference.
+                    let want = if let Some((at, tied, i)) = oracle.seen.get(before) {
+                        let mut ties = Vec::new();
+                        while let Some(&Reverse((t, p))) = reference.peek() {
+                            if t != *at {
+                                break;
+                            }
+                            reference.pop();
+                            ties.push(p);
                         }
-                        reference.pop();
-                        ties.push(p);
-                    }
-                    assert_eq!(&ties, tied, "tie at {at} not in ascending proc order");
-                    let chosen = ties.remove(*i);
-                    for p in ties {
-                        reference.push(Reverse((*at, p)));
-                    }
-                    Some((*at, chosen))
+                        assert_eq!(&ties, tied, "tie at {at} not in ascending proc order");
+                        let chosen = ties.remove(*i);
+                        for p in ties {
+                            reference.push(Reverse((*at, p)));
+                        }
+                        Some((*at, chosen))
+                    } else {
+                        reference.pop().map(|Reverse(x)| x)
+                    };
+                    (got, want)
                 } else {
-                    reference.pop().map(|Reverse(x)| x)
+                    (q.pop(), reference.pop().map(|Reverse(x)| x))
                 };
-                (got, want)
-            } else {
-                (q.pop(), reference.pop().map(|Reverse(x)| x))
-            };
-            assert_eq!(got, want, "seed {seed}");
-            if let Some((_, p)) = got {
-                queued[p] = false;
+                assert_eq!(got, want, "seed {seed}");
+                match got {
+                    Some((_, p)) => queued[p] = false,
+                    None => break,
+                }
             }
         }
+        assert!(fanouts > 300, "too few fan-outs: {fanouts}");
+        assert!(wide > 20, "too few fan-outs over 256 procs: {wide}");
         if with_oracle {
             assert!(
                 oracle.seen.len() > 100,
                 "too few ties: {}",
                 oracle.seen.len()
+            );
+        } else {
+            assert!(
+                into_draining > 50,
+                "too few fan-outs into a draining run: {into_draining}"
             );
         }
     }

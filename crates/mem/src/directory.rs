@@ -19,9 +19,11 @@
 //! [`Holders::set`], [`Holders::atomic_holder`], [`Holders::any_valid`],
 //! `readable_count`) is O(1) expected: short lists are scanned (at most
 //! 16 entries), long lists carry an out-of-line cell → position index
-//! and readable and atomic counts. An invalidation or snarf sweep over H
-//! holders therefore costs O(H), not O(H²) — at 1024 cells, a hot lock
-//! word's holder list is ~1024 long.
+//! and readable and atomic counts. The protocol's sweeps (demote, snarf,
+//! invalidate, poststore refill) go through `Chunk::update`, which walks
+//! the list in place after one chunk lookup, with no position lookup per
+//! entry: O(H) for H holders — at 1024 cells, a hot lock word's holder
+//! list is ~1024 long.
 //!
 //! **Order contract.** [`Holders::iter`] yields entries in insertion
 //! order: a cell keeps its place while its state changes, an entry set to
@@ -179,6 +181,30 @@ impl Long {
         old
     }
 
+    /// [`Holders::update`] on a long list: each changed entry moves the
+    /// readable and atomic counts, and the cached atomic holder is found
+    /// again if an `Atomic` entry came or went.
+    fn update(&mut self, mut f: impl FnMut(usize, SubpageState) -> SubpageState) {
+        let atomic = |st: SubpageState| usize::from(st == SubpageState::Atomic);
+        let mut atomic_moved = false;
+        for (c, s) in &mut self.entries {
+            if *s == SubpageState::Missing {
+                continue;
+            }
+            let new = sweep_state(*c, *s, &mut f);
+            if new != *s {
+                self.readable =
+                    self.readable + usize::from(new.readable()) - usize::from(s.readable());
+                self.atomics = self.atomics + atomic(new) - atomic(*s);
+                atomic_moved |= atomic(new) + atomic(*s) > 0;
+                *s = new;
+            }
+        }
+        if atomic_moved && self.atomics == 1 {
+            self.atomic_cell = first_atomic(&self.entries).map_or(NO_POS, cell_key);
+        }
+    }
+
     /// Drop the tombstones and re-point the live cells.
     fn compact(&mut self) {
         self.entries.retain(|&(_, s)| s != SubpageState::Missing);
@@ -186,6 +212,18 @@ impl Long {
             self.pos[c as usize] = p;
         }
     }
+}
+
+/// One entry's new state in a [`Holders::update`] sweep, which changes
+/// states but never removes an entry.
+fn sweep_state(
+    cell: u32,
+    st: SubpageState,
+    f: &mut impl FnMut(usize, SubpageState) -> SubpageState,
+) -> SubpageState {
+    let new = f(cell as usize, st);
+    debug_assert_ne!(new, SubpageState::Missing, "a sweep never removes a holder");
+    new
 }
 
 /// The first `Atomic` entry in insertion order.
@@ -295,6 +333,22 @@ impl Holders {
         old
     }
 
+    /// Sweep the list in place: each live entry, in insertion order,
+    /// takes the state `f(cell, state)` returns, which must not be
+    /// `Missing`. Entries keep their places, and the counts stay exact:
+    /// O(1) per entry, with no position lookup.
+    pub(crate) fn update(&mut self, mut f: impl FnMut(usize, SubpageState) -> SubpageState) {
+        let entries = match &mut self.0 {
+            Repr::Empty => return,
+            Repr::One(e) => std::slice::from_mut(e),
+            Repr::Short(v) => v.as_mut_slice(),
+            Repr::Long(l) => return l.update(f),
+        };
+        for (c, s) in entries {
+            *s = sweep_state(*c, *s, &mut f);
+        }
+    }
+
     /// All `(cell, state)` entries, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, SubpageState)> + '_ {
         self.entries()
@@ -383,6 +437,22 @@ impl Chunk {
         old
     }
 
+    /// [`Holders::update`] on the list in `slot`, keeping the page's
+    /// count of `Atomic` copies.
+    pub(crate) fn update(
+        &mut self,
+        slot: usize,
+        mut f: impl FnMut(usize, SubpageState) -> SubpageState,
+    ) {
+        let atomics = &mut self.atomics;
+        let atomic = |s: SubpageState| u32::from(s == SubpageState::Atomic);
+        self.slots[slot].update(|c, s| {
+            let new = f(c, s);
+            *atomics = *atomics + atomic(new) - atomic(s);
+            new
+        });
+    }
+
     /// Whether `cell` holds a sub-page of this page `Atomic`, which pins
     /// the page in its local cache.
     pub(crate) fn pins(&self, cell: usize) -> bool {
@@ -395,7 +465,7 @@ impl Chunk {
 }
 
 /// Page and slot of a sub-page.
-fn split(subpage: u64) -> (u64, usize) {
+pub(crate) fn split(subpage: u64) -> (u64, usize) {
     let per_page = SUBPAGES_PER_PAGE as u64;
     (subpage / per_page, (subpage % per_page) as usize)
 }
@@ -578,6 +648,16 @@ mod tests {
             }
         }
 
+        /// Apply a sweep logged as `(cell, old, new)` triples: it must have
+        /// visited exactly the live entries, in order, with their states.
+        fn sweep(&mut self, log: &[(usize, SubpageState, SubpageState)]) {
+            let visited: Vec<_> = log.iter().map(|&(c, s, _)| (c, s)).collect();
+            assert_eq!(visited, self.0, "a sweep visits every holder in order");
+            for (e, &(_, _, new)) in self.0.iter_mut().zip(log) {
+                e.1 = new;
+            }
+        }
+
         fn state_of(&self, cell: usize) -> SubpageState {
             self.0
                 .iter()
@@ -589,6 +669,27 @@ mod tests {
             let writers = self.0.iter().filter(|(_, s)| s.writable()).count();
             let readers = self.0.iter().filter(|(_, s)| s.readable()).count();
             writers > 1 || (writers == 1 && readers > 1)
+        }
+    }
+
+    /// A sweep's new state for one holder, drawn from `rng` (never
+    /// `Missing`; a third of the holders keep theirs), logged for the
+    /// reference model.
+    fn seeded_sweep<'a>(
+        rng: &'a mut XorShift64,
+        log: &'a mut Vec<(usize, SubpageState, SubpageState)>,
+    ) -> impl FnMut(usize, SubpageState) -> SubpageState + 'a {
+        use SubpageState::*;
+        move |c, s| {
+            let new = match rng.next_index(6) {
+                0 | 1 => s,
+                2 => Invalid,
+                3 => Shared,
+                4 => Exclusive,
+                _ => Atomic,
+            };
+            log.push((c, s, new));
+            new
         }
     }
 
@@ -606,14 +707,20 @@ mod tests {
     /// Differential test: seeded random `set` sequences over up to 1088
     /// cells, phases alternating growth and shrinkage so lists cross the
     /// one-holder boundary and the index threshold in both directions.
-    /// After every step each query must agree with the naive reference
-    /// model, and `set` must return the state it replaced.
+    /// One step in twenty is an in-place sweep (`update`) instead, on
+    /// one-holder, short and long lists, tombstones included. After
+    /// every step each query must agree with the naive reference model,
+    /// `set` must return the state it replaced, and a sweep must visit
+    /// exactly the live holders in order.
     #[test]
     fn holders_match_a_naive_reference_model() {
         use SubpageState::*;
         const STATES: [SubpageState; 5] = [Missing, Invalid, Shared, Exclusive, Atomic];
         let mut rng = XorShift64::new(0x4b53_5231);
         let (mut indexed, mut unindexed, mut to_one, mut from_one) = (0, 0, 0, 0);
+        // Sweeps of one-holder, short, long and tombstoned long lists.
+        let mut swept = [0; 4];
+        let mut log = Vec::new();
         for _ in 0..6 {
             let mut h = Holders::default();
             let mut r = Reference::default();
@@ -625,6 +732,36 @@ mod tests {
                 let span = [3, 12, 24, 40, 1088][rng.next_index(5)];
                 let p_missing = [0.1, 0.4, 0.8][rng.next_index(3)];
                 for _ in 0..400 {
+                    if rng.next_bool(0.05) {
+                        let kind = match &h.0 {
+                            Repr::Empty => None,
+                            Repr::One(_) => Some(0),
+                            Repr::Short(_) => Some(1),
+                            Repr::Long(l) if l.entries.len() == l.live => Some(2),
+                            Repr::Long(_) => Some(3),
+                        };
+                        if let Some(k) = kind {
+                            swept[k] += 1;
+                        }
+                        log.clear();
+                        h.update(seeded_sweep(&mut rng, &mut log));
+                        r.sweep(&log);
+                        assert!(canonical(&h), "representation after a sweep");
+                        assert!(h.iter().eq(r.0.iter().copied()), "sweep keeps places");
+                        for probe in [rng.next_index(1088), rng.next_index(span)] {
+                            assert_eq!(h.state_of(probe), r.state_of(probe));
+                        }
+                        assert_eq!(
+                            h.atomic_holder(),
+                            r.0.iter().find(|(_, s)| *s == Atomic).map(|&(c, _)| c)
+                        );
+                        assert_eq!(h.any_valid(), r.0.iter().any(|(_, s)| s.readable()));
+                        assert_eq!(
+                            h.readable_count(),
+                            r.0.iter().filter(|(_, s)| s.readable()).count()
+                        );
+                        continue;
+                    }
                     let cell = rng.next_index(span);
                     let st = if rng.next_bool(p_missing) {
                         Missing
@@ -671,6 +808,10 @@ mod tests {
             to_one > 0 && from_one > 0,
             "lists must cross the one-holder boundary both ways ({from_one} up, {to_one} down)"
         );
+        assert!(
+            swept.iter().all(|&n| n >= 5),
+            "sweeps of one-holder, short, long and tombstoned lists: {swept:?}"
+        );
     }
 
     /// Differential test of the page-chunked map against a flat
@@ -680,7 +821,8 @@ mod tests {
     /// rates are high enough to empty slots, which `holders` must then
     /// report as `None`, and `find_violation` must name the absolute
     /// sub-page. A chunk counts its `Atomic` copies exactly, and pins a
-    /// cell exactly when the cell holds one of its sub-pages `Atomic`.
+    /// cell exactly when the cell holds one of its sub-pages `Atomic`,
+    /// also after a sweep through [`Chunk::update`] moved its count.
     #[test]
     fn directory_matches_a_flat_map_model() {
         use std::collections::{BTreeMap, BTreeSet};
@@ -701,8 +843,9 @@ mod tests {
         let mut rng = XorShift64::new(0x4b53_5244);
         let mut d = Directory::new();
         let mut model: BTreeMap<u64, Reference> = BTreeMap::new();
-        let (mut emptied, mut clean) = (0, 0);
+        let (mut emptied, mut clean, mut atomic_sweeps) = (0, 0, 0);
         let mut first_violations = BTreeSet::new();
+        let mut log = Vec::new();
         for step in 0..6000 {
             // Phases of 500 steps alternately fill and drain the slots.
             // Copies are mostly readers and place holders, so a writer
@@ -710,24 +853,40 @@ mod tests {
             // sticking.
             let p_missing = if (step / 500) % 2 == 0 { 0.2 } else { 0.8 };
             let sp = SUBPAGES[rng.next_index(SUBPAGES.len())];
-            let cell = rng.next_index(6);
-            let st = if rng.next_bool(p_missing) {
-                Missing
-            } else {
-                match rng.next_index(20) {
-                    0 => Exclusive,
-                    1 => Atomic,
-                    2..=7 => Invalid,
-                    _ => Shared,
+            let (page, slot) = split(sp);
+            if rng.next_bool(0.1) {
+                // A sweep in place; a sub-page never held has no list.
+                if let Some(chunk) = d.chunk_mut(page) {
+                    let before = chunk.atomics;
+                    log.clear();
+                    chunk.update(slot, seeded_sweep(&mut rng, &mut log));
+                    atomic_sweeps += usize::from(chunk.atomics != before);
+                    if let Some(r) = model.get_mut(&sp) {
+                        r.sweep(&log);
+                    } else {
+                        assert!(log.is_empty(), "sp {sp} has no holders to sweep");
+                    }
                 }
-            };
-            let r = model.entry(sp).or_default();
-            let was_held = !r.0.is_empty();
-            assert_eq!(d.set(sp, cell, st), r.state_of(cell), "replaced state");
-            r.set(cell, st);
-            if r.0.is_empty() {
-                model.remove(&sp);
-                emptied += usize::from(was_held);
+            } else {
+                let cell = rng.next_index(6);
+                let st = if rng.next_bool(p_missing) {
+                    Missing
+                } else {
+                    match rng.next_index(20) {
+                        0 => Exclusive,
+                        1 => Atomic,
+                        2..=7 => Invalid,
+                        _ => Shared,
+                    }
+                };
+                let r = model.entry(sp).or_default();
+                let was_held = !r.0.is_empty();
+                assert_eq!(d.set(sp, cell, st), r.state_of(cell), "replaced state");
+                r.set(cell, st);
+                if r.0.is_empty() {
+                    model.remove(&sp);
+                    emptied += usize::from(was_held);
+                }
             }
             for &q in &SUBPAGES {
                 let want = model.get(&q);
@@ -778,6 +937,10 @@ mod tests {
             assert_eq!(d.find_violation(), first_bad);
         }
         assert!(emptied > 100, "slots must empty often ({emptied})");
+        assert!(
+            atomic_sweeps > 20,
+            "sweeps must move chunks' atomic counts ({atomic_sweeps})"
+        );
         assert!(clean > 100, "violations must come and go ({clean} clean)");
         assert!(
             first_violations.len() >= 5,

@@ -37,8 +37,8 @@ use ksr_core::trace::{TraceEvent, TraceState, Tracer};
 use ksr_core::{FxHashMap, FxHashSet, Result, XorShift64};
 use ksr_net::{Fabric, PacketKind, RingTiming, Transit};
 
-use crate::directory::{Directory, Holders};
-use crate::geometry::{subpage_of, MemGeometry, SUBPAGES_PER_PAGE, SUBPAGE_BYTES};
+use crate::directory::{split, Directory, Holders};
+use crate::geometry::{subpage_of, MemGeometry, SUBBLOCK_BYTES, SUBPAGES_PER_PAGE, SUBPAGE_BYTES};
 use crate::localcache::{LocalCache, PageAlloc};
 use crate::perfmon::PerfMon;
 use crate::state::SubpageState;
@@ -214,11 +214,10 @@ pub struct MemorySystem {
     /// Sub-pages whose visibility events are kept for the coordinator.
     watched: FxHashSet<u64>,
     events: Vec<MemEvent>,
-    /// Reusable buffer for the holder snapshots `coherence_fetch`,
-    /// `poststore` and `warm` take before mutating directory state (see
-    /// [`Self::take_holders`]). Swapped out during use (never borrowed
-    /// across a `&mut self` call) and kept around so neither the request
-    /// path nor warm-up allocates a fresh `Vec` per sweep.
+    /// Reusable buffer for the holder snapshot `warm` takes before it
+    /// steals a sub-page, kept so warm-up does not allocate a fresh `Vec`
+    /// per sub-page. (The request path's sweeps update the holder list in
+    /// place and need no snapshot.)
     scratch_holders: Vec<(usize, SubpageState)>,
     coherent: bool,
     n_cells: usize,
@@ -376,19 +375,6 @@ impl MemorySystem {
             .map_or((None, SubpageState::Missing), |h| {
                 (h.atomic_holder(), h.state_of(cell))
             })
-    }
-
-    /// Snapshot `sp`'s holder list, in insertion order, into the reusable
-    /// scratch buffer: the sweeps mutate the directory while walking the
-    /// snapshot. The caller hands the buffer back through
-    /// `self.scratch_holders`.
-    fn take_holders(&mut self, sp: u64) -> Vec<(usize, SubpageState)> {
-        let mut holders = std::mem::take(&mut self.scratch_holders);
-        holders.clear();
-        if let Some(h) = self.dir.holders(sp) {
-            holders.extend(h.iter());
-        }
-        holders
     }
 
     /// Debug check of the single-writer invariant on `sp`, run at the end
@@ -638,132 +624,167 @@ impl MemorySystem {
 
     /// One ring (or bus) coherence transaction ending with `cell` holding
     /// `sp` in the `want` state. Returns the completion time.
+    ///
+    /// The demote, snarf and invalidate sweeps update `sp`'s holder list
+    /// in place, in insertion order, through one chunk lookup: O(1) host
+    /// work per holder.
     fn coherence_fetch(&mut self, cell: usize, sp: u64, t_req: Cycles, want: Want) -> Cycles {
         // Same-sub-page transactions serialize (hot-spot behaviour).
         let t0 = t_req.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
-        let holders = self.take_holders(sp);
-        let any_valid = holders.iter().any(|(_, s)| s.readable());
+        // The transit and the requester's own copy, read before any
+        // state changes.
+        let valid = self
+            .dir
+            .holders(sp)
+            .filter(|h| h.any_valid())
+            .map(|h| (self.transit_for(cell, h.iter()), h.state_of(cell)));
 
-        let done = if !any_valid {
-            let spilled = self.spilled.remove(&sp);
-            let mut t = if spilled {
-                // The last copy was evicted earlier: the ALLCACHE engine
-                // holds it in some other cell's cache, a full ring fetch
-                // away.
-                let timing = self.transact(t0, cell, Transit::Local, sp, PacketKind::ReadData);
+        let done = match valid {
+            None => {
+                let spilled = self.spilled.remove(&sp);
+                let mut t = if spilled {
+                    // The last copy was evicted earlier: the ALLCACHE engine
+                    // holds it in some other cell's cache, a full ring fetch
+                    // away.
+                    let timing = self.transact(t0, cell, Transit::Local, sp, PacketKind::ReadData);
+                    self.perf[cell].ring_transactions += 1;
+                    self.perf[cell].ring_wait_cycles += timing.slot_wait;
+                    let done = timing.response_at + self.timing.remote_overhead;
+                    self.perf[cell].ring_latency_cycles += done - t_req;
+                    done
+                } else {
+                    // Genuine first touch: the OS maps the page at the
+                    // requester, no ring traffic.
+                    t0 + self.timing.localcache_write
+                };
+                if self.ensure_page_costed(cell, sp * SUBPAGE_BYTES, t) {
+                    t += self.timing.page_alloc_penalty;
+                    self.perf[cell].page_allocations += 1;
+                }
+                let final_state = match want {
+                    Want::Shared => SubpageState::Exclusive, // sole copy
+                    Want::Exclusive => SubpageState::Exclusive,
+                    Want::Atomic => SubpageState::Atomic,
+                };
+                self.set_state(sp, cell, final_state, t);
+                t
+            }
+            Some((transit, own)) => {
+                let kind = match want {
+                    Want::Shared => PacketKind::ReadData,
+                    Want::Exclusive if own == SubpageState::Shared => PacketKind::Invalidate,
+                    Want::Exclusive => PacketKind::ReadExclusive,
+                    Want::Atomic => PacketKind::GetSubPage,
+                };
+                let timing = self.transact(t0, cell, transit, sp, kind);
                 self.perf[cell].ring_transactions += 1;
+                if matches!(transit, Transit::CrossRing { .. }) {
+                    // Golab RMR accounting: the packet left the requester's
+                    // leaf ring (LCA above level 0), so this is a remote
+                    // memory reference in the DSM/NUMA cost model.
+                    self.perf[cell].remote_references += 1;
+                }
                 self.perf[cell].ring_wait_cycles += timing.slot_wait;
-                let done = timing.response_at + self.timing.remote_overhead;
-                self.perf[cell].ring_latency_cycles += done - t_req;
-                done
-            } else {
-                // Genuine first touch: the OS maps the page at the
-                // requester, no ring traffic.
-                t0 + self.timing.localcache_write
-            };
-            if self.ensure_page_costed(cell, sp * SUBPAGE_BYTES, t) {
-                t += self.timing.page_alloc_penalty;
-                self.perf[cell].page_allocations += 1;
-            }
-            let final_state = match want {
-                Want::Shared => SubpageState::Exclusive, // sole copy
-                Want::Exclusive => SubpageState::Exclusive,
-                Want::Atomic => SubpageState::Atomic,
-            };
-            self.set_state(sp, cell, final_state, t);
-            t
-        } else {
-            let transit = self.transit_for(cell, &holders);
-            let self_shared = holders.contains(&(cell, SubpageState::Shared));
-            let kind = match want {
-                Want::Shared => PacketKind::ReadData,
-                Want::Exclusive if self_shared => PacketKind::Invalidate,
-                Want::Exclusive => PacketKind::ReadExclusive,
-                Want::Atomic => PacketKind::GetSubPage,
-            };
-            let timing = self.transact(t0, cell, transit, sp, kind);
-            self.perf[cell].ring_transactions += 1;
-            if matches!(transit, Transit::CrossRing { .. }) {
-                // Golab RMR accounting: the packet left the requester's
-                // leaf ring (LCA above level 0), so this is a remote
-                // memory reference in the DSM/NUMA cost model.
-                self.perf[cell].remote_references += 1;
-            }
-            self.perf[cell].ring_wait_cycles += timing.slot_wait;
-            let mut t = timing.response_at + self.timing.remote_overhead;
-            if want != Want::Shared {
-                t += self.timing.remote_write_extra;
-            }
-            if self.ensure_page_costed(cell, sp * SUBPAGE_BYTES, t) {
-                t += self.timing.page_alloc_penalty;
-                self.perf[cell].page_allocations += 1;
-            }
-            self.perf[cell].ring_latency_cycles += t - t_req;
-            let fault = self.options.fault;
-
-            match want {
-                Want::Shared => {
-                    // The old owner demotes *first*: no point in the event
-                    // stream may show a Shared copy beside a writable one.
-                    for (c, s) in &holders {
-                        if *s == SubpageState::Exclusive
-                            && fault != Some(ProtocolFault::MissedDemotion)
-                        {
-                            self.set_state(sp, *c, SubpageState::Shared, t);
-                        }
-                    }
-                    // Read-snarfing: place holders refill for free.
-                    for (c, s) in &holders {
-                        if *s == SubpageState::Invalid && self.options.read_snarfing {
-                            self.set_state(sp, *c, SubpageState::Shared, t);
-                            self.perf[*c].snarfs += 1;
-                            let c = *c;
-                            self.tracer.emit_with(|| TraceEvent::Snarf {
-                                at: t,
-                                cell: c,
-                                subpage: sp,
-                            });
-                        }
-                    }
-                    self.set_state(sp, cell, SubpageState::Shared, t);
+                let mut t = timing.response_at + self.timing.remote_overhead;
+                if want != Want::Shared {
+                    t += self.timing.remote_write_extra;
                 }
-                Want::Exclusive | Want::Atomic => {
-                    // The seeded MissedInvalidation fault leaves every
-                    // other copy valid — the two-writable-copies bug the
-                    // ksr-verify checker must catch.
-                    let skip = fault == Some(ProtocolFault::MissedInvalidation);
-                    for (c, s) in &holders {
-                        if !skip && *c != cell && *s != SubpageState::Missing {
-                            self.set_state(sp, *c, SubpageState::Invalid, t);
-                            self.subcaches[*c].invalidate_subpage(sp);
-                            self.perf[*c].invalidations_received += 1;
-                            let c = *c;
-                            self.tracer.emit_with(|| TraceEvent::Invalidation {
-                                at: t,
-                                cell: c,
-                                subpage: sp,
-                            });
-                        }
-                    }
-                    let st = if want == Want::Atomic {
-                        SubpageState::Atomic
-                    } else {
-                        SubpageState::Exclusive
-                    };
-                    self.set_state(sp, cell, st, t);
+                if self.ensure_page_costed(cell, sp * SUBPAGE_BYTES, t) {
+                    t += self.timing.page_alloc_penalty;
+                    self.perf[cell].page_allocations += 1;
                 }
+                self.perf[cell].ring_latency_cycles += t - t_req;
+                self.sweep(cell, sp, want, t);
+                let st = match want {
+                    Want::Shared => SubpageState::Shared,
+                    Want::Exclusive => SubpageState::Exclusive,
+                    Want::Atomic => SubpageState::Atomic,
+                };
+                self.set_state(sp, cell, st, t);
+                t
             }
-            t
         };
-        self.scratch_holders = holders;
         self.subpage_busy.insert(sp, done);
         self.debug_check_subpage(sp);
         done
     }
 
-    /// Transit scope for a transaction given the current holder set.
-    fn transit_for(&self, cell: usize, holders: &[(usize, SubpageState)]) -> Transit {
-        self.transit_for_iter(cell, holders.iter().copied())
+    /// The other holders' side of a coherence fetch by `cell` at `t`: a
+    /// read demotes the writable copy and snarf-refills the place
+    /// holders; a write or `get_sub_page` invalidates every other copy.
+    /// Each sweep walks the holder list once, in place.
+    fn sweep(&mut self, cell: usize, sp: u64, want: Want, t: Cycles) {
+        let fault = self.options.fault;
+        let (page, slot) = split(sp);
+        let chunk = self
+            .dir
+            .chunk_mut(page)
+            .expect("a sub-page with a valid copy has a chunk");
+        let tracer = &mut self.tracer;
+        let perf = &mut self.perf;
+        match want {
+            Want::Shared => {
+                // The old owner demotes *first*: no point in the event
+                // stream may show a Shared copy beside a writable one.
+                if fault != Some(ProtocolFault::MissedDemotion) {
+                    chunk.update(slot, |c, s| {
+                        if s != SubpageState::Exclusive {
+                            return s;
+                        }
+                        trace_transition(tracer, t, c, sp, s, SubpageState::Shared);
+                        SubpageState::Shared
+                    });
+                }
+                // Read-snarfing: place holders refill for free.
+                if self.options.read_snarfing {
+                    chunk.update(slot, |c, s| {
+                        if s != SubpageState::Invalid {
+                            return s;
+                        }
+                        trace_transition(tracer, t, c, sp, s, SubpageState::Shared);
+                        perf[c].snarfs += 1;
+                        tracer.emit_with(|| TraceEvent::Snarf {
+                            at: t,
+                            cell: c,
+                            subpage: sp,
+                        });
+                        SubpageState::Shared
+                    });
+                }
+            }
+            // The seeded MissedInvalidation fault leaves every other copy
+            // valid — the two-writable-copies bug the ksr-verify checker
+            // must catch.
+            Want::Exclusive | Want::Atomic if fault == Some(ProtocolFault::MissedInvalidation) => {}
+            Want::Exclusive | Want::Atomic => {
+                let subcaches = &mut self.subcaches;
+                chunk.update(slot, |c, s| {
+                    if c == cell {
+                        return s;
+                    }
+                    if s == SubpageState::Invalid {
+                        // A place holder's sub-cache dropped the sub-page
+                        // when the holder became one, and only a readable
+                        // copy refills it: nothing to drop.
+                        debug_assert!(
+                            !(0..2).any(|half| subcaches[c]
+                                .contains(sp * SUBPAGE_BYTES + half * SUBBLOCK_BYTES)),
+                            "place holder {c} still sub-caches sub-page {sp}"
+                        );
+                    } else {
+                        trace_transition(tracer, t, c, sp, s, SubpageState::Invalid);
+                        subcaches[c].invalidate_subpage(sp);
+                    }
+                    perf[c].invalidations_received += 1;
+                    tracer.emit_with(|| TraceEvent::Invalidation {
+                        at: t,
+                        cell: c,
+                        subpage: sp,
+                    });
+                    SubpageState::Invalid
+                });
+            }
+        }
     }
 
     /// [`Self::transit_for`] for a `get_sub_page` that `owner`'s `Atomic`
@@ -775,13 +796,16 @@ impl MemorySystem {
     /// then the whole list is walked, in order.
     fn rejection_transit(&self, cell: usize, holders: &Holders, owner: usize) -> Transit {
         if holders.readable_count() > 1 {
-            self.transit_for_iter(cell, holders.iter())
+            self.transit_for(cell, holders.iter())
         } else {
-            self.transit_for_iter(cell, std::iter::once((owner, SubpageState::Atomic)))
+            self.transit_for(cell, std::iter::once((owner, SubpageState::Atomic)))
         }
     }
 
-    fn transit_for_iter(
+    /// Transit scope for a transaction by `cell` given the holders, in
+    /// insertion order: the first readable copy on `cell`'s own leaf
+    /// ring answers locally, else the first readable copy elsewhere.
+    fn transit_for(
         &self,
         cell: usize,
         holders: impl Iterator<Item = (usize, SubpageState)>,
@@ -964,15 +988,14 @@ impl MemorySystem {
         let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
         // If any place holder lives on another leaf ring, the update must
         // cross Ring:1.
-        let holders = self.take_holders(sp);
-        let transit = match &self.fabric {
-            Fabric::Ring(h) => {
+        let transit = match (&self.fabric, self.dir.holders(sp)) {
+            (Fabric::Ring(h), Some(holders)) => {
                 let my_leaf = h.leaf_of(cell);
                 holders
                     .iter()
                     .find(|(c, s)| s.is_placeholder() && h.leaf_of(*c) != my_leaf)
                     .map_or(Transit::Local, |(c, _)| Transit::CrossRing {
-                        dst_leaf: h.leaf_of(*c),
+                        dst_leaf: h.leaf_of(c),
                     })
             }
             _ => Transit::Local,
@@ -986,13 +1009,20 @@ impl MemorySystem {
         // The writer's copy stops being exclusive as the broadcast
         // launches — demote it before any place holder refills, so the
         // event stream never shows a Shared copy beside a writable one.
-        self.set_state(sp, cell, SubpageState::Shared, timing.response_at);
-        for (c, s) in &holders {
-            if s.is_placeholder() {
-                self.set_state(sp, *c, SubpageState::Shared, timing.response_at);
-            }
-        }
-        self.scratch_holders = holders;
+        let at = timing.response_at;
+        self.set_state(sp, cell, SubpageState::Shared, at);
+        let (page, slot) = split(sp);
+        let tracer = &mut self.tracer;
+        self.dir
+            .chunk_mut(page)
+            .expect("the writer's sub-page has a chunk")
+            .update(slot, |c, s| {
+                if !s.is_placeholder() {
+                    return s;
+                }
+                trace_transition(tracer, at, c, sp, s, SubpageState::Shared);
+                SubpageState::Shared
+            });
         self.subpage_busy.insert(sp, timing.response_at);
         self.emit(sp, timing.response_at);
         self.debug_check_subpage(sp);
@@ -1301,13 +1331,15 @@ mod tests {
                     continue;
                 };
                 if rng.next_bool(0.5) {
-                    let others = m.take_holders(sp);
-                    for &(c, s) in &others {
+                    let (page, slot) = split(sp);
+                    let chunk = m.dir.chunk_mut(page).unwrap();
+                    chunk.update(slot, |c, s| {
                         if c != owner && s.readable() {
-                            m.dir.set(sp, c, Invalid);
+                            Invalid
+                        } else {
+                            s
                         }
-                    }
-                    m.scratch_holders = others;
+                    });
                 }
                 let holders = m.dir.holders(sp).unwrap();
                 if holders.iter().count() > 16 {
@@ -1325,7 +1357,7 @@ mod tests {
                     if requester == owner {
                         continue;
                     }
-                    let want = m.transit_for_iter(requester, holders.iter());
+                    let want = m.transit_for(requester, holders.iter());
                     assert_eq!(m.rejection_transit(requester, holders, owner), want);
                     match want {
                         Transit::Local => local += 1,

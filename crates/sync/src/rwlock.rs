@@ -17,8 +17,11 @@
 //! (`next`, `serving`, `last_is_read`, `last_ticket`); per-ticket reader
 //! bookkeeping lives in a 64-slot table (`readers[t]`, `released[t]`,
 //! indexed by `t mod 64`) that is only ever touched while holding the
-//! queue sub-page. Sixty-four slots suffice because every processor holds
-//! at most one outstanding ticket, and the KSR-2 tops out at 64 cells.
+//! queue sub-page. Only read tickets own slots, so the table bounds the
+//! read tickets in flight: a read ticket opens its slot only while fewer
+//! than 64 tickets are ahead of it (a debug assertion checks this).
+//! Write tickets never index the table, so a write-only queue takes any
+//! number of processors — LCK runs one on 1024 cells.
 //!
 //! * a **reader** combines onto the most recent ticket when that ticket
 //!   is a read ticket not yet retired (`last_ticket >= serving`);
@@ -39,7 +42,8 @@ const SERVING: u64 = 8;
 const LAST_IS_READ: u64 = 16;
 const LAST_TICKET: u64 = 24;
 
-/// Per-ticket bookkeeping slots (≥ max processors, power of two).
+/// Reader bookkeeping slots: more than the read tickets ever in flight
+/// (a power of two).
 const SLOTS: u64 = 64;
 
 /// Acquisition mode.
@@ -148,10 +152,6 @@ impl SwRwLock {
         let ticket = cpu.read_u64(self.q + NEXT).await;
         cpu.write_u64(self.q + NEXT, ticket + 1).await;
         let serving = cpu.read_u64(self.q + SERVING).await;
-        debug_assert!(
-            ticket - serving < SLOTS,
-            "more in-flight tickets than table slots"
-        );
         // If the head of the queue is a fully-drained read ticket, nobody
         // is left to advance it: step over it now.
         if cpu.read_u64(self.q + LAST_IS_READ).await == 1
@@ -203,7 +203,7 @@ impl SwRwLock {
 
 #[cfg(test)]
 mod tests {
-    use ksr_machine::program;
+    use ksr_machine::{program, MachineConfig};
 
     use super::*;
 
@@ -233,6 +233,33 @@ mod tests {
         .expect("run");
         assert_eq!(m.peek_u64(shared).unwrap(), 64);
         assert_eq!(m.peek_u64(shared + 8).unwrap(), 64);
+    }
+
+    /// Twice as many queued writers as the reader table has slots: write
+    /// tickets never index it, so a write-only queue on 128 cells runs to
+    /// the exact count.
+    #[test]
+    fn write_only_queue_outgrows_the_reader_table() {
+        const PROCS: usize = 128;
+        let mut m = Machine::new(MachineConfig::ksr_ring(22, &[32, 4])).unwrap();
+        let lock = SwRwLock::alloc(&mut m).unwrap();
+        let shared = m.alloc_subpage(8).unwrap();
+        m.run(
+            (0..PROCS)
+                .map(|_| {
+                    program(move |mut cpu| async move {
+                        for _ in 0..2 {
+                            let t = lock.acquire(&mut cpu, LockMode::Write).await;
+                            let v = cpu.read_u64(shared).await;
+                            cpu.write_u64(shared, v + 1).await;
+                            lock.release(&mut cpu, t).await;
+                        }
+                    })
+                })
+                .collect(),
+        )
+        .expect("run");
+        assert_eq!(m.peek_u64(shared).unwrap(), 2 * PROCS as u64);
     }
 
     #[test]
