@@ -680,6 +680,16 @@ mod tests {
         log.lock().unwrap().batches.iter().map(Vec::len).collect()
     }
 
+    fn arrival(log: &Mutex<BatchLog>) -> Vec<Cycles> {
+        log.lock()
+            .unwrap()
+            .batches
+            .concat()
+            .iter()
+            .map(TraceEvent::at)
+            .collect()
+    }
+
     /// One `record_batch` call per filled buffer and per flush, none per
     /// event, and an empty buffer delivers nothing.
     #[test]
@@ -694,18 +704,53 @@ mod tests {
         t.flush();
         t.flush();
         assert_eq!(sizes(&log), [Tracer::BATCH, Tracer::BATCH, 5]);
-        let ats: Vec<Cycles> = log
+        assert_eq!(
+            arrival(&log),
+            (0..n as Cycles).collect::<Vec<_>>(),
+            "in emission order"
+        );
+    }
+
+    /// Full buffers from a tracer and its clone reach the shared sink in
+    /// the order they were handed over, and each flush's batch after
+    /// everything handed over before it.
+    #[test]
+    fn clones_deliver_in_hand_off_order() {
+        let (mut a, log) = Tracer::attach(BatchLog::default());
+        let mut b = a.clone();
+        // A buffer is handed over when the event after the one that
+        // filled it arrives.
+        let emit = |t: &mut Tracer, base: Cycles, n: usize| {
+            for i in 0..n as Cycles {
+                t.emit_with(|| ev(base + i));
+            }
+        };
+        emit(&mut a, 0, Tracer::BATCH);
+        emit(&mut b, 100_000, Tracer::BATCH);
+        emit(&mut a, 200_000, Tracer::BATCH);
+        emit(&mut b, 300_000, Tracer::BATCH);
+        emit(&mut b, 400_000, 1);
+        emit(&mut a, 500_000, 1);
+        b.flush();
+        a.flush();
+        let firsts: Vec<Cycles> = log
             .lock()
             .unwrap()
             .batches
-            .concat()
             .iter()
-            .map(TraceEvent::at)
+            .map(|batch| batch[0].at())
             .collect();
+        assert_eq!(firsts, [0, 100_000, 300_000, 200_000, 400_000, 500_000]);
         assert_eq!(
-            ats,
-            (0..n as Cycles).collect::<Vec<_>>(),
-            "in emission order"
+            sizes(&log),
+            [
+                Tracer::BATCH,
+                Tracer::BATCH,
+                Tracer::BATCH,
+                Tracer::BATCH,
+                1,
+                1
+            ]
         );
     }
 
@@ -728,21 +773,14 @@ mod tests {
         t2.emit_with(|| ev(2));
         drop(t2);
         drop(t);
-        let ats: Vec<Cycles> = log
-            .lock()
-            .unwrap()
-            .batches
-            .concat()
-            .iter()
-            .map(TraceEvent::at)
-            .collect();
-        assert_eq!(ats, [2, 1]);
+        assert_eq!(arrival(&log), [2, 1]);
     }
 
     /// A sink that panicked mid-batch poisons its lock and gets nothing
     /// more: later flushes and the drop do not panic, not even while
     /// another panic unwinds (which would abort), and the reader sees the
-    /// poisoning.
+    /// poisoning. This holds when the sink fails on its first batch and
+    /// when it fails with more buffers still to come.
     #[test]
     fn a_poisoned_sink_gets_nothing_more_and_nothing_panics() {
         struct Panicky;
@@ -751,22 +789,30 @@ mod tests {
                 panic!("sink failure");
             }
         }
-        let (mut t, sink) = Tracer::attach(Panicky);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.emit_with(|| ev(1));
+        for n in [1, 2 * Tracer::BATCH + 1] {
+            let emit = |t: &mut Tracer| {
+                for at in 0..n as Cycles {
+                    t.emit_with(|| ev(at));
+                }
+            };
+            let (mut t, sink) = Tracer::attach(Panicky);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                emit(&mut t);
+                t.flush();
+            }));
+            let payload = caught.expect_err("the sink panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"sink failure"));
+            assert_eq!(t.pending(), 0, "the failed batch is not kept");
+            emit(&mut t);
             t.flush();
-        }));
-        assert!(caught.is_err());
-        assert_eq!(t.pending(), 0, "the failed batch is not kept");
-        t.emit_with(|| ev(2));
-        t.flush();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            t.emit_with(|| ev(3));
-            panic!("program failure");
-        }));
-        let payload = caught.expect_err("the program panic propagates");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"program failure"));
-        assert!(sink.lock().is_err(), "the reader sees the poisoned sink");
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                emit(&mut t);
+                panic!("program failure");
+            }));
+            let payload = caught.expect_err("the program panic propagates");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"program failure"));
+            assert!(sink.lock().is_err(), "the reader sees the poisoned sink");
+        }
     }
 
     #[test]

@@ -771,6 +771,9 @@ fn coordinate_event(
     let mut ready = ReadyQueue::default();
     // sub-page -> parked (proc, parked_at)
     let mut parked: FxHashMap<u64, Vec<(usize, Cycles)>> = FxHashMap::default();
+    // Waiter lists emptied by wakes, reused by the next sub-page to get
+    // a waiter, so a list regrows only past its high-water mark.
+    let mut spare_lists: Vec<Vec<(usize, Cycles)>> = Vec::new();
     // Reused across iterations so draining visibility events and
     // collecting a fan-out's wake keys allocate only until the buffers
     // reach their high-water marks.
@@ -818,7 +821,9 @@ fn coordinate_event(
                 // A list in the map is never empty (a wake removes it
                 // whole), so the sub-page is watched exactly while it
                 // has waiters.
-                let waiters = parked.entry(subpage).or_default();
+                let waiters = parked
+                    .entry(subpage)
+                    .or_insert_with(|| spare_lists.pop().unwrap_or_default());
                 if waiters.is_empty() {
                     mem.watch(subpage);
                 }
@@ -834,9 +839,9 @@ fn coordinate_event(
         // Visibility events wake parked processors for a costed retry.
         mem.drain_events_into(&mut events);
         for ev in events.drain(..) {
-            if let Some(waiters) = parked.remove(&ev.subpage) {
+            if let Some(mut waiters) = parked.remove(&ev.subpage) {
                 mem.unwatch(ev.subpage);
-                for (proc, parked_at) in waiters {
+                for (proc, parked_at) in waiters.drain(..) {
                     let wake_at = parked_at.max(ev.at);
                     mem.tracer_mut().emit_with(|| TraceEvent::LockHandoff {
                         at: wake_at,
@@ -845,6 +850,7 @@ fn coordinate_event(
                     });
                     woken.push(pack(wake_at, proc));
                 }
+                spare_lists.push(waiters);
                 ready.push_run(&mut woken);
             }
         }

@@ -38,6 +38,8 @@
 
 pub mod checker;
 pub mod explore;
+#[cfg(test)]
+mod offline_oracle;
 pub mod predict;
 pub mod race;
 pub mod report;

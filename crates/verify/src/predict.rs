@@ -33,10 +33,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ksr_core::time::Cycles;
 use ksr_core::trace::{TraceEvent, TraceSink};
-use ksr_mem::subpage_of;
 
 use crate::checker::{CheckerConfig, CheckingSink, Violation};
-use crate::race::RaceDetector;
+use crate::race::Timeline;
 
 /// Which predictive rule a [`PredictFinding`] comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -90,20 +89,37 @@ pub struct PredictFinding {
 /// era for phase-structured programs).
 #[derive(Debug)]
 struct LocksetState {
-    /// Cell of the last access (ownership while exclusive).
+    /// Cell of the first access since the last era reset (ownership
+    /// while exclusive).
     owner: usize,
     /// Shared between cells since the last era reset.
     shared: bool,
     /// Written while shared (the dangerous state).
     written_shared: bool,
-    /// Candidate lockset: locks held at *every* access since sharing
-    /// began. `None` until first shared.
-    lockset: Option<BTreeSet<u64>>,
+    /// Whether this variable has a finding (one per address, era resets
+    /// included).
+    found: bool,
+    /// Candidate lockset, sorted: locks held at *every* access since the
+    /// last era reset.
+    lockset: Vec<u64>,
     /// Highest barrier era of any access so far.
     era: u64,
-    /// First two accesses from distinct cells with an empty lockset
-    /// (witnesses for the report): (cell, at, write).
-    witnesses: Vec<(usize, Cycles, bool)>,
+    /// The first other cell to access the variable since the last era
+    /// reset; with `owner`, the witnesses a finding names.
+    second: Option<usize>,
+}
+
+impl LocksetState {
+    /// Ownership restarts with this access.
+    fn restart(&mut self, cell: usize, locks: &[u64], era: u64) {
+        self.owner = cell;
+        self.shared = false;
+        self.written_shared = false;
+        self.lockset.clear();
+        self.lockset.extend_from_slice(locks);
+        self.era = era;
+        self.second = None;
+    }
 }
 
 /// Run the Eraser-style lockset discipline check over one collected
@@ -115,24 +131,26 @@ struct LocksetState {
 /// finding per address.
 #[must_use]
 pub fn lockset_analysis(events: &[TraceEvent]) -> Vec<PredictFinding> {
-    let sync = RaceDetector::sync_subpages(events);
-    let mut order: Vec<usize> = (0..events.len()).collect();
-    order.sort_by_key(|&i| events[i].at());
+    let timeline = Timeline::of(events);
+    // Per cell: the locks it holds (sorted) and its barrier era.
+    let mut held: Vec<Vec<u64>> = Vec::new();
+    let mut eras: Vec<u64> = Vec::new();
+    let mut vars: Vec<Option<LocksetState>> = Vec::new();
+    vars.resize_with(timeline.words(), || None);
+    let mut findings = Vec::new();
 
-    let mut held: BTreeMap<usize, BTreeSet<u64>> = BTreeMap::new();
-    let mut eras: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut vars: BTreeMap<u64, LocksetState> = BTreeMap::new();
-    let mut findings: BTreeMap<u64, PredictFinding> = BTreeMap::new();
-
-    for i in order {
-        match events[i] {
+    for (event, word) in timeline.events(events) {
+        match *event {
             TraceEvent::SyncAcquire {
                 cell,
                 subpage,
                 rmw: false,
                 ..
             } => {
-                held.entry(cell).or_default().insert(subpage);
+                let locks = slot(&mut held, cell);
+                if let Err(pos) = locks.binary_search(&subpage) {
+                    locks.insert(pos, subpage);
+                }
             }
             TraceEvent::SyncRelease {
                 cell,
@@ -140,84 +158,83 @@ pub fn lockset_analysis(events: &[TraceEvent]) -> Vec<PredictFinding> {
                 rmw: false,
                 ..
             } => {
-                held.entry(cell).or_default().remove(&subpage);
+                let locks = slot(&mut held, cell);
+                if let Ok(pos) = locks.binary_search(&subpage) {
+                    locks.remove(pos);
+                }
             }
             TraceEvent::BarrierEpisode { cell, .. } => {
-                *eras.entry(cell).or_insert(0) += 1;
+                *slot(&mut eras, cell) += 1;
             }
             TraceEvent::DataRead { at, cell, addr } | TraceEvent::DataWrite { at, cell, addr } => {
-                if sync.contains(&subpage_of(addr)) {
+                let Some(word) = word else {
                     continue;
-                }
-                let write = matches!(events[i], TraceEvent::DataWrite { .. });
-                let era = eras.get(&cell).copied().unwrap_or(0);
-                let locks = held.get(&cell).cloned().unwrap_or_default();
-                let var = vars.entry(addr).or_insert(LocksetState {
+                };
+                let write = matches!(event, TraceEvent::DataWrite { .. });
+                let era = eras.get(cell).copied().unwrap_or(0);
+                let locks = held.get(cell).map_or(&[][..], Vec::as_slice);
+                let var = vars[word].get_or_insert_with(|| LocksetState {
                     owner: cell,
                     shared: false,
                     written_shared: false,
-                    lockset: Some(locks.clone()),
+                    found: false,
+                    lockset: locks.to_vec(),
                     era,
-                    witnesses: vec![(cell, at, write)],
+                    second: None,
                 });
                 if era > var.era {
                     // Barrier handoff: every older access happened in an
                     // earlier phase; ownership restarts with this access.
-                    *var = LocksetState {
-                        owner: cell,
-                        shared: false,
-                        written_shared: false,
-                        lockset: Some(locks),
-                        era,
-                        witnesses: vec![(cell, at, write)],
-                    };
+                    var.restart(cell, locks, era);
                     continue;
                 }
                 // Refine the candidate lockset at *every* access since
                 // the last era reset — including the exclusive phase, so
                 // the first owner's locks participate in the
                 // intersection once a second cell shows up.
-                match &mut var.lockset {
-                    None => var.lockset = Some(locks),
-                    Some(ls) => {
-                        let keep: BTreeSet<u64> = ls.intersection(&locks).copied().collect();
-                        *ls = keep;
-                    }
-                }
+                var.lockset.retain(|l| locks.binary_search(l).is_ok());
                 if !var.shared && cell == var.owner {
                     continue; // still exclusive to one cell
                 }
                 // Second cell reached the variable within one era.
                 var.shared = true;
                 var.written_shared |= write;
-                if var.witnesses.len() < 2 && var.witnesses.first().map(|w| w.0) != Some(cell) {
-                    var.witnesses.push((cell, at, write));
+                if var.second.is_none() && cell != var.owner {
+                    var.second = Some(cell);
                 }
-                let empty = var.lockset.as_ref().is_some_and(BTreeSet::is_empty);
-                if var.written_shared && empty && !findings.contains_key(&addr) {
-                    let mut cells: Vec<usize> = var.witnesses.iter().map(|w| w.0).collect();
+                if var.written_shared && var.lockset.is_empty() && !var.found {
+                    var.found = true;
+                    let mut cells: Vec<usize> = [var.owner].into_iter().chain(var.second).collect();
                     cells.sort_unstable();
-                    cells.dedup();
-                    findings.insert(
+                    findings.push(PredictFinding {
+                        rule: PredictRule::EmptyLockset,
                         addr,
-                        PredictFinding {
-                            rule: PredictRule::EmptyLockset,
-                            addr,
-                            message: format!(
-                                "address {addr:#x} is written by cells {cells:?} in the \
-                                 same barrier era with no consistently held lock \
-                                 (lockset became empty at cycle {at})"
-                            ),
-                            cells,
-                        },
-                    );
+                        message: format!(
+                            "address {addr:#x} is written by cells {cells:?} in the \
+                             same barrier era with no consistently held lock \
+                             (lockset became empty at cycle {at})"
+                        ),
+                        cells,
+                    });
                 }
             }
             _ => {}
         }
     }
-    findings.into_values().collect()
+    findings.sort_unstable_by_key(|f| f.addr);
+    findings
 }
+
+/// `cell`'s entry in a per-cell table, grown on first use.
+fn slot<T: Default>(table: &mut Vec<T>, cell: usize) -> &mut T {
+    if table.len() <= cell {
+        table.resize_with(cell + 1, T::default);
+    }
+    &mut table[cell]
+}
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 // ---------------------------------------------------------------------
 // Lock-order graph

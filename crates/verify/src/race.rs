@@ -104,6 +104,111 @@ pub struct RaceReport {
     pub second: Access,
 }
 
+/// The part of one trace the offline passes read, from the prepass they
+/// share ([`Timeline::of`]).
+pub(crate) struct Timeline {
+    /// `(at, position, word)` of every synchronization, spin, data and
+    /// barrier event, sorted: virtual-time order, with equal-cycle events
+    /// in arrival (coordinator commit) order, which is itself
+    /// deterministic. `word` numbers the ordinary words densely from 0 in
+    /// order of first access, and is [`NOT_A_WORD`] for every other
+    /// event.
+    order: Vec<(Cycles, u32, u32)>,
+    /// Distinct ordinary words.
+    words: usize,
+}
+
+/// The `word` of an event that is not a plain access to an ordinary
+/// word.
+const NOT_A_WORD: u32 = u32::MAX;
+
+impl Timeline {
+    /// Two passes over the trace and one in-place sort. The first finds
+    /// the sub-pages that act as synchronization objects anywhere in the
+    /// trace: targets of `SyncAcquire`/`SyncRelease` (locks,
+    /// `get_sub_page`, native RMWs) and of satisfied spins (flags); both
+    /// passes exempt plain accesses to them, and agree on what counts as
+    /// a synchronization object. The second keys the events the passes
+    /// read, numbering each ordinary word on its first access, so the
+    /// passes keep their per-word state in a `Vec` and look nothing up.
+    ///
+    /// # Panics
+    /// On a trace of 2^32 - 1 events or more (128 GB of events).
+    pub(crate) fn of(events: &[TraceEvent]) -> Self {
+        assert!(
+            events.len() < NOT_A_WORD as usize,
+            "a trace of {} events is too long for the offline passes",
+            events.len()
+        );
+        let read = |e: &TraceEvent| {
+            matches!(
+                e,
+                TraceEvent::SyncAcquire { .. }
+                    | TraceEvent::SyncRelease { .. }
+                    | TraceEvent::SpinRead { .. }
+                    | TraceEvent::DataRead { .. }
+                    | TraceEvent::DataWrite { .. }
+                    | TraceEvent::BarrierEpisode { .. }
+            )
+        };
+        let mut sync = FxHashSet::default();
+        let mut keys = 0;
+        for e in events {
+            match *e {
+                TraceEvent::SyncAcquire { subpage, .. }
+                | TraceEvent::SyncRelease { subpage, .. } => {
+                    sync.insert(subpage);
+                }
+                TraceEvent::SpinRead { addr, .. } => {
+                    sync.insert(subpage_of(addr));
+                }
+                _ => {}
+            }
+            keys += usize::from(read(e));
+        }
+        let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut order = Vec::with_capacity(keys);
+        for (i, e) in events.iter().enumerate() {
+            let word = match *e {
+                TraceEvent::DataRead { addr, .. } | TraceEvent::DataWrite { addr, .. }
+                    if !sync.contains(&subpage_of(addr)) =>
+                {
+                    let next = ids.len() as u32;
+                    *ids.entry(addr).or_insert(next)
+                }
+                _ if read(e) => NOT_A_WORD,
+                _ => continue,
+            };
+            order.push((e.at(), i as u32, word));
+        }
+        order.sort_unstable();
+        Self {
+            order,
+            words: ids.len(),
+        }
+    }
+
+    /// Distinct ordinary words: every word id is below this.
+    pub(crate) fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The events the passes read, in time order, each with its word id
+    /// when it is a plain access to an ordinary word (`None` for a data
+    /// access to a synchronization sub-page, and for every other event).
+    pub(crate) fn events<'a>(
+        &'a self,
+        events: &'a [TraceEvent],
+    ) -> impl Iterator<Item = (&'a TraceEvent, Option<usize>)> + 'a {
+        self.order.iter().map(move |&(_, i, word)| {
+            (
+                &events[i as usize],
+                (word != NOT_A_WORD).then_some(word as usize),
+            )
+        })
+    }
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct VectorClock(Vec<u64>);
 
@@ -120,9 +225,9 @@ impl VectorClock {
         if self.0.len() < other.0.len() {
             self.0.resize(other.0.len(), 0);
         }
-        for (i, &v) in other.0.iter().enumerate() {
-            if self.0[i] < v {
-                self.0[i] = v;
+        for (mine, &theirs) in self.0.iter_mut().zip(&other.0) {
+            if *mine < theirs {
+                *mine = theirs;
             }
         }
     }
@@ -135,16 +240,103 @@ impl VectorClock {
     }
 }
 
+/// One access as the detector remembers it: the cell, the cell's own
+/// clock entry at the access, and the cycle.
+#[derive(Debug, Clone, Copy)]
+struct Epoch {
+    cell: usize,
+    clock: u64,
+    at: Cycles,
+}
+
+impl Epoch {
+    /// Whether the access is by another cell and not ordered before a
+    /// cell whose clock is `view`.
+    fn races(&self, cell: usize, view: &VectorClock) -> bool {
+        self.cell != cell && view.get(self.cell) < self.clock
+    }
+
+    fn access(&self, write: bool) -> Access {
+        Access {
+            cell: self.cell,
+            at: self.at,
+            write,
+        }
+    }
+}
+
+/// Each cell's last read of one variable since its last write: the
+/// first reader inline, any others (words that several cells read
+/// between writes) in `more`, which allocates only then.
+#[derive(Debug, Default)]
+struct Readers {
+    first: Option<Epoch>,
+    more: Vec<Epoch>,
+}
+
+impl Readers {
+    fn record(&mut self, read: Epoch) {
+        match &mut self.first {
+            None => self.first = Some(read),
+            Some(first) if first.cell == read.cell => *first = read,
+            Some(_) => match self.more.iter_mut().find(|r| r.cell == read.cell) {
+                Some(slot) => *slot = read,
+                None => self.more.push(read),
+            },
+        }
+    }
+
+    /// The racing reader of a write by `cell` whose clock is `view`: of
+    /// several, the lowest cell.
+    fn racing(&self, cell: usize, view: &VectorClock) -> Option<Epoch> {
+        self.first
+            .iter()
+            .chain(&self.more)
+            .filter(|r| r.races(cell, view))
+            .min_by_key(|r| r.cell)
+            .copied()
+    }
+
+    fn clear(&mut self) {
+        self.first = None;
+        self.more.clear();
+    }
+}
+
+/// One ordinary word's access history.
 #[derive(Debug, Default)]
 struct VarState {
-    /// Last write: (cell, writer's epoch at the write, cycle).
-    write: Option<(usize, u64, Cycles)>,
-    /// Per-cell last read: cell -> (reader's epoch, cycle).
-    reads: FxHashMap<usize, (u64, Cycles)>,
+    /// Last write.
+    write: Option<Epoch>,
+    /// Reads since the last write.
+    reads: Readers,
+    /// Whether a race on this word has been reported: one report per
+    /// word keeps the output readable, as a single unsynchronized loop
+    /// otherwise floods thousands of pairs.
+    reported: bool,
+}
+
+/// Processor `p`'s clock; a cell at or above `nprocs` gets one on first
+/// use, as does every cell below it that has none yet.
+fn clock(clocks: &mut Vec<VectorClock>, nprocs: usize, p: usize) -> &mut VectorClock {
+    if clocks.len() <= p {
+        let n = nprocs.max(p + 1);
+        while clocks.len() <= p {
+            let mut c = VectorClock::new(n);
+            c.tick(clocks.len());
+            clocks.push(c);
+        }
+    }
+    &mut clocks[p]
 }
 
 /// Vector-clock happens-before race detector over one run's events
 /// ([`analyze`](Self::analyze)).
+///
+/// A read races with an earlier write by another cell that is not
+/// ordered before it; a write races with such a write, else with such a
+/// read. When several readers race with one write, the report names the
+/// lowest reading cell.
 #[derive(Debug)]
 pub struct RaceDetector {
     nprocs: usize,
@@ -153,8 +345,8 @@ pub struct RaceDetector {
     max_reports: usize,
     clocks: Vec<VectorClock>,
     locks: FxHashMap<u64, VectorClock>,
-    vars: FxHashMap<u64, VarState>,
-    reported_addrs: FxHashSet<u64>,
+    /// Per ordinary word, by the timeline's word id.
+    vars: Vec<VarState>,
     reports: Vec<RaceReport>,
 }
 
@@ -173,8 +365,7 @@ impl RaceDetector {
             max_reports: 32,
             clocks,
             locks: FxHashMap::default(),
-            vars: FxHashMap::default(),
-            reported_addrs: FxHashSet::default(),
+            vars: Vec::new(),
             reports: Vec::new(),
         }
     }
@@ -187,178 +378,94 @@ impl RaceDetector {
         self.reports
     }
 
-    /// Sub-pages acting as synchronization objects anywhere in `events`:
-    /// targets of `SyncAcquire`/`SyncRelease` (locks, `get_sub_page`,
-    /// native RMWs) and of satisfied spins (flags). Shared with the
-    /// predictive lockset pass so both passes agree on what counts as a
-    /// synchronization object.
-    pub(crate) fn sync_subpages(events: &[TraceEvent]) -> FxHashSet<u64> {
-        let mut sync = FxHashSet::default();
-        for e in events {
-            match *e {
-                TraceEvent::SyncAcquire { subpage, .. }
-                | TraceEvent::SyncRelease { subpage, .. } => {
-                    sync.insert(subpage);
-                }
-                TraceEvent::SpinRead { addr, .. } => {
-                    sync.insert(subpage_of(addr));
-                }
-                _ => {}
-            }
-        }
-        sync
-    }
-
-    fn clock(&mut self, p: usize) -> &mut VectorClock {
-        if self.clocks.len() <= p {
-            let n = self.nprocs.max(p + 1);
-            while self.clocks.len() <= p {
-                let q = self.clocks.len();
-                let mut c = VectorClock::new(n);
-                c.tick(q);
-                self.clocks.push(c);
-            }
-        }
-        &mut self.clocks[p]
-    }
-
     fn acquire(&mut self, cell: usize, sp: u64) {
         if let Some(l) = self.locks.get(&sp) {
-            let l = l.clone();
-            self.clock(cell).join(&l);
+            clock(&mut self.clocks, self.nprocs, cell).join(l);
         }
     }
 
     fn release(&mut self, cell: usize, sp: u64) {
-        let c = self.clock(cell).clone();
+        let c = clock(&mut self.clocks, self.nprocs, cell);
         // Join rather than overwrite so concurrent releasers of a flag
         // sub-page accumulate: conservative (adds edges), never reports a
         // false race.
         self.locks
             .entry(sp)
             .or_insert_with(|| VectorClock::new(0))
-            .join(&c);
-        self.clock(cell).tick(cell);
+            .join(c);
+        c.tick(cell);
     }
 
-    fn report(&mut self, addr: u64, first: Access, second: Access) {
-        // One report per address keeps the output readable; a single
-        // unsynchronized loop otherwise floods thousands of pairs.
-        if !self.reported_addrs.insert(addr) || self.reports.len() >= self.max_reports {
-            return;
+    /// A plain access to ordinary word `word`: check it against the
+    /// word's history, report a race, and record it.
+    fn on_access(&mut self, word: usize, cell: usize, at: Cycles, addr: u64, write: bool) {
+        let view = &*clock(&mut self.clocks, self.nprocs, cell);
+        let var = &mut self.vars[word];
+        let racy = match var.write {
+            Some(w) if w.races(cell, view) => Some(w.access(true)),
+            _ if write => var.reads.racing(cell, view).map(|r| r.access(false)),
+            _ => None,
+        };
+        let me = Epoch {
+            cell,
+            clock: view.get(cell),
+            at,
+        };
+        if write {
+            var.write = Some(me);
+            var.reads.clear();
+        } else if racy.is_none() {
+            // A read that races with the last write is reported, not
+            // remembered.
+            var.reads.record(me);
         }
-        self.reports.push(RaceReport {
-            addr,
-            subpage: subpage_of(addr),
-            first,
-            second,
-        });
-    }
-
-    fn on_read(&mut self, cell: usize, at: Cycles, addr: u64) {
-        let epoch = self.clock(cell).get(cell);
-        let my_view = self.clock(cell).clone();
-        let var = self.vars.entry(addr).or_default();
-        if let Some((w_cell, w_epoch, w_at)) = var.write {
-            if w_cell != cell && my_view.get(w_cell) < w_epoch {
-                let first = Access {
-                    cell: w_cell,
-                    at: w_at,
-                    write: true,
-                };
-                let second = Access {
-                    cell,
-                    at,
-                    write: false,
-                };
-                self.report(addr, first, second);
-                return;
-            }
-        }
-        self.vars
-            .entry(addr)
-            .or_default()
-            .reads
-            .insert(cell, (epoch, at));
-    }
-
-    fn on_write(&mut self, cell: usize, at: Cycles, addr: u64) {
-        let my_view = self.clock(cell).clone();
-        let var = self.vars.entry(addr).or_default();
-        let mut racy: Option<Access> = None;
-        if let Some((w_cell, w_epoch, w_at)) = var.write {
-            if w_cell != cell && my_view.get(w_cell) < w_epoch {
-                racy = Some(Access {
-                    cell: w_cell,
-                    at: w_at,
-                    write: true,
+        if let Some(first) = racy {
+            if !var.reported && self.reports.len() < self.max_reports {
+                self.reports.push(RaceReport {
+                    addr,
+                    subpage: subpage_of(addr),
+                    first,
+                    second: me.access(write),
                 });
             }
-        }
-        if racy.is_none() {
-            for (&r_cell, &(r_epoch, r_at)) in &var.reads {
-                if r_cell != cell && my_view.get(r_cell) < r_epoch {
-                    racy = Some(Access {
-                        cell: r_cell,
-                        at: r_at,
-                        write: false,
-                    });
-                    break;
-                }
-            }
-        }
-        let epoch = my_view.get(cell);
-        let var = self.vars.entry(addr).or_default();
-        var.write = Some((cell, epoch, at));
-        var.reads.clear();
-        if let Some(first) = racy {
-            let second = Access {
-                cell,
-                at,
-                write: true,
-            };
-            self.report(addr, first, second);
+            var.reported = true;
         }
     }
 
     /// Feed the run's events, in virtual-time order.
     fn ingest(&mut self, events: &[TraceEvent]) {
-        let sync = Self::sync_subpages(events);
-        let mut order: Vec<usize> = (0..events.len()).collect();
-        // Stable sort: equal-cycle events keep arrival (coordinator
-        // commit) order, which is itself deterministic.
-        order.sort_by_key(|&i| events[i].at());
-        for i in order {
-            match events[i] {
-                TraceEvent::SyncAcquire { cell, subpage, .. } => self.acquire(cell, subpage),
-                TraceEvent::SyncRelease { cell, subpage, .. } => self.release(cell, subpage),
-                TraceEvent::SpinRead { cell, addr, .. } => {
+        let timeline = Timeline::of(events);
+        self.vars.resize_with(timeline.words(), VarState::default);
+        for (e, word) in timeline.events(events) {
+            match (*e, word) {
+                (TraceEvent::SyncAcquire { cell, subpage, .. }, _) => self.acquire(cell, subpage),
+                (TraceEvent::SyncRelease { cell, subpage, .. }, _) => self.release(cell, subpage),
+                (TraceEvent::SpinRead { cell, addr, .. }, _) => {
                     self.acquire(cell, subpage_of(addr));
                 }
-                TraceEvent::DataRead { at, cell, addr } => {
-                    let sp = subpage_of(addr);
-                    if sync.contains(&sp) {
-                        // Reading a flag is an acquire of whatever its
-                        // last producer released.
-                        self.acquire(cell, sp);
-                    } else {
-                        self.on_read(cell, at, addr);
-                    }
+                (TraceEvent::DataRead { at, cell, addr }, Some(word)) => {
+                    self.on_access(word, cell, at, addr, false);
                 }
-                TraceEvent::DataWrite { at, cell, addr } => {
-                    let sp = subpage_of(addr);
-                    if sync.contains(&sp) {
-                        // Writing a flag publishes the producer's history.
-                        self.release(cell, sp);
-                    } else {
-                        self.on_write(cell, at, addr);
-                    }
+                (TraceEvent::DataWrite { at, cell, addr }, Some(word)) => {
+                    self.on_access(word, cell, at, addr, true);
+                }
+                // Reading a flag is an acquire of whatever its last
+                // producer released.
+                (TraceEvent::DataRead { cell, addr, .. }, None) => {
+                    self.acquire(cell, subpage_of(addr));
+                }
+                // Writing a flag publishes the producer's history.
+                (TraceEvent::DataWrite { cell, addr, .. }, None) => {
+                    self.release(cell, subpage_of(addr));
                 }
                 _ => {}
             }
         }
     }
 }
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -484,6 +591,23 @@ mod tests {
             },
         ]);
         assert!(reports.is_empty(), "{reports:?}");
+    }
+
+    /// Of several readers that race with one write, the report names the
+    /// lowest cell, whatever order they read in.
+    #[test]
+    fn a_write_racing_several_readers_names_the_lowest_cell() {
+        let reports = RaceDetector::new(4).analyze(&[
+            read(10, 3, 512),
+            read(11, 1, 512),
+            read(12, 2, 512),
+            read(13, 3, 512),
+            write(20, 0, 512),
+        ]);
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        let r = reports[0];
+        assert_eq!((r.first.cell, r.first.at, r.first.write), (1, 11, false));
+        assert_eq!((r.second.cell, r.second.at, r.second.write), (0, 20, true));
     }
 
     #[test]
