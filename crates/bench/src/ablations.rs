@@ -26,8 +26,8 @@ use ksr_mem::ProtocolOptions;
 use ksr_net::{RingHierarchyConfig, Topology};
 use ksr_sync::{episode_seconds, BarrierAlg, McsBarrier, TournamentBarrier};
 
-use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::ExperimentPlan;
 
 /// Registry id.
 pub const ID: &str = "ABL";
@@ -62,7 +62,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let quick = opts.quick;
     let procs = if quick { 8 } else { 16 };
     let episodes = if quick { 4 } else { 10 };
-    let mut jobs = Vec::new();
+    let mut plan = ExperimentPlan::new(ID, TITLE);
 
     // 1. Poststore / read-snarfing ladder for the global-flag wake-up:
     // with poststore the flag broadcast refills every spinner directly;
@@ -90,75 +90,59 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         ),
     ];
     let seed1 = opts.machine_seed(1);
-    for (variant, protocol) in wakeup_variants {
-        jobs.push(Job::value(
-            format!("ABL wakeup {variant}"),
-            "wakeup_episode_seconds",
-            "s",
-            move || {
-                let mut cfg = MachineConfig::ksr1(seed1);
-                cfg.protocol = protocol;
-                episode_secs(cfg, episodes, |m| {
-                    TournamentBarrier::alloc(m, procs, true).expect("alloc")
-                })
-            },
-        ));
-    }
+    let wakeup = wakeup_variants.map(|(variant, protocol)| {
+        let h = plan.job(format!("ABL wakeup {variant}"), move || {
+            let mut cfg = MachineConfig::ksr1(seed1);
+            cfg.protocol = protocol;
+            episode_secs(cfg, episodes, |m| {
+                TournamentBarrier::alloc(m, procs, true).expect("alloc")
+            })
+        });
+        (variant, h)
+    });
 
     // 2. Sub-ring interleaving: one pooled 24-slot lane. The two
     // interleaved 12-slot lanes it is compared with are the default
     // ring, which the slot sweep's 24-slot job already runs.
     let seed2 = opts.machine_seed(2);
-    jobs.push(Job::value(
-        "ABL subrings=1",
-        "hammer_latency_cycles",
-        "cycles",
-        move || {
-            let mut cfg = MachineConfig::ksr1(seed2);
-            let mut ring = RingHierarchyConfig::ksr1_32();
-            ring.leaf.subrings = 1;
-            cfg.topology = Topology::ring(ring);
-            hammer_latency(cfg, procs)
-        },
-    ));
+    let one_lane = plan.job("ABL subrings=1", move || {
+        let mut cfg = MachineConfig::ksr1(seed2);
+        let mut ring = RingHierarchyConfig::ksr1_32();
+        ring.leaf.subrings = 1;
+        cfg.topology = Topology::ring(ring);
+        hammer_latency(cfg, procs)
+    });
 
     // 3. Slot-count sweep: where does the saturation knee go?
     let seed3 = opts.machine_seed(3);
-    for slots in [8usize, 16, 24, 32] {
-        jobs.push(Job::value(
-            format!("ABL slots={slots}"),
-            "hammer_latency_cycles",
-            "cycles",
-            move || {
-                let mut cfg = MachineConfig::ksr1(seed3);
-                let mut ring = RingHierarchyConfig::ksr1_32();
-                ring.leaf.slots = slots;
-                cfg.topology = Topology::ring(ring);
-                hammer_latency(cfg, procs)
-            },
-        ));
-    }
+    let slot_sweep = [8usize, 16, 24, 32].map(|slots| {
+        let h = plan.job(format!("ABL slots={slots}"), move || {
+            let mut cfg = MachineConfig::ksr1(seed3);
+            let mut ring = RingHierarchyConfig::ksr1_32();
+            ring.leaf.slots = slots;
+            cfg.topology = Topology::ring(ring);
+            hammer_latency(cfg, procs)
+        });
+        (slots, h)
+    });
+    let (_, two_lanes) = *slot_sweep
+        .iter()
+        .find(|&&(slots, _)| slots == 24)
+        .expect("the slot sweep runs the default 24 slots");
 
     // 4. MCS arrival-arity sweep: tree height vs packed-word false sharing.
     let seed4 = opts.machine_seed(4);
-    for arity in [2usize, 4, 8] {
-        jobs.push(Job::value(
-            format!("ABL mcs arity={arity}"),
-            "mcs_episode_seconds",
-            "s",
-            move || {
-                episode_secs(MachineConfig::ksr1(seed4), episodes, |m| {
-                    McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
-                })
-            },
-        ));
-    }
+    let arity_sweep = [2usize, 4, 8].map(|arity| {
+        let h = plan.job(format!("ABL mcs arity={arity}"), move || {
+            episode_secs(MachineConfig::ksr1(seed4), episodes, |m| {
+                McsBarrier::alloc_with_arity(m, procs, false, arity).expect("alloc")
+            })
+        });
+        (arity, h)
+    });
 
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let full = res.value(0);
-        let snarf_only = res.value(1);
-        let neither = res.value(2);
+    plan.reduce(move |res, out| {
+        let [full, snarf_only, neither] = wakeup.map(|(_, h)| res[h]);
         out.line(format_args!(
             "wake-up ladder, tournament(M) @{procs}p: poststore+snarf {:.1} us; snarf only {:.1} \
              us ({:+.0}%); neither {:.1} us ({:+.0}%)",
@@ -168,25 +152,19 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             neither * 1e6,
             (neither / full - 1.0) * 100.0
         ));
-        for (variant, v) in [
-            ("poststore+snarf", full),
-            ("snarf only", snarf_only),
-            ("neither", neither),
-        ] {
+        for (variant, h) in wakeup {
             out.row(
                 "wakeup_episode_seconds",
                 &[
                     ("variant", Json::from(variant)),
                     ("procs", Json::from(procs)),
                 ],
-                v,
+                res[h],
                 "s",
             );
         }
 
-        // The default ring is the slot sweep's 24-slot point.
-        let two_lanes = res.value(6);
-        let one_lane = res.value(3);
+        let (two_lanes, one_lane) = (res[two_lanes], res[one_lane]);
         out.line(format_args!(
             "sub-ring interleave @{procs}p hammer: {:.1} cycles with 2 sub-rings, {:.1} with 1 \
              ({:+.0}%)",
@@ -207,8 +185,8 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         }
 
         out.push_text("slot sweep (hammer latency, cycles):");
-        for (i, slots) in [8usize, 16, 24, 32].into_iter().enumerate() {
-            let l = res.value(4 + i);
+        for (slots, h) in slot_sweep {
+            let l = res[h];
             out.line(format_args!("  {slots:>2} slots: {l:>7.1}"));
             out.row(
                 "hammer_latency_cycles",
@@ -219,8 +197,8 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         }
 
         out.push_text("MCS arrival arity sweep (us/episode; 4 is the paper's):");
-        for (i, arity) in [2usize, 4, 8].into_iter().enumerate() {
-            let t = res.value(8 + i);
+        for (arity, h) in arity_sweep {
+            let t = res[h];
             out.line(format_args!("  arity {arity}: {:.1}", t * 1e6));
             out.row(
                 "mcs_episode_seconds",
@@ -229,7 +207,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 "s",
             );
         }
-        out
     })
 }
 

@@ -3,8 +3,9 @@
 //!
 //! * `--list` — print the registry and exit;
 //! * `--only ID[,ID...]` — run a subset (case-insensitive ids, repeats
-//!   dropped) and write only those experiments' files: no `summary.json`
-//!   or `timings.json`, which index a whole run;
+//!   dropped; an unknown id is a usage error) and write only those
+//!   experiments' files: no `summary.json` or `timings.json`, which
+//!   index a whole run;
 //! * `--quick` / `--full` — force reduced or full sweeps;
 //! * `--seed N` — perturb every machine seed;
 //! * `--results DIR` — where result files go;
@@ -35,21 +36,22 @@ use crate::exec::{self, PlanTimings};
 use crate::registry::{find, Experiment, REGISTRY};
 
 /// Parsed command line: run options plus the selection flags.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Cli {
     /// Effective run options (defaults + flags).
     pub opts: RunOpts,
     /// `--list`: print the registry instead of running.
     pub list: bool,
-    /// `--only`: ids to run, upper-cased, each once in first-seen
-    /// order (empty means all).
-    pub only: Vec<String>,
+    /// `--only`: the experiments to run, each once in first-seen order
+    /// (empty means all).
+    pub only: Vec<&'static Experiment>,
 }
 
 /// Parse `args` (not including the program name) over the defaults:
 /// full size, seed 0, `results/`, no check, and the host parallelism
 /// capped at [`MAX_DEFAULT_JOBS`] workers. Returns an error message for
-/// unknown or malformed flags (including an `--only` that names no id).
+/// unknown or malformed flags, including an `--only` that names no id
+/// or an unknown one.
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
         opts: RunOpts {
@@ -84,17 +86,14 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
                 let v = args
                     .next()
                     .ok_or("--only needs a comma-separated id list")?;
-                let ids: Vec<String> = v
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_uppercase)
-                    .collect();
+                let ids: Vec<&str> = v.split(',').filter(|s| !s.is_empty()).collect();
                 if ids.is_empty() {
                     return Err(format!("--only names no experiment id: {v:?}"));
                 }
                 for id in ids {
-                    if !cli.only.contains(&id) {
-                        cli.only.push(id);
+                    let e = find(id).ok_or_else(|| format!("unknown experiment id {id}"))?;
+                    if !cli.only.iter().any(|o| o.id() == e.id()) {
+                        cli.only.push(e);
                     }
                 }
             }
@@ -146,15 +145,6 @@ impl Stdout {
                 Err(ExitCode::FAILURE)
             }
         }
-    }
-}
-
-/// Print the full registry (id + title per line) to stderr — shown when
-/// a selection names an unknown experiment.
-fn print_registry_to_stderr() {
-    eprintln!("registered experiments:");
-    for e in REGISTRY {
-        eprintln!("  {:<8} {}", e.id(), e.title());
     }
 }
 
@@ -279,7 +269,7 @@ pub fn run_all_main() -> ExitCode {
         // `--quick --list` shows the quick grid.
         let mut out = Stdout::new();
         for e in REGISTRY {
-            let jobs = e.plan(&cli.opts).jobs().len();
+            let jobs = e.plan(&cli.opts).labels().len();
             if let Err(code) = out.line(&format!("{:<8} {:>4} job(s)  {}", e.id(), jobs, e.title()))
             {
                 return code;
@@ -287,23 +277,13 @@ pub fn run_all_main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let selected: Vec<&Experiment> = if cli.only.is_empty() {
+    let summary = cli.only.is_empty();
+    let selected = if summary {
         REGISTRY.iter().collect()
     } else {
-        let mut sel = Vec::new();
-        for id in &cli.only {
-            match find(id) {
-                Some(e) => sel.push(e),
-                None => {
-                    eprintln!("error: unknown experiment id {id}");
-                    print_registry_to_stderr();
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        sel
+        cli.only
     };
-    run_selection(&selected, &cli.opts, cli.only.is_empty())
+    run_selection(&selected, &cli.opts, summary)
 }
 
 #[cfg(test)]
@@ -331,12 +311,13 @@ mod tests {
         assert_eq!(cli.opts.seed, 9);
         assert_eq!(cli.opts.results_dir, std::path::PathBuf::from("out"));
         assert_eq!(cli.opts.jobs, 4);
-        assert_eq!(cli.only, ["FIG4", "TAB1"]);
+        let ids = |cli: &Cli| cli.only.iter().map(|e| e.id()).collect::<Vec<_>>();
+        assert_eq!(ids(&cli), ["FIG4", "TAB1"]);
         let cli =
             parse_args(["--only", "SEC31A,sec31a", "--only", "tab1,Sec31a"].map(String::from))
                 .unwrap();
         assert_eq!(
-            cli.only,
+            ids(&cli),
             ["SEC31A", "TAB1"],
             "a repeated id runs once, at its first position"
         );
@@ -362,6 +343,11 @@ mod tests {
             "an --only that names no id"
         );
         assert!(parse_args(["--only", ""].map(String::from)).is_err());
+        let err = parse_args(["--only", "FIG4,NOPE"].map(String::from)).unwrap_err();
+        assert!(
+            err.contains("NOPE"),
+            "the error names the unknown id: {err}"
+        );
         for retired in [&["--cache", "d"][..], &["--shard", "1/2"], &["--prune"]] {
             assert!(
                 parse_args(retired.iter().map(|a| a.to_string())).is_err(),

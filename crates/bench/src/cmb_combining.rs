@@ -15,8 +15,8 @@ use ksr_core::Json;
 use ksr_machine::{program, Machine, MachineConfig, Program};
 use ksr_net::{RingHierarchyConfig, Topology};
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::ExperimentPlan;
 
 /// Registry id.
 pub const ID: &str = "CMB";
@@ -79,31 +79,25 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     };
     let ops = if quick { 6 } else { 16 };
     let seed = opts.machine_seed(4300);
-    let mut jobs = Vec::new();
-    for &(cells, spec) in &sizes {
-        for combining in [false, true] {
-            let tag = if combining { "on" } else { "off" };
-            jobs.push(Job::new(
-                format!("CMB p={cells} combining={tag}"),
-                move || {
-                    let (per_op, frac) = hot_spot(spec, combining, ops, seed + cells as u64);
-                    vec![
-                        MetricRow::new("hot_spot_op_seconds", &[], per_op, "s"),
-                        MetricRow::new("combined_fraction", &[], frac, "ratio"),
-                    ]
-                },
-            ));
-        }
-    }
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let runs: Vec<_> = sizes
+        .iter()
+        .map(|&(cells, spec)| {
+            let off_on = [false, true].map(|combining| {
+                let tag = if combining { "on" } else { "off" };
+                plan.job(format!("CMB p={cells} combining={tag}"), move || {
+                    hot_spot(spec, combining, ops, seed + cells as u64)
+                })
+            });
+            (cells, off_on)
+        })
+        .collect();
+    plan.reduce(move |res, out| {
         out.line(format_args!(
             "hot-spot fetch-add, every cell incrementing one counter ({ops} ops each):"
         ));
-        for (si, &(cells, _)) in sizes.iter().enumerate() {
-            let off = res.rows(si * 2)[0].value;
-            let on = res.rows(si * 2 + 1)[0].value;
-            let frac = res.rows(si * 2 + 1)[1].value;
+        for (cells, [off, on]) in runs {
+            let ((off, off_frac), (on, frac)) = (res[off], res[on]);
             out.line(format_args!(
                 "  p={cells:<5} off {:8.2} us/op   on {:8.2} us/op   speedup {:4.2}x   \
                  {:4.1}% of packets combined",
@@ -112,9 +106,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 off / on,
                 frac * 100.0
             ));
-            for (combining, value, cf) in
-                [(false, off, res.rows(si * 2)[1].value), (true, on, frac)]
-            {
+            for (combining, value, cf) in [(false, off, off_frac), (true, on, frac)] {
                 let params = [
                     ("cells", Json::from(cells)),
                     ("combining", Json::from(combining)),
@@ -129,7 +121,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
              size; with it off every increment serializes through the hot sub-page's home \
              leaf — the \u{a7}4 wish-list case for hardware synchronization support.",
         );
-        out
     })
 }
 

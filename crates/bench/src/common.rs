@@ -30,10 +30,10 @@ pub struct RunOpts {
     pub check: bool,
     /// Worker threads the executor schedules jobs over (`--jobs N`;
     /// `run_all`'s default is the host parallelism capped at
-    /// [`MAX_DEFAULT_JOBS`]). Results are byte-identical at
-    /// any value — every job is a pure (config, seed) → rows function
-    /// and the reduce runs in job order. Not recorded in `summary.json`
-    /// for exactly that reason.
+    /// [`MAX_DEFAULT_JOBS`]). Results are byte-identical at any value —
+    /// every job is a pure (config, seed) → value function and the
+    /// reduce reads each value through its handle. Not recorded in
+    /// `summary.json` for exactly that reason.
     pub jobs: usize,
 }
 
@@ -89,21 +89,6 @@ pub struct MetricRow {
 }
 
 impl MetricRow {
-    /// Build a row from borrowed parts (the job-side counterpart of
-    /// [`ExperimentOutput::row`]).
-    #[must_use]
-    pub fn new(metric: &str, params: &[(&str, Json)], value: f64, unit: &str) -> Self {
-        Self {
-            metric: metric.to_string(),
-            params: params
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), v.clone()))
-                .collect(),
-            value,
-            unit: unit.to_string(),
-        }
-    }
-
     /// JSON form: `{"metric": ..., "params": {...}, "value": ..., "unit": ...}`.
     #[must_use]
     pub fn to_json(&self) -> Json {

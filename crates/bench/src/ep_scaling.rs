@@ -10,8 +10,8 @@ use ksr_core::Json;
 use ksr_machine::Machine;
 use ksr_nas::{EpConfig, EpSetup};
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::{ExperimentPlan, Out};
 
 /// Registry id.
 pub const ID: &str = "EP";
@@ -45,30 +45,18 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         vec![1, 2, 4, 8, 16, 32]
     };
     let seed = opts.machine_seed(800);
-    let jobs: Vec<Job> = procs
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let runs: Vec<(usize, Out<(f64, f64)>)> = procs
         .iter()
         .map(|&p| {
-            Job::new(format!("EP p={p}"), move || {
-                let (t, mf) = ep_time(cfg, p, seed);
-                vec![
-                    MetricRow::new("ep_run_seconds", &[], t, "s"),
-                    MetricRow::new("mflops", &[], mf, "MFLOPS"),
-                ]
-            })
+            (
+                p,
+                plan.job(format!("EP p={p}"), move || ep_time(cfg, p, seed)),
+            )
         })
         .collect();
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let times: Vec<(usize, f64)> = procs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, res.rows(i)[0].value))
-            .collect();
-        let mflops_rows: Vec<(usize, f64)> = procs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, res.rows(i)[1].value))
-            .collect();
+    plan.reduce(move |res, out| {
+        let times: Vec<(usize, f64)> = runs.iter().map(|&(p, h)| (p, res[h].0)).collect();
         let table = ScalingTable::from_times(&times);
         out.push_text(&table.render(&format!(
             "EP, 2^{} random pairs",
@@ -79,7 +67,8 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             out.row("ep_run_seconds", &[("procs", Json::from(p))], t, "s");
             out.row("speedup", &[("procs", Json::from(p))], t1 / t, "x");
         }
-        for (p, mf) in mflops_rows {
+        for (p, h) in runs {
+            let mf = res[h].1;
             out.line(format_args!(
                 "  {p:>2} procs: {:6.1} MFLOPS/proc (paper: ~11 sustained, 40 peak)",
                 mf / p as f64
@@ -91,7 +80,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 "MFLOPS",
             );
         }
-        out
     })
 }
 

@@ -34,8 +34,8 @@ use ksr_verify::{
     LockOrderGraph, RaceDetector, RunOutcome,
 };
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::ExperimentPlan;
 
 /// Registry id.
 pub const ID: &str = "EXPLORE";
@@ -256,86 +256,65 @@ pub fn budget(quick: bool) -> ExploreConfig {
 pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let quick = opts.quick;
     let seed = opts.machine_seed(4600);
-    let mut jobs = Vec::new();
-    for s in Scenario::ALL {
-        jobs.push(Job::new(format!("EXPLORE {}", s.label()), move || {
-            let rep = explore_scenario(s, seed, budget(quick));
-            let base = [("scenario", Json::from(s.label()))];
-            let mut rows = vec![
-                MetricRow::new("schedules_explored", &base, rep.runs as f64, "runs"),
-                MetricRow::new(
-                    "distinct_states",
-                    &base,
-                    rep.distinct_states as f64,
-                    "states",
-                ),
-                MetricRow::new(
-                    "truncated",
-                    &base,
-                    f64::from(u8::from(rep.truncated)),
-                    "flag",
-                ),
-                MetricRow::new("violations", &base, rep.violations.len() as f64, "findings"),
-            ];
-            for w in &rep.violations {
-                rows.push(MetricRow::new(
-                    "witness",
-                    &[
-                        ("scenario", Json::from(s.label())),
-                        ("kind", Json::from(w.kind.as_str())),
-                        ("what", Json::from(w.what.as_str())),
-                        (
-                            "schedule",
-                            Json::arr(w.schedule.iter().map(|&d| Json::from(d))),
-                        ),
-                    ],
-                    1.0,
-                    "finding",
-                ));
-            }
-            rows
-        }));
-    }
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let reports = Scenario::ALL.map(|s| {
+        let h = plan.job(format!("EXPLORE {}", s.label()), move || {
+            explore_scenario(s, seed, budget(quick))
+        });
+        (s, h)
+    });
+    plan.reduce(move |res, out| {
         out.line(format_args!(
             "bounded DFS over coordinator tie-breaks, all verification passes per schedule \
              (budget {} schedules):",
             budget(quick).max_runs
         ));
-        for (i, s) in Scenario::ALL.iter().enumerate() {
-            let rows = res.rows(i);
-            let truncated = rows[2].value > 0.0;
+        for (s, h) in reports {
+            let rep = &res[h];
             out.line(format_args!(
                 "  {:<17} {:>4} schedules  {:>3} distinct states  {:>2} violation(s){}",
                 s.label(),
-                rows[0].value,
-                rows[1].value,
-                rows[3].value,
-                if truncated { "  [budget hit]" } else { "" }
+                rep.runs,
+                rep.distinct_states,
+                rep.violations.len(),
+                if rep.truncated { "  [budget hit]" } else { "" }
             ));
-            for w in &rows[4..] {
-                let get = |key: &str| {
-                    w.params
-                        .iter()
-                        .find(|(k, _)| k == key)
-                        .map_or_else(String::new, |(_, v)| match v {
-                            Json::Str(s) => s.clone(),
-                            other => other.render(),
-                        })
-                };
+            let base = [("scenario", Json::from(s.label()))];
+            out.row("schedules_explored", &base, rep.runs as f64, "runs");
+            out.row(
+                "distinct_states",
+                &base,
+                rep.distinct_states as f64,
+                "states",
+            );
+            out.row(
+                "truncated",
+                &base,
+                f64::from(u8::from(rep.truncated)),
+                "flag",
+            );
+            out.row("violations", &base, rep.violations.len() as f64, "findings");
+            for w in &rep.violations {
+                let schedule = Json::arr(w.schedule.iter().map(|&d| Json::from(d)));
                 out.line(format_args!(
                     "      {} {} — witness schedule {}",
-                    get("kind"),
-                    get("what"),
-                    get("schedule")
+                    w.kind,
+                    w.what,
+                    schedule.render()
                 ));
-            }
-            for w in rows {
-                out.rows.push(w.clone());
+                out.row(
+                    "witness",
+                    &[
+                        ("scenario", Json::from(s.label())),
+                        ("kind", Json::from(w.kind.as_str())),
+                        ("what", Json::from(w.what.as_str())),
+                        ("schedule", schedule),
+                    ],
+                    1.0,
+                    "finding",
+                );
             }
         }
-        out
     })
 }
 

@@ -20,8 +20,8 @@ use ksr_core::Json;
 use ksr_machine::{program, Machine};
 use ksr_nas::CgConfig;
 
-use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::ExperimentPlan;
 use crate::table1_cg::cg_time;
 
 /// Registry id.
@@ -76,27 +76,19 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let procs = if quick { 2 } else { 4 };
     let cg_seed = opts.machine_seed(900);
     let sweep_seed = opts.machine_seed(901);
-    let mut jobs = Vec::new();
-    for uncache in [false, true] {
-        jobs.push(Job::value(
-            format!("EXT cg uncached={uncache}"),
-            "cg_run_seconds",
-            "s",
-            move || cg_seconds(uncache, procs, quick, cg_seed),
-        ));
-    }
-    for prefetch in [false, true] {
-        jobs.push(Job::value(
-            format!("EXT sweep prefetch={prefetch}"),
-            "sweep_cycles_per_access",
-            "cycles",
-            move || sweep_cycles(prefetch, sweep_seed),
-        ));
-    }
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let base = res.value(0);
-        let bypass = res.value(1);
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let cg = [false, true].map(|uncache| {
+        plan.job(format!("EXT cg uncached={uncache}"), move || {
+            cg_seconds(uncache, procs, quick, cg_seed)
+        })
+    });
+    let sweep = [false, true].map(|prefetch| {
+        plan.job(format!("EXT sweep prefetch={prefetch}"), move || {
+            sweep_cycles(prefetch, sweep_seed)
+        })
+    });
+    plan.reduce(move |res, out| {
+        let [base, bypass] = cg.map(|h| res[h]);
         out.line(format_args!(
             "CG @{procs}p, matrix streams sub-cached:   {base:.4} s"
         ));
@@ -119,8 +111,7 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 "s",
             );
         }
-        let plain = res.value(2);
-        let pf = res.value(3);
+        let [plain, pf] = sweep.map(|h| res[h]);
         out.line(format_args!(
             "local-cache sweep, no sub-cache prefetch: {plain:.1} cycles/access"
         ));
@@ -140,7 +131,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 "cycles",
             );
         }
-        out
     })
 }
 

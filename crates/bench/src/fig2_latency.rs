@@ -24,8 +24,8 @@ use ksr_core::time::cycles_to_seconds;
 use ksr_core::Json;
 use ksr_machine::{program, Machine, Program, SharedU64};
 
-use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::{proc_sweep_32, RunOpts};
+use crate::exec::{ExperimentPlan, Out};
 
 /// Registry id of the Figure 2 sweep.
 pub const ID_FIG2: &str = "FIG2";
@@ -130,29 +130,31 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         ("local read", Target::LocalRead, 64, 102),
         ("local write", Target::LocalWrite, 64, 103),
     ];
-    let mut jobs = Vec::new();
-    for &p in &sweep {
-        for &(name, target, stride, base) in &grid {
-            let seed = opts.machine_seed(base);
-            jobs.push(Job::value(
-                format!("FIG2 {name} p={p}"),
-                "mean_access_seconds",
-                "s",
-                move || measure(target, p, stride, samples, seed),
-            ));
-        }
-    }
-    ExperimentPlan::new(ID_FIG2, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID_FIG2, TITLE_FIG2);
-        let mut series = vec![
-            Series::new("Network Read"),
-            Series::new("Network Write"),
-            Series::new("Local Cache Read"),
-            Series::new("Local Cache Write"),
-        ];
-        for (pi, &p) in sweep.iter().enumerate() {
-            for (ti, s) in series.iter_mut().enumerate() {
-                s.push(p as f64, res.value(pi * 4 + ti));
+    let mut plan = ExperimentPlan::new(ID_FIG2, TITLE_FIG2);
+    let points: Vec<(usize, [Out<f64>; 4])> = sweep
+        .iter()
+        .map(|&p| {
+            let by_target = grid.map(|(name, target, stride, base)| {
+                let seed = opts.machine_seed(base);
+                plan.job(format!("FIG2 {name} p={p}"), move || {
+                    measure(target, p, stride, samples, seed)
+                })
+            });
+            (p, by_target)
+        })
+        .collect();
+    plan.reduce(move |res, out| {
+        // One series per grid target, in grid order.
+        let mut series = [
+            "Network Read",
+            "Network Write",
+            "Local Cache Read",
+            "Local Cache Write",
+        ]
+        .map(Series::new);
+        for (p, by_target) in points {
+            for (s, h) in series.iter_mut().zip(by_target) {
+                s.push(p as f64, res[h]);
             }
         }
         // Headline checks the paper makes on this figure.
@@ -179,9 +181,8 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             (series[3].points[0].1 / lr1 - 1.0) * 100.0,
             (series[1].points[0].1 / nr1 - 1.0) * 100.0
         ));
-        out.series = series;
+        out.series = series.into();
         out.rows_from_series("mean_access_seconds", "procs", "s");
-        out
     })
 }
 
@@ -190,68 +191,33 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
 pub fn plan_strides(opts: &RunOpts) -> ExperimentPlan {
     let samples = if opts.quick { 128 } else { 512 };
     let grid: [(&str, Target, u64, u64, u64); 4] = [
-        (
-            "local",
-            Target::LocalRead,
-            64,
-            samples,
-            opts.machine_seed(110),
-        ),
-        (
-            "local",
-            Target::LocalRead,
-            2048,
-            samples,
-            opts.machine_seed(111),
-        ),
-        (
-            "remote",
-            Target::RemoteRead,
-            128,
-            samples,
-            opts.machine_seed(112),
-        ),
-        (
-            "remote",
-            Target::RemoteRead,
-            16384,
-            samples.min(60),
-            opts.machine_seed(113),
-        ),
+        ("local", Target::LocalRead, 64, samples, 110),
+        ("local", Target::LocalRead, 2048, samples, 111),
+        ("remote", Target::RemoteRead, 128, samples, 112),
+        ("remote", Target::RemoteRead, 16384, samples.min(60), 113),
     ];
-    let jobs = grid
-        .iter()
-        .map(|&(name, target, stride, n, seed)| {
-            Job::value(
-                format!("SEC31A {name} stride={stride}"),
-                "mean_access_seconds",
-                "s",
-                move || measure(target, 1, stride, n, seed),
-            )
-        })
-        .collect();
-    ExperimentPlan::new(ID_SEC31A, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID_SEC31A, TITLE_SEC31A);
-        let local_subblock = res.value(0);
-        let local_block = res.value(1);
-        let remote_subpage = res.value(2);
-        let remote_page = res.value(3);
-        for (target, stride, v) in [
-            ("local", 64u64, local_subblock),
-            ("local", 2048, local_block),
-            ("remote", 128, remote_subpage),
-            ("remote", 16384, remote_page),
-        ] {
+    let mut plan = ExperimentPlan::new(ID_SEC31A, TITLE_SEC31A);
+    let points = grid.map(|(name, target, stride, n, base)| {
+        let seed = opts.machine_seed(base);
+        let h = plan.job(format!("SEC31A {name} stride={stride}"), move || {
+            measure(target, 1, stride, n, seed)
+        });
+        (name, stride, h)
+    });
+    plan.reduce(move |res, out| {
+        for (target, stride, h) in points {
             out.row(
                 "mean_access_seconds",
                 &[
                     ("target", Json::from(target)),
                     ("stride_bytes", Json::from(stride)),
                 ],
-                v,
+                res[h],
                 "s",
             );
         }
+        let [local_subblock, local_block, remote_subpage, remote_page] =
+            points.map(|(_, _, h)| res[h]);
         out.line(format_args!(
             "local-cache read, 64 B stride:   {:.3} us",
             local_subblock * 1e6
@@ -270,7 +236,6 @@ pub fn plan_strides(opts: &RunOpts) -> ExperimentPlan {
             remote_page * 1e6,
             (remote_page / remote_subpage - 1.0) * 100.0
         ));
-        out
     })
 }
 

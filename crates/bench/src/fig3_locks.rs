@@ -19,8 +19,8 @@ use ksr_core::XorShift64;
 use ksr_machine::{program, InterruptConfig, Machine, MachineConfig, Program};
 use ksr_sync::{HwLock, LockMode, SwRwLock};
 
-use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::{proc_sweep_32, RunOpts};
+use crate::exec::ExperimentPlan;
 
 /// Registry id.
 pub const ID: &str = "FIG3";
@@ -98,28 +98,24 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         }
         s
     };
-    let mut jobs = Vec::new();
-    let mut points: Vec<(usize, usize)> = Vec::new(); // (series index, procs)
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let mut points = Vec::new(); // (series index, procs, job)
     for &p in &sweep {
         for (si, &(mix, label)) in MIXES.iter().enumerate() {
             if quick && !(matches!(mix, None | Some(0) | Some(100))) {
                 continue;
             }
             let seed = opts.machine_seed(300 + si as u64);
-            points.push((si, p));
-            jobs.push(Job::value(
-                format!("FIG3 {label} p={p}"),
-                "run_seconds",
-                "s",
-                move || run_workload(mix, p, seed),
-            ));
+            let h = plan.job(format!("FIG3 {label} p={p}"), move || {
+                run_workload(mix, p, seed)
+            });
+            points.push((si, p, h));
         }
     }
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
+    plan.reduce(move |res, out| {
         let mut series: Vec<Series> = MIXES.iter().map(|&(_, l)| Series::new(l)).collect();
-        for (i, &(si, p)) in points.iter().enumerate() {
-            series[si].push(p as f64, res.value(i));
+        for (si, p, h) in points {
+            series[si].push(p as f64, res[h]);
         }
         // Analysis rows the paper draws from this figure.
         let excl = &series[0];
@@ -145,7 +141,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         );
         out.series = series;
         out.rows_from_series("run_seconds", "procs", "s");
-        out
     })
 }
 

@@ -17,8 +17,8 @@ use ksr_core::Json;
 use ksr_machine::Machine;
 use ksr_sync::{episode_seconds, AnyBarrier, BarrierKind};
 
-use crate::common::{proc_sweep_32, ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job, JobResults};
+use crate::common::{proc_sweep_32, RunOpts};
+use crate::exec::{ExperimentPlan, Out, Results};
 
 /// Registry id of the Figure 4 sweep.
 pub const ID_FIG4: &str = "FIG4";
@@ -84,40 +84,48 @@ pub fn episode_time(
     episode_seconds(&mut m, b, episodes, 2).expect("run")
 }
 
-/// One job per (kind, procs) point, kind-major — the job-level form of
-/// the old serial sweep loop.
-fn sweep_jobs(
-    experiment: &'static str,
+/// Each barrier kind's `(procs, job)` points, as a sweep queued them.
+pub(crate) type Sweep = Vec<(BarrierKind, Vec<(usize, Out<f64>)>)>;
+
+/// Queue one job per (kind, procs) point, kind-major.
+fn sweep(
+    plan: &mut ExperimentPlan,
+    experiment: &str,
     machine: BarrierMachine,
     kinds: &[BarrierKind],
     procs: &[usize],
     episodes: usize,
     base_seed: u64,
-) -> Vec<Job> {
-    let mut jobs = Vec::new();
-    for &kind in kinds {
-        for &p in procs {
-            let seed = base_seed + p as u64;
-            jobs.push(Job::value(
-                format!("{experiment} {} p={p}", kind.label()),
-                "barrier_episode_seconds",
-                "s",
-                move || episode_time(machine, kind, p, episodes, seed),
-            ));
-        }
-    }
-    jobs
-}
-
-/// Reassemble [`sweep_jobs`] results into per-kind series.
-fn sweep_series(res: &JobResults, kinds: &[BarrierKind], procs: &[usize]) -> Vec<Series> {
+) -> Sweep {
     kinds
         .iter()
-        .enumerate()
-        .map(|(ki, &kind)| {
+        .map(|&kind| {
+            let points = procs
+                .iter()
+                .map(|&p| {
+                    let seed = base_seed + p as u64;
+                    let label = format!("{experiment} {} p={p}", kind.label());
+                    (
+                        p,
+                        plan.job(label, move || {
+                            episode_time(machine, kind, p, episodes, seed)
+                        }),
+                    )
+                })
+                .collect();
+            (kind, points)
+        })
+        .collect()
+}
+
+/// One series per kind of `sweep`, labelled with the kind.
+pub(crate) fn curves(res: &Results, sweep: &Sweep) -> Vec<Series> {
+    sweep
+        .iter()
+        .map(|(kind, points)| {
             let mut s = Series::new(kind.label());
-            for (pi, &p) in procs.iter().enumerate() {
-                s.push(p as f64, res.value(ki * procs.len() + pi));
+            for &(x, h) in points {
+                s.push(x as f64, res[h]);
             }
             s
         })
@@ -139,7 +147,9 @@ pub fn plan_fig4(opts: &RunOpts) -> ExperimentPlan {
     } else {
         BarrierKind::ALL.to_vec()
     };
-    let jobs = sweep_jobs(
+    let mut plan = ExperimentPlan::new(ID_FIG4, TITLE_FIG4);
+    let runs = sweep(
+        &mut plan,
         ID_FIG4,
         BarrierMachine::Ksr1,
         &kinds,
@@ -147,9 +157,8 @@ pub fn plan_fig4(opts: &RunOpts) -> ExperimentPlan {
         episodes,
         opts.machine_seed(1000),
     );
-    ExperimentPlan::new(ID_FIG4, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID_FIG4, TITLE_FIG4);
-        let series = sweep_series(&res, &kinds, &procs);
+    plan.reduce(move |res, out| {
+        let series = curves(res, &runs);
         let at_max = |label: &str| {
             series
                 .iter()
@@ -172,7 +181,6 @@ pub fn plan_fig4(opts: &RunOpts) -> ExperimentPlan {
         );
         out.series = series;
         out.rows_from_series("barrier_episode_seconds", "procs", "s");
-        out
     })
 }
 
@@ -196,7 +204,9 @@ pub fn plan_fig5(opts: &RunOpts) -> ExperimentPlan {
     } else {
         BarrierKind::ALL.to_vec()
     };
-    let jobs = sweep_jobs(
+    let mut plan = ExperimentPlan::new(ID_FIG5, TITLE_FIG5);
+    let runs = sweep(
+        &mut plan,
         ID_FIG5,
         BarrierMachine::Ksr2,
         &kinds,
@@ -204,9 +214,8 @@ pub fn plan_fig5(opts: &RunOpts) -> ExperimentPlan {
         episodes,
         opts.machine_seed(1000),
     );
-    ExperimentPlan::new(ID_FIG5, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID_FIG5, TITLE_FIG5);
-        let series = sweep_series(&res, &kinds, &procs);
+    plan.reduce(move |res, out| {
+        let series = curves(res, &runs);
         // §3.2.4 analysis: the jump past one ring, and tournament vs MCS.
         for s in &series {
             let y32 = s.y_at(32.0);
@@ -235,7 +244,6 @@ pub fn plan_fig5(opts: &RunOpts) -> ExperimentPlan {
         );
         out.series = series;
         out.rows_from_series("barrier_episode_seconds", "procs", "s");
-        out
     })
 }
 
@@ -246,83 +254,58 @@ pub fn plan_sec323(opts: &RunOpts) -> ExperimentPlan {
     let quick = opts.quick;
     let episodes = if quick { 4 } else { 12 };
     let procs = if quick { 8 } else { 16 };
-    let sym_seed = opts.machine_seed(77);
-    let bfly_seed = opts.machine_seed(78);
-    // Symmetry: all nine run (it has coherent caches); Butterfly: no
-    // coherent caches, so no global-flag variants.
-    let bfly_kinds: Vec<BarrierKind> = BarrierKind::ALL
-        .iter()
-        .filter(|k| !k.needs_coherent_caches())
-        .copied()
-        .collect();
-    let mut jobs = Vec::new();
-    let label =
-        |machine: BarrierMachine, k: BarrierKind| format!("SEC323 {} {}", machine.tag(), k.label());
-    for &k in BarrierKind::ALL.iter() {
-        jobs.push(Job::value(
-            label(BarrierMachine::Symmetry, k),
-            "barrier_episode_seconds",
-            "s",
-            move || episode_time(BarrierMachine::Symmetry, k, procs, episodes, sym_seed),
-        ));
-    }
-    for &k in &bfly_kinds {
-        jobs.push(Job::value(
-            label(BarrierMachine::Butterfly, k),
-            "barrier_episode_seconds",
-            "s",
-            move || episode_time(BarrierMachine::Butterfly, k, procs, episodes, bfly_seed),
-        ));
-    }
-    ExperimentPlan::new(ID_SEC323, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID_SEC323, TITLE_SEC323);
-        out.line(format_args!("Sequent Symmetry, {procs} procs, us/episode:"));
-        let mut sym: Vec<(f64, &'static str)> = BarrierKind::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (res.value(i), k.label()))
-            .collect();
-        sym.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for (t, l) in &sym {
-            out.line(format_args!("  {:<14} {:8.1}", l, t * 1e6));
-            out.row(
-                "barrier_episode_seconds",
-                &[
-                    ("machine", Json::from("symmetry")),
-                    ("barrier", Json::from(*l)),
-                    ("procs", Json::from(procs)),
-                ],
-                *t,
-                "s",
-            );
-        }
-        out.push_text("paper: the counter algorithm performs the best on the Symmetry.");
-        out.line(format_args!("BBN Butterfly, {procs} procs, us/episode:"));
-        let base = BarrierKind::ALL.len();
-        let mut bfly: Vec<(f64, &'static str)> = bfly_kinds
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (res.value(base + i), k.label()))
-            .collect();
-        bfly.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for (t, l) in &bfly {
-            out.line(format_args!("  {:<14} {:8.1}", l, t * 1e6));
-            out.row(
-                "barrier_episode_seconds",
-                &[
-                    ("machine", Json::from("butterfly")),
-                    ("barrier", Json::from(*l)),
-                    ("procs", Json::from(procs)),
-                ],
-                *t,
-                "s",
-            );
-        }
-        out.push_text(
+    let mut plan = ExperimentPlan::new(ID_SEC323, TITLE_SEC323);
+    let machines = [
+        (
+            BarrierMachine::Symmetry,
+            opts.machine_seed(77),
+            "Sequent Symmetry",
+            "paper: the counter algorithm performs the best on the Symmetry.",
+        ),
+        (
+            BarrierMachine::Butterfly,
+            opts.machine_seed(78),
+            "BBN Butterfly",
             "paper: on the Butterfly dissemination does best, then tournament, then MCS \
              (no coherent caches, so the winner is the number of communication rounds).",
-        );
-        out
+        ),
+    ]
+    .map(|(machine, seed, name, note)| {
+        // The Symmetry runs all nine; the Butterfly has no coherent
+        // caches, so no global-flag variants.
+        let runs: Vec<(&'static str, Out<f64>)> = BarrierKind::ALL
+            .iter()
+            .filter(|k| machine != BarrierMachine::Butterfly || !k.needs_coherent_caches())
+            .map(|&k| {
+                let label = format!("SEC323 {} {}", machine.tag(), k.label());
+                let h = plan.job(label, move || {
+                    episode_time(machine, k, procs, episodes, seed)
+                });
+                (k.label(), h)
+            })
+            .collect();
+        (machine.tag(), name, note, runs)
+    });
+    plan.reduce(move |res, out| {
+        for (tag, name, note, runs) in machines {
+            out.line(format_args!("{name}, {procs} procs, us/episode:"));
+            let mut ranked: Vec<(f64, &str)> = runs.iter().map(|&(l, h)| (res[h], l)).collect();
+            ranked.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            for (t, l) in ranked {
+                out.line(format_args!("  {:<14} {:8.1}", l, t * 1e6));
+                out.row(
+                    "barrier_episode_seconds",
+                    &[
+                        ("machine", Json::from(tag)),
+                        ("barrier", Json::from(l)),
+                        ("procs", Json::from(procs)),
+                    ],
+                    t,
+                    "s",
+                );
+            }
+            out.push_text(note);
+        }
     })
 }
 

@@ -5,8 +5,8 @@
 
 use ksr_core::table::Series;
 
-use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::{ExperimentPlan, Out};
 use crate::table1_cg::{cg_time, paper_config as cg_config};
 use crate::table2_is::{is_time, paper_config as is_config};
 
@@ -28,34 +28,38 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let is_cfg = is_config(quick);
     let cg_seed = opts.machine_seed(900);
     let is_seed = opts.machine_seed(901);
-    let mut jobs = Vec::new();
-    for &p in &procs {
-        jobs.push(Job::value(
-            format!("FIG8 cg p={p}"),
-            "cg_run_seconds",
-            "s",
-            move || cg_time(cg_cfg, p, cg_seed),
-        ));
-    }
-    for &p in &procs {
-        jobs.push(Job::value(
-            format!("FIG8 is p={p}"),
-            "is_run_seconds",
-            "s",
-            move || is_time(is_cfg, p, is_seed).0,
-        ));
-    }
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let n = procs.len();
-        let mut cg = Series::new("CG");
-        let mut is = Series::new("IS");
-        let cg_t1 = res.value(0);
-        let is_t1 = res.value(n);
-        for (i, &p) in procs.iter().enumerate() {
-            cg.push(p as f64, cg_t1 / res.value(i));
-            is.push(p as f64, is_t1 / res.value(n + i));
-        }
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let cg: Vec<(usize, Out<f64>)> = procs
+        .iter()
+        .map(|&p| {
+            (
+                p,
+                plan.job(format!("FIG8 cg p={p}"), move || {
+                    cg_time(cg_cfg, p, cg_seed)
+                }),
+            )
+        })
+        .collect();
+    let is: Vec<(usize, Out<f64>)> = procs
+        .iter()
+        .map(|&p| {
+            let h = plan.job(format!("FIG8 is p={p}"), move || {
+                is_time(is_cfg, p, is_seed).0
+            });
+            (p, h)
+        })
+        .collect();
+    plan.reduce(move |res, out| {
+        // Speedup over the sweep's first (one-processor) point.
+        let speedup = |label: &str, runs: &[(usize, Out<f64>)]| {
+            let mut s = Series::new(label);
+            let t1 = res[runs[0].1];
+            for &(p, h) in runs {
+                s.push(p as f64, t1 / res[h]);
+            }
+            s
+        };
+        let (cg, is) = (speedup("CG", &cg), speedup("IS", &is));
         if let (Some(&(_, cg_max)), Some(&(_, is_max))) = (cg.points.last(), is.points.last()) {
             out.line(format_args!(
                 "speedup at max procs: CG {cg_max:.1} vs IS {is_max:.1} \
@@ -64,7 +68,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         }
         out.series = vec![cg, is];
         out.rows_from_series("speedup", "procs", "x");
-        out
     })
 }
 

@@ -17,8 +17,8 @@
 use ksr_core::Json;
 use ksr_machine::{read_stream, Machine, MachineConfig};
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::{ExperimentPlan, Out};
 
 /// Registry id.
 pub const ID: &str = "LAD";
@@ -60,10 +60,10 @@ pub fn saturation_point(spec: &[usize], procs: usize, seed: u64) -> (f64, f64) {
 
 /// The ladder rungs for a topology spec: `(label, owner cell, rings on
 /// the round-trip path)`.
-fn ladder_rungs(spec: &[usize]) -> Vec<(&'static str, usize, usize)> {
+fn ladder_rungs(spec: &[usize]) -> [(&'static str, usize, usize); 4] {
     let leaf = spec[0];
     let group1 = leaf * spec.get(1).copied().unwrap_or(1);
-    vec![
+    [
         ("same cell", 0, 0),
         ("same leaf", 1, 1),
         ("1-level crossing", leaf, 3),
@@ -76,36 +76,30 @@ fn ladder_rungs(spec: &[usize]) -> Vec<(&'static str, usize, usize)> {
 pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let quick = opts.quick;
     let spec: &'static [usize] = if quick { &[8, 2, 2] } else { &[32, 8, 4] };
-    let rungs = ladder_rungs(spec);
     let sat_procs: Vec<usize> = if quick {
         vec![8, 16, 32]
     } else {
         vec![32, 64, 128, 256, 512, 1024]
     };
     let seed = opts.machine_seed(4100);
-    let mut jobs: Vec<Job> = rungs
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let ladder = ladder_rungs(spec).map(|(label, owner, rings)| {
+        let h = plan.job(format!("LAD ladder {label}"), move || {
+            probe_latency(spec, owner, seed)
+        });
+        (label, rings, h)
+    });
+    let saturation: Vec<(usize, Out<(f64, f64)>)> = sat_procs
         .iter()
-        .map(|&(label, owner, _)| {
-            Job::value(
-                format!("LAD ladder {label}"),
-                "remote_read_cycles",
-                "cycles",
-                move || probe_latency(spec, owner, seed),
-            )
+        .map(|&p| {
+            let h = plan.job(format!("LAD saturation p={p}"), move || {
+                saturation_point(spec, p, seed)
+            });
+            (p, h)
         })
         .collect();
-    for &p in &sat_procs {
-        jobs.push(Job::new(format!("LAD saturation p={p}"), move || {
-            let (lat, wait) = saturation_point(spec, p, seed);
-            vec![
-                MetricRow::new("saturated_read_cycles", &[], lat, "cycles"),
-                MetricRow::new("slot_wait_per_packet", &[], wait, "cycles"),
-            ]
-        }));
-    }
     let cells: usize = spec.iter().product();
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
+    plan.reduce(move |res, out| {
         out.line(format_args!(
             "latency ladder on a {cells}-cell ring[{}] machine (idle, cycles/read):",
             spec.iter()
@@ -113,10 +107,10 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 .collect::<Vec<_>>()
                 .join("x")
         ));
-        for (i, &(label, _, rings)) in rungs.iter().enumerate() {
+        for (label, rings, h) in ladder {
             out.line(format_args!(
                 "  {label:<18} {:8.0}  ({rings} ring{} booked)",
-                res.value(i),
+                res[h],
                 if rings == 1 { "" } else { "s" }
             ));
             out.row(
@@ -125,12 +119,12 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                     ("distance", Json::from(label)),
                     ("rings", Json::from(rings)),
                 ],
-                res.value(i),
+                res[h],
                 "cycles",
             );
         }
-        let l1 = res.value(2);
-        let l2 = res.value(3);
+        let [_, _, (_, _, one_level), (_, _, two_level)] = ladder;
+        let (l1, l2) = (res[one_level], res[two_level]);
         if l1 > 0.0 {
             out.line(format_args!(
                 "each extra level multiplies remote latency by {:.2}x (2 more rings + 2 ARDs)",
@@ -140,11 +134,9 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         out.line(format_args!(
             "saturation sweep, antipodal streams on the same {cells}-cell machine:"
         ));
-        let base = rungs.len();
         let mut curve = ksr_core::table::Series::new("saturated read latency");
-        for (i, &p) in sat_procs.iter().enumerate() {
-            let lat = res.rows(base + i)[0].value;
-            let wait = res.rows(base + i)[1].value;
+        for (p, h) in saturation {
+            let (lat, wait) = res[h];
             curve.push(p as f64, lat);
             out.line(format_args!(
                 "  p={p:<5} read {lat:8.0} cy   slot wait/packet {wait:6.1} cy"
@@ -168,7 +160,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
              rising as offered load fills the upper rings' slots — the paper's \u{a7}3.1 \
              hammering experiment extrapolated to the full three-level design.",
         );
-        out
     })
 }
 

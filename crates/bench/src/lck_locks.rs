@@ -29,8 +29,8 @@ use ksr_core::Json;
 use ksr_machine::{program, Machine, MachineConfig, Program};
 use ksr_sync::{CohortLock, HwLock, LockMode, SwRwLock};
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::ExperimentPlan;
 
 /// Registry id.
 pub const ID: &str = "LCK";
@@ -182,48 +182,45 @@ pub fn run_workload(
     (secs * 1e6 / total_ops as f64, rmr)
 }
 
-/// Plan LCK: one two-row job per (contention level, lock, machine).
+/// Plan LCK: one job per (contention level, lock, machine), each
+/// returning `(time_per_acquire_us, rmr_per_acquire)`.
 #[must_use]
 pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     let quick = opts.quick;
     let points: &[(usize, &'static [usize])] = if quick { QUICK_POINTS } else { POINTS };
-    let levels: &[(&str, u64)] = if quick { QUICK_LEVELS } else { LEVELS };
+    let levels: &[(&'static str, u64)] = if quick { QUICK_LEVELS } else { LEVELS };
     let seed = opts.machine_seed(5600);
-    let mut jobs = Vec::new();
-    for &(level, delay) in levels {
-        for kind in LockKind::ALL {
-            for &(cells, spec) in points {
-                let procs = cells;
-                let ops = ops_per_proc(procs, quick);
-                let point_seed = seed + cells as u64;
-                let label = kind.label();
-                jobs.push(Job::new(
-                    format!("LCK {label} {level} p={cells}"),
-                    move || {
-                        let (us, rmr) = run_workload(label, spec, procs, delay, ops, point_seed);
-                        vec![
-                            MetricRow::new("time_per_acquire_us", &[], us, "us"),
-                            MetricRow::new("rmr_per_acquire", &[], rmr, "refs"),
-                        ]
-                    },
-                ));
-            }
-        }
-    }
-    let levels: Vec<(&'static str, u64)> = levels.to_vec();
-    let points: Vec<(usize, &'static [usize])> = points.to_vec();
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let idx = |li: usize, ki: usize, pi: usize| (li * 3 + ki) * points.len() + pi;
-        let time = |li: usize, ki: usize, pi: usize| res.rows(idx(li, ki, pi))[0].value;
-        let rmr = |li: usize, ki: usize, pi: usize| res.rows(idx(li, ki, pi))[1].value;
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    // Per contention level, each lock kind's `(cells, job)` points.
+    let grid: Vec<_> = levels
+        .iter()
+        .map(|&(level, delay)| {
+            let by_kind = LockKind::ALL.map(|kind| {
+                points
+                    .iter()
+                    .map(|&(cells, spec)| {
+                        let procs = cells;
+                        let ops = ops_per_proc(procs, quick);
+                        let point_seed = seed + cells as u64;
+                        let label = kind.label();
+                        let h = plan.job(format!("LCK {label} {level} p={cells}"), move || {
+                            run_workload(label, spec, procs, delay, ops, point_seed)
+                        });
+                        (cells, h)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            (level, delay, by_kind)
+        })
+        .collect();
+    plan.reduce(move |res, out| {
         // Crossover table: per contention level, the smallest machine
         // where the cohort lock beats the flat ticket lock.
         out.push_text(
             "time per acquisition (us) and the cohort-vs-ticket crossover; \
              RMR = remote references (cross-leaf ring transactions) per acquisition.",
         );
-        for (li, &(level, delay)) in levels.iter().enumerate() {
+        for (level, delay, [hw, ticket, cohort]) in &grid {
             out.line(format_args!(
                 "contention {level} (hold {HOLD}, delay {delay}):"
             ));
@@ -231,23 +228,19 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 "  {:>5}  {:>10} {:>10} {:>10}  {:>8} {:>8} {:>8}",
                 "cells", "hw us", "ticket us", "cohort us", "hw RMR", "tkt RMR", "coh RMR"
             ));
-            for (pi, &(cells, _)) in points.iter().enumerate() {
+            for ((&(cells, hw), &(_, tkt)), &(_, coh)) in hw.iter().zip(ticket).zip(cohort) {
+                let [(hw_us, hw_rmr), (tkt_us, tkt_rmr), (coh_us, coh_rmr)] =
+                    [res[hw], res[tkt], res[coh]];
                 out.line(format_args!(
-                    "  {:>5}  {:>10.2} {:>10.2} {:>10.2}  {:>8.2} {:>8.2} {:>8.2}",
-                    cells,
-                    time(li, 0, pi),
-                    time(li, 1, pi),
-                    time(li, 2, pi),
-                    rmr(li, 0, pi),
-                    rmr(li, 1, pi),
-                    rmr(li, 2, pi),
+                    "  {cells:>5}  {hw_us:>10.2} {tkt_us:>10.2} {coh_us:>10.2}  \
+                     {hw_rmr:>8.2} {tkt_rmr:>8.2} {coh_rmr:>8.2}"
                 ));
             }
-            let crossover = points
+            let crossover = ticket
                 .iter()
-                .enumerate()
-                .find(|&(pi, _)| time(li, 2, pi) < time(li, 1, pi))
-                .map(|(_, &(cells, _))| cells);
+                .zip(cohort)
+                .find(|&(&(_, tkt), &(_, coh))| res[coh].0 < res[tkt].0)
+                .map(|(&(cells, _), _)| cells);
             match crossover {
                 Some(cells) => out.line(format_args!(
                     "  cohort beats the flat ticket lock from {cells} cells on"
@@ -264,35 +257,32 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
              amortizes one global handoff over its local budget — topology-awareness wins \
              from the first multi-leaf machines and the margin widens with ring depth.",
         );
-        let mut series = Vec::new();
-        for (li, &(level, _)) in levels.iter().enumerate() {
-            for (ki, kind) in LockKind::ALL.into_iter().enumerate() {
+        for (level, _, by_kind) in &grid {
+            for (kind, runs) in LockKind::ALL.iter().zip(by_kind) {
                 let mut s = Series::new(format!("{} {level}", kind.label()));
-                for (pi, &(cells, _)) in points.iter().enumerate() {
-                    s.push(cells as f64, time(li, ki, pi));
+                for &(cells, h) in runs {
+                    s.push(cells as f64, res[h].0);
                 }
-                series.push(s);
+                out.series.push(s);
             }
         }
-        out.series = series;
         out.rows_from_series("time_per_acquire_us", "cells", "us");
-        for (li, &(level, _)) in levels.iter().enumerate() {
-            for (ki, kind) in LockKind::ALL.into_iter().enumerate() {
-                for (pi, &(cells, _)) in points.iter().enumerate() {
+        for (level, _, by_kind) in &grid {
+            for (kind, runs) in LockKind::ALL.iter().zip(by_kind) {
+                for &(cells, h) in runs {
                     out.row(
                         "rmr_per_acquire",
                         &[
                             ("lock", Json::from(kind.label())),
-                            ("level", Json::from(level)),
+                            ("level", Json::from(*level)),
                             ("cells", Json::from(cells)),
                         ],
-                        rmr(li, ki, pi),
+                        res[h].1,
                         "refs",
                     );
                 }
             }
         }
-        out
     })
 }
 

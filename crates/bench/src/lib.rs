@@ -5,17 +5,18 @@
 //! paper reports (see the per-experiment index in `DESIGN.md`).
 //!
 //! Experiments are [`Experiment`]s: look them up in [`REGISTRY`]. Each
-//! experiment describes itself as an [`exec::ExperimentPlan`] — a list
-//! of pure [`exec::Job`]s plus an ordered reduce — and
+//! experiment describes itself as an [`exec::ExperimentPlan`]: pure
+//! jobs plus a reduce. A job is a label, which names it in progress
+//! lines and `timings.json`, and a closure over config and seed that
+//! builds its own machines and returns a typed value (`f64`, a tuple, a
+//! report); queuing it yields an [`exec::Out`] handle, and the reduce
+//! reads every value through the handles its planner kept.
 //! [`exec::execute`] schedules the jobs of many plans over a pool of
-//! worker threads (`--jobs N`). A job is a label, which names it in
-//! progress lines and `timings.json`, and a closure over config and
-//! seed that builds its own machines and returns typed [`MetricRow`]s.
-//! Because every job is pure and the reduce runs in job order,
-//! `results/*.json` and `summary.json` are byte-identical at any worker
-//! count.
+//! worker threads (`--jobs N`). Because every job is pure and a handle
+//! reads the same value whichever worker ran it, `results/*.json` and
+//! `summary.json` are byte-identical at any worker count.
 //!
-//! Each reduce returns an [`ExperimentOutput`] carrying rendered text,
+//! Each reduce fills an [`ExperimentOutput`] carrying rendered text,
 //! figure series, and typed [`MetricRow`]s; `write_to` persists
 //! `<id>.txt` / `<id>.csv` / `<id>.json`, and [`common::write_summary`]
 //! indexes a whole run in `summary.json`. The `run_all` binary is the
@@ -47,7 +48,5 @@ pub mod table2_is;
 pub mod table3_sp;
 
 pub use common::{ExperimentOutput, MetricRow, RunOpts};
-pub use exec::{
-    execute, ExecReport, ExperimentPlan, ExperimentResult, Job, JobResults, PlanTimings,
-};
+pub use exec::{execute, ExecReport, ExperimentPlan, ExperimentResult, Out, PlanTimings, Results};
 pub use registry::{Experiment, REGISTRY};

@@ -3,7 +3,7 @@
 //! Every paper artifact the harness can regenerate is an
 //! [`Experiment`]: an id (the DESIGN.md index key), a human title, and a
 //! planner taking [`RunOpts`] and returning an [`ExperimentPlan`] — the
-//! experiment's pure jobs plus its ordered reduce. [`REGISTRY`] lists
+//! experiment's pure jobs plus its reduce. [`REGISTRY`] lists
 //! them in DESIGN.md index order; `run_all` resolves `--only` ids through
 //! [`find`], and the executor (`crate::exec`) schedules the plans' jobs
 //! over its worker pool.
@@ -33,7 +33,7 @@ impl Experiment {
         self.title
     }
 
-    /// The experiment as pure data: jobs + ordered reduce.
+    /// The experiment as pure data: jobs + reduce.
     #[must_use]
     pub fn plan(&self, opts: &RunOpts) -> ExperimentPlan {
         (self.planner)(opts)
@@ -207,9 +207,8 @@ mod tests {
             let mut seen = std::collections::HashSet::new();
             for e in REGISTRY {
                 let plan = e.plan(&opts);
-                assert!(!plan.jobs().is_empty(), "{}: plan must have jobs", e.id());
-                for job in plan.jobs() {
-                    let label = job.label();
+                assert_ne!(plan.labels().len(), 0, "{}: plan must have jobs", e.id());
+                for label in plan.labels() {
                     assert!(
                         label
                             .get(..e.id().len())

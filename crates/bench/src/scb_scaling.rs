@@ -21,12 +21,12 @@
 //! same effect recent multi-level-interconnect studies report for
 //! fractal/tree topologies (Bertuletti et al., 2023).
 
-use ksr_core::table::Series;
 use ksr_machine::{Machine, MachineConfig};
 use ksr_sync::{episode_seconds, AnyBarrier, BarrierKind};
 
-use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::ExperimentPlan;
+use crate::fig4_barriers::{curves, Sweep};
 
 /// Registry id.
 pub const ID: &str = "SCB";
@@ -70,32 +70,26 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
     };
     let episodes = if quick { 4 } else { 10 };
     let seed = opts.machine_seed(4200);
-    let mut jobs = Vec::new();
-    for &kind in &kinds {
-        for &(cells, spec) in &points {
-            let point_seed = seed + cells as u64;
-            jobs.push(Job::value(
-                format!("SCB {} p={cells}", kind.label()),
-                "barrier_episode_seconds",
-                "s",
-                move || episode_time(spec, kind, episodes, point_seed),
-            ));
-        }
-    }
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let series: Vec<Series> = kinds
-            .iter()
-            .enumerate()
-            .map(|(ki, &kind)| {
-                let mut s = Series::new(kind.label());
-                for (pi, &(cells, _)) in points.iter().enumerate() {
-                    s.push(cells as f64, res.value(ki * points.len() + pi));
-                }
-                s
-            })
-            .collect();
-        let (p0, pmax) = (points[0].0, points[points.len() - 1].0);
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let runs: Sweep = kinds
+        .iter()
+        .map(|&kind| {
+            let by_cells = points
+                .iter()
+                .map(|&(cells, spec)| {
+                    let point_seed = seed + cells as u64;
+                    let h = plan.job(format!("SCB {} p={cells}", kind.label()), move || {
+                        episode_time(spec, kind, episodes, point_seed)
+                    });
+                    (cells, h)
+                })
+                .collect();
+            (kind, by_cells)
+        })
+        .collect();
+    let (p0, pmax) = (points[0].0, points[points.len() - 1].0);
+    plan.reduce(move |res, out| {
+        let series = curves(res, &runs);
         out.line(format_args!(
             "episode time growth {p0}→{pmax} cells (machine grows with the processor set):"
         ));
@@ -119,7 +113,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         );
         out.series = series;
         out.rows_from_series("barrier_episode_seconds", "cells", "s");
-        out
     })
 }
 

@@ -13,8 +13,8 @@ use ksr_core::Json;
 use ksr_machine::Machine;
 use ksr_nas::{CgConfig, CgSetup};
 
-use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::{ExperimentPlan, Out};
 
 /// Registry id.
 pub const ID: &str = "TAB1";
@@ -62,23 +62,23 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         vec![1, 2, 4, 8, 16, 32]
     };
     let seed = opts.machine_seed(500);
-    let mut jobs: Vec<Job> = procs
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let runs: Vec<(usize, Out<f64>)> = procs
         .iter()
         .map(|&p| {
-            Job::value(format!("TAB1 cg p={p}"), "cg_run_seconds", "s", move || {
-                cg_time(cfg, p, seed)
-            })
+            (
+                p,
+                plan.job(format!("TAB1 cg p={p}"), move || cg_time(cfg, p, seed)),
+            )
         })
         .collect();
     // Poststore comparison (paper: ~+3% at 16 procs, less at 32 where the
     // ring nears saturation).
     let ps_procs: Vec<usize> = if quick { vec![] } else { vec![8, 16, 32] };
-    for &p in &ps_procs {
-        jobs.push(Job::value(
-            format!("TAB1 cg poststore p={p}"),
-            "cg_run_seconds",
-            "s",
-            move || {
+    let poststore: Vec<(usize, Out<f64>)> = ps_procs
+        .iter()
+        .map(|&p| {
+            let h = plan.job(format!("TAB1 cg poststore p={p}"), move || {
                 cg_time(
                     CgConfig {
                         poststore: true,
@@ -87,16 +87,12 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                     p,
                     seed,
                 )
-            },
-        ));
-    }
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let times: Vec<(usize, f64)> = procs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, res.value(i)))
-            .collect();
+            });
+            (p, h)
+        })
+        .collect();
+    plan.reduce(move |res, out| {
+        let times: Vec<(usize, f64)> = runs.iter().map(|&(p, h)| (p, res[h])).collect();
         let table = ScalingTable::from_times(&times);
         out.push_text(&table.render(&format!(
             "Conjugate Gradient, datasize n = {}, nonzeros ~ {} (scaled 1/{SCALE})",
@@ -108,9 +104,9 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             out.row("cg_run_seconds", &[("procs", Json::from(p))], t, "s");
             out.row("speedup", &[("procs", Json::from(p))], t1 / t, "x");
         }
-        for (j, &p) in ps_procs.iter().enumerate() {
+        for (p, h) in poststore {
             let plain = times.iter().find(|&&(q, _)| q == p).unwrap().1;
-            let ps = res.value(procs.len() + j);
+            let ps = res[h];
             out.line(format_args!(
                 "poststore at {p:>2} procs: {:+.1}% (paper: +3% at 16, less at 32)",
                 (plain / ps - 1.0) * 100.0
@@ -122,7 +118,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 "s",
             );
         }
-        out
     })
 }
 

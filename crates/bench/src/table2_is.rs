@@ -12,8 +12,8 @@ use ksr_core::Json;
 use ksr_machine::Machine;
 use ksr_nas::{IsConfig, IsSetup};
 
-use crate::common::{ExperimentOutput, MetricRow, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::{ExperimentPlan, Out};
 use crate::table1_cg::SCALE;
 
 /// Registry id.
@@ -59,30 +59,18 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
         vec![1, 2, 4, 8, 16, 30, 32]
     };
     let seed = opts.machine_seed(600);
-    let jobs: Vec<Job> = procs
+    let mut plan = ExperimentPlan::new(ID, TITLE);
+    let runs: Vec<(usize, Out<(f64, f64)>)> = procs
         .iter()
         .map(|&p| {
-            Job::new(format!("TAB2 is p={p}"), move || {
-                let (t, lat) = is_time(cfg, p, seed);
-                vec![
-                    MetricRow::new("is_run_seconds", &[], t, "s"),
-                    MetricRow::new("mean_ring_latency_cycles", &[], lat, "cycles"),
-                ]
-            })
+            (
+                p,
+                plan.job(format!("TAB2 is p={p}"), move || is_time(cfg, p, seed)),
+            )
         })
         .collect();
-    ExperimentPlan::new(ID, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID, TITLE);
-        let times: Vec<(usize, f64)> = procs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, res.rows(i)[0].value))
-            .collect();
-        let lat_rows: Vec<(usize, f64)> = procs
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, res.rows(i)[1].value))
-            .collect();
+    plan.reduce(move |res, out| {
+        let times: Vec<(usize, f64)> = runs.iter().map(|&(p, h)| (p, res[h].0)).collect();
         let table = ScalingTable::from_times(&times);
         out.push_text(&table.render(&format!(
             "Integer Sort, number of input keys = 2^{} (scaled 1/{SCALE})",
@@ -99,7 +87,8 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
             out.row("speedup", &[("procs", Json::from(p))], t1 / t, "x");
         }
         out.push_text("perfmon mean remote latency (cycles) — the 30→32 rise is the ring:");
-        for (p, lat) in lat_rows {
+        for (p, h) in runs {
+            let lat = res[h].1;
             out.line(format_args!("  {p:>2} procs: {lat:8.1}"));
             out.row(
                 "mean_ring_latency_cycles",
@@ -108,7 +97,6 @@ pub fn plan(opts: &RunOpts) -> ExperimentPlan {
                 "cycles",
             );
         }
-        out
     })
 }
 

@@ -12,8 +12,8 @@ use ksr_core::Json;
 use ksr_machine::Machine;
 use ksr_nas::{SpConfig, SpLayout, SpSetup};
 
-use crate::common::{ExperimentOutput, RunOpts};
-use crate::exec::{ExperimentPlan, Job};
+use crate::common::RunOpts;
+use crate::exec::{ExperimentPlan, Out};
 
 /// Registry id of the Table 3 scaling run.
 pub const ID_TAB3: &str = "TAB3";
@@ -61,23 +61,21 @@ pub fn plan_table3(opts: &RunOpts) -> ExperimentPlan {
         vec![1, 2, 4, 8, 16, 31]
     };
     let seed = opts.machine_seed(700);
-    let jobs: Vec<Job> = procs
+    let mut plan = ExperimentPlan::new(ID_TAB3, TITLE_TAB3);
+    let runs: Vec<(usize, Out<f64>)> = procs
         .iter()
         .map(|&p| {
-            Job::value(
-                format!("TAB3 sp p={p}"),
-                "sp_seconds_per_iteration",
-                "s",
-                move || sp_time_per_iter(cfg, p, seed),
-            )
+            let h = plan.job(format!("TAB3 sp p={p}"), move || {
+                sp_time_per_iter(cfg, p, seed)
+            });
+            (p, h)
         })
         .collect();
-    ExperimentPlan::new(ID_TAB3, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID_TAB3, TITLE_TAB3);
-        let t1 = res.value(0);
+    plan.reduce(move |res, out| {
+        let t1 = res[runs[0].1];
         let mut table = TextTable::new(&["Processors", "Time per iteration (s)", "Speedup"]);
-        for (i, &p) in procs.iter().enumerate() {
-            let t = res.value(i);
+        for (p, h) in runs {
+            let t = res[h];
             table.row(&[p.to_string(), format!("{t:.5}"), format!("{:.1}", t1 / t)]);
             out.row(
                 "sp_seconds_per_iteration",
@@ -89,7 +87,6 @@ pub fn plan_table3(opts: &RunOpts) -> ExperimentPlan {
         }
         out.push_text(&table.render());
         out.push_text("paper speedups: 2.0 / 3.9 / 7.7 / 15.3 / 27.8 at 2/4/8/16/31 procs.");
-        out
     })
 }
 
@@ -124,23 +121,18 @@ pub fn plan_table4(opts: &RunOpts) -> ExperimentPlan {
         ("Prefetching appropriate data", prefetch_cfg),
         ("(anti-opt) adding poststore", poststore_cfg),
     ];
-    let jobs: Vec<Job> = rungs
-        .iter()
-        .map(|&(label, cfg)| {
-            Job::value(
-                format!("TAB4 sp {label}"),
-                "sp_seconds_per_iteration",
-                "s",
-                move || sp_time_per_iter(cfg, procs, seed),
-            )
-        })
-        .collect();
-    ExperimentPlan::new(ID_TAB4, jobs, move |res| {
-        let mut out = ExperimentOutput::new(ID_TAB4, TITLE_TAB4);
-        let base = res.value(0);
+    let mut plan = ExperimentPlan::new(ID_TAB4, TITLE_TAB4);
+    let ladder = rungs.map(|(label, cfg)| {
+        let h = plan.job(format!("TAB4 sp {label}"), move || {
+            sp_time_per_iter(cfg, procs, seed)
+        });
+        (label, h)
+    });
+    plan.reduce(move |res, out| {
+        let base = res[ladder[0].1];
         let mut table = TextTable::new(&["Optimizations", "Time per iteration (s)", "vs base"]);
-        for (i, &(label, _)) in rungs.iter().enumerate() {
-            let t = res.value(i);
+        for (label, h) in ladder {
+            let t = res[h];
             table.row(&[
                 label.to_string(),
                 format!("{t:.5}"),
@@ -158,7 +150,6 @@ pub fn plan_table4(opts: &RunOpts) -> ExperimentPlan {
             "paper ladder: 2.54 -> 2.14 (-15%) -> 1.89 (-11%) s/iteration; poststore caused \
              slowdown because the next phase's writers pay the invalidation for shared copies.",
         );
-        out
     })
 }
 

@@ -155,12 +155,6 @@ pub fn subblock_of(addr: u64) -> u64 {
     addr / SUBBLOCK_BYTES
 }
 
-/// Sub-page slot (0..127) of `addr` within its page.
-#[must_use]
-pub fn subpage_slot_in_page(addr: u64) -> usize {
-    ((addr % PAGE_BYTES) / SUBPAGE_BYTES) as usize
-}
-
 /// Sub-block slot (0..31) of `addr` within its block.
 #[must_use]
 pub fn subblock_slot_in_block(addr: u64) -> usize {
@@ -255,7 +249,6 @@ mod tests {
         let addr = 3 * PAGE_BYTES + 5 * SUBPAGE_BYTES + 17;
         assert_eq!(page_of(addr), 3);
         assert_eq!(subpage_of(addr), 3 * 128 + 5);
-        assert_eq!(subpage_slot_in_page(addr), 5);
         let addr = 7 * BLOCK_BYTES + 2 * SUBBLOCK_BYTES + 1;
         assert_eq!(block_of(addr), 7);
         assert_eq!(subblock_of(addr), 7 * 32 + 2);

@@ -56,17 +56,6 @@ impl PerfMon {
         self.subcache_hits + self.subcache_misses
     }
 
-    /// Sub-cache miss ratio (0 when no accesses).
-    #[must_use]
-    pub fn subcache_miss_ratio(&self) -> f64 {
-        let total = self.total_accesses();
-        if total == 0 {
-            0.0
-        } else {
-            self.subcache_misses as f64 / total as f64
-        }
-    }
-
     /// Mean latency of this cell's remote (ring) accesses in cycles.
     #[must_use]
     pub fn mean_ring_latency(&self) -> f64 {
@@ -157,7 +146,6 @@ mod tests {
     #[test]
     fn ratios_handle_zero() {
         let p = PerfMon::default();
-        assert_eq!(p.subcache_miss_ratio(), 0.0);
         assert_eq!(p.mean_ring_latency(), 0.0);
     }
 
@@ -169,7 +157,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(p.total_accesses(), 4);
-        assert!((p.subcache_miss_ratio() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -57,13 +57,6 @@ impl Fabric {
         !matches!(self, Self::Butterfly(_))
     }
 
-    /// Whether the fabric offers parallel communication paths (everything
-    /// except the bus).
-    #[must_use]
-    pub fn has_parallel_paths(&self) -> bool {
-        !matches!(self, Self::Bus(_))
-    }
-
     /// Book a transaction.
     ///
     /// * `src_cell` — issuing processor.
@@ -154,9 +147,9 @@ mod tests {
         let ring = Topology::ksr1_32().build(32).unwrap();
         let bus = Topology::bus().build(16).unwrap();
         let butterfly = Topology::butterfly(16).build(16).unwrap();
-        assert!(ring.has_coherent_caches() && ring.has_parallel_paths());
-        assert!(bus.has_coherent_caches() && !bus.has_parallel_paths());
-        assert!(!butterfly.has_coherent_caches() && butterfly.has_parallel_paths());
+        assert!(ring.has_coherent_caches());
+        assert!(bus.has_coherent_caches());
+        assert!(!butterfly.has_coherent_caches());
     }
 
     #[test]
