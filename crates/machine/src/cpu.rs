@@ -22,10 +22,10 @@
 //! advances the local clock.
 //!
 //! The two spin loops are single accesses: [`Cpu::spin_until`] parks
-//! until a visibility event, and [`Cpu::acquire_sub_page`] has the
-//! coordinator retry each rejected `get_sub_page` at the rejection's
-//! reply time. Every retry is still a costed request; the program
-//! resumes once, when the loop exits.
+//! until an access changes its sub-page, and [`Cpu::acquire_sub_page`]
+//! has the coordinator retry each rejected `get_sub_page` at the
+//! rejection's reply time. Every retry is still a costed request; the
+//! program resumes once, when the loop exits.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -243,7 +243,7 @@ impl Slot {
 
     /// Move the events stamped since the last step into `tracer`, in
     /// order, keeping the allocation for the next step.
-    pub(crate) fn drain_events_into(&self, tracer: &mut Tracer) {
+    pub(crate) fn drain_trace_into(&self, tracer: &mut Tracer) {
         let mut events = self.events.take();
         for event in events.drain(..) {
             tracer.emit_with(|| event);

@@ -16,12 +16,15 @@
 //! size is bounded only by memory, not host thread limits.
 //!
 //! Spin loops ([`Cpu::spin_until`]) and accesses blocked on an atomic
-//! sub-page park on a per-sub-page watch list and are re-issued — as
-//! fully costed reads — whenever the memory system reports a visibility
-//! event on that sub-page. This is semantically identical to a tight
-//! polling loop (the woken read pays invalidation-refetch or snarf-refill
-//! costs exactly as the protocol dictates) at O(updates) instead of
-//! O(poll iterations) simulation cost.
+//! sub-page park on their sub-page's parked list and are re-issued — as
+//! fully costed reads — whenever an access changes that sub-page. The
+//! memory system returns, with each completed access, the cycle at which
+//! its change becomes visible (`visible_at` in [`Outcome::Done`]), and
+//! the coordinator wakes the sub-page's parked list at that cycle right
+//! after the serviced program's step. This is semantically identical to
+//! a tight polling loop (the woken read pays invalidation-refetch or
+//! snarf-refill costs exactly as the protocol dictates) at O(updates)
+//! instead of O(poll iterations) simulation cost.
 //!
 //! `get_sub_page` spins ([`Cpu::acquire_sub_page`]) are fast-forwarded
 //! the same way, minus the parking: each rejected attempt stays a costed
@@ -409,8 +412,16 @@ impl Machine {
 enum Serviced {
     /// The access completed; resume the program with this reply.
     Reply(Reply),
-    /// The access blocked: park the processor on `subpage` (watching for
-    /// visibility events) and retry `op` on wake-up.
+    /// The access completed and changed `subpage`: resume the program
+    /// with `reply`, then wake the processors parked on `subpage` from
+    /// `at`, the cycle the change became visible.
+    Changed {
+        reply: Reply,
+        subpage: u64,
+        at: Cycles,
+    },
+    /// The access blocked: park the processor on `subpage` until an
+    /// access changes it, and retry `op` on wake-up.
     Park {
         subpage: u64,
         at: Cycles,
@@ -433,11 +444,27 @@ fn data_fault(proc: usize, what: &str, addr: u64, at: Cycles, err: &Error) -> ! 
     )
 }
 
+/// Reply to the completed access `outcome` on `addr`, passing on the
+/// cycle its change to the sub-page became visible, if it changed it.
+fn completed(reply: Reply, addr: u64, outcome: Outcome) -> Serviced {
+    match outcome {
+        Outcome::Done {
+            visible_at: Some(at),
+            ..
+        } => Serviced::Changed {
+            reply,
+            subpage: ksr_mem::subpage_of(addr),
+            at,
+        },
+        _ => Serviced::Reply(reply),
+    }
+}
+
 /// One `get_sub_page` attempt: whether it succeeded, and when its reply
 /// came back. A success emits the acquire edge race detectors key on.
 fn get_sub_page(mem: &mut MemorySystem, p: usize, addr: u64, t: Cycles) -> (bool, Cycles) {
     match mem.access(p, addr, MemOp::GetSubPage, t) {
-        Outcome::Done { done_at } => {
+        Outcome::Done { done_at, .. } => {
             mem.tracer_mut().emit_with(|| TraceEvent::SyncAcquire {
                 at: done_at,
                 cell: p,
@@ -458,7 +485,7 @@ fn get_sub_page(mem: &mut MemorySystem, p: usize, addr: u64, t: Cycles) -> (bool
 fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Serviced {
     match op {
         AccessOp::Read { addr } => match mem.access(p, addr, MemOp::Read, t) {
-            Outcome::Done { done_at } => {
+            Outcome::Done { done_at, .. } => {
                 let value = mem
                     .data()
                     .read_u64(addr)
@@ -478,7 +505,7 @@ fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Service
             Outcome::AtomicFailed { .. } => unreachable!("reads cannot fail atomically"),
         },
         AccessOp::Write { addr, value } => match mem.access(p, addr, MemOp::Write, t) {
-            Outcome::Done { done_at } => {
+            outcome @ Outcome::Done { done_at, .. } => {
                 mem.data_mut()
                     .write_u64(addr, value)
                     .unwrap_or_else(|e| data_fault(p, "write", addr, t, &e));
@@ -487,7 +514,7 @@ fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Service
                     cell: p,
                     addr,
                 });
-                Serviced::Reply(Reply::Unit { at: done_at })
+                completed(Reply::Unit { at: done_at }, addr, outcome)
             }
             Outcome::BlockedOnAtomic { subpage } => Serviced::Park {
                 subpage,
@@ -509,7 +536,7 @@ fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Service
             },
         },
         AccessOp::FetchAdd { addr, delta } => match mem.access(p, addr, MemOp::AtomicRmw, t) {
-            Outcome::Done { done_at } => {
+            outcome @ Outcome::Done { done_at, .. } => {
                 let old = mem
                     .data()
                     .read_u64(addr)
@@ -533,10 +560,11 @@ fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Service
                     subpage: sp,
                     rmw: true,
                 });
-                Serviced::Reply(Reply::Value {
+                let reply = Reply::Value {
                     value: old,
                     at: done_at,
-                })
+                };
+                completed(reply, addr, outcome)
             }
             Outcome::BlockedOnAtomic { subpage } => Serviced::Park {
                 subpage,
@@ -555,8 +583,9 @@ fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Service
                 subpage: ksr_mem::subpage_of(addr),
                 rmw: false,
             });
-            let done_at = mem.access(p, addr, MemOp::ReleaseSubPage, t).done_at();
-            Serviced::Reply(Reply::Unit { at: done_at })
+            let outcome = mem.access(p, addr, MemOp::ReleaseSubPage, t);
+            let at = outcome.done_at();
+            completed(Reply::Unit { at }, addr, outcome)
         }
         AccessOp::Prefetch { addr, exclusive } => {
             let done_at = mem
@@ -565,15 +594,16 @@ fn service(mem: &mut MemorySystem, p: usize, t: Cycles, op: AccessOp) -> Service
             Serviced::Reply(Reply::Unit { at: done_at })
         }
         AccessOp::Poststore { addr } => {
-            let done_at = mem.access(p, addr, MemOp::Poststore, t).done_at();
-            Serviced::Reply(Reply::Unit { at: done_at })
+            let outcome = mem.access(p, addr, MemOp::Poststore, t);
+            let at = outcome.done_at();
+            completed(Reply::Unit { at }, addr, outcome)
         }
         AccessOp::SubcachePrefetch { addr } => {
             let done_at = mem.access(p, addr, MemOp::SubcachePrefetch, t).done_at();
             Serviced::Reply(Reply::Unit { at: done_at })
         }
         AccessOp::Spin { addr, mut pred } => match mem.access(p, addr, MemOp::Read, t) {
-            Outcome::Done { done_at } => {
+            Outcome::Done { done_at, .. } => {
                 let value = mem
                     .data()
                     .read_u64(addr)
@@ -754,6 +784,10 @@ fn deadlock_panic(live: usize, parked: &FxHashMap<u64, Vec<(usize, Cycles)>>) ->
 /// unwinds straight through this loop with its original payload — it is
 /// already on the coordinator's thread.
 ///
+/// A processor whose access cannot proceed parks on its sub-page's list
+/// in `parked`, the one record of who waits where, until an access
+/// changes that sub-page.
+///
 /// On a traced run, `slots` holds every processor's slot, and the events
 /// a processor stamps there are appended to the trace right after the
 /// `start` or `resume` that stamped them; an untraced run passes none.
@@ -774,10 +808,8 @@ fn coordinate_event(
     // Waiter lists emptied by wakes, reused by the next sub-page to get
     // a waiter, so a list regrows only past its high-water mark.
     let mut spare_lists: Vec<Vec<(usize, Cycles)>> = Vec::new();
-    // Reused across iterations so draining visibility events and
-    // collecting a fan-out's wake keys allocate only until the buffers
-    // reach their high-water marks.
-    let mut events = Vec::new();
+    // Reused across iterations so collecting a fan-out's wake keys
+    // allocates only until the buffer reaches its high-water mark.
     let mut woken = Vec::new();
     let mut done = 0usize;
     let mut end_at = vec![0; n];
@@ -787,7 +819,7 @@ fn coordinate_event(
         ($p:expr, $step:expr) => {{
             let step = $step;
             if let Some(slot) = slots.get($p) {
-                slot.drain_events_into(mem.tracer_mut());
+                slot.drain_trace_into(mem.tracer_mut());
             }
             match step {
                 Step::Yield { at, op } => {
@@ -817,41 +849,40 @@ fn coordinate_event(
 
         match service(mem, p, t, op) {
             Serviced::Reply(reply) => on_step!(p, programs[p].resume(reply)),
-            Serviced::Park { subpage, at, op } => {
-                // A list in the map is never empty (a wake removes it
-                // whole), so the sub-page is watched exactly while it
-                // has waiters.
-                let waiters = parked
-                    .entry(subpage)
-                    .or_insert_with(|| spare_lists.pop().unwrap_or_default());
-                if waiters.is_empty() {
-                    mem.watch(subpage);
+            Serviced::Changed { reply, subpage, at } => {
+                on_step!(p, programs[p].resume(reply));
+                // The change wakes the processors parked on its sub-page
+                // for a costed retry; while nothing is parked, it costs
+                // no lookup.
+                if parked.is_empty() {
+                    continue;
                 }
-                waiters.push((p, at));
+                if let Some(mut waiters) = parked.remove(&subpage) {
+                    for (proc, parked_at) in waiters.drain(..) {
+                        let wake_at = parked_at.max(at);
+                        mem.tracer_mut().emit_with(|| TraceEvent::LockHandoff {
+                            at: wake_at,
+                            cell: proc,
+                            subpage,
+                        });
+                        woken.push(pack(wake_at, proc));
+                    }
+                    spare_lists.push(waiters);
+                    ready.push_run(&mut woken);
+                }
+            }
+            Serviced::Park { subpage, at, op } => {
+                // A list stays in the map exactly while it has waiters:
+                // a wake removes it whole.
+                parked
+                    .entry(subpage)
+                    .or_insert_with(|| spare_lists.pop().unwrap_or_default())
+                    .push((p, at));
                 pending[p] = Some(op);
             }
             Serviced::Retry { at, op } => {
                 pending[p] = Some(op);
                 ready.push(at, p);
-            }
-        }
-
-        // Visibility events wake parked processors for a costed retry.
-        mem.drain_events_into(&mut events);
-        for ev in events.drain(..) {
-            if let Some(mut waiters) = parked.remove(&ev.subpage) {
-                mem.unwatch(ev.subpage);
-                for (proc, parked_at) in waiters.drain(..) {
-                    let wake_at = parked_at.max(ev.at);
-                    mem.tracer_mut().emit_with(|| TraceEvent::LockHandoff {
-                        at: wake_at,
-                        cell: proc,
-                        subpage: ev.subpage,
-                    });
-                    woken.push(pack(wake_at, proc));
-                }
-                spare_lists.push(waiters);
-                ready.push_run(&mut woken);
             }
         }
     }
@@ -872,7 +903,7 @@ struct RunTrace<'a> {
 impl Drop for RunTrace<'_> {
     fn drop(&mut self) {
         for slot in &self.slots {
-            slot.drain_events_into(self.mem.tracer_mut());
+            slot.drain_trace_into(self.mem.tracer_mut());
         }
         self.mem.flush_trace();
     }

@@ -45,7 +45,7 @@ pub use geometry::{
 };
 pub use localcache::{LocalCache, PageAlloc};
 pub use perfmon::PerfMon;
-pub use protocol::{MemEvent, MemOp, MemorySystem, Outcome, ProtocolFault, ProtocolOptions};
+pub use protocol::{MemOp, MemorySystem, Outcome, ProtocolFault, ProtocolOptions};
 pub use state::SubpageState;
 pub use subcache::{SubCache, SubCacheFill};
 pub use sva::SvaStore;

@@ -83,6 +83,14 @@ pub enum Outcome {
     Done {
         /// Completion time.
         done_at: Cycles,
+        /// When the operation's change to its own sub-page becomes
+        /// visible to the other cells: `done_at` for a write, a native
+        /// read-modify-write or a holder's release, the broadcast's
+        /// arrival (after `done_at`) for a poststore of an `Exclusive`
+        /// copy, and `None` for an operation that changes nothing a
+        /// spinner could see. The machine wakes the processors parked on
+        /// the sub-page at this cycle.
+        visible_at: Option<Cycles>,
     },
     /// A `get_sub_page` lost to an existing atomic holder.
     AtomicFailed {
@@ -98,41 +106,49 @@ pub enum Outcome {
 }
 
 impl Outcome {
+    /// A completed operation that changes nothing a spinner could see.
+    fn done(done_at: Cycles) -> Self {
+        Self::Done {
+            done_at,
+            visible_at: None,
+        }
+    }
+
+    /// A completed operation whose change is visible at `done_at`.
+    fn done_visible(done_at: Cycles) -> Self {
+        Self::Done {
+            done_at,
+            visible_at: Some(done_at),
+        }
+    }
+
+    /// A completed read or write: a write is visible as it completes.
+    fn data(done_at: Cycles, is_write: bool) -> Self {
+        if is_write {
+            Self::done_visible(done_at)
+        } else {
+            Self::done(done_at)
+        }
+    }
+
     /// Completion time of a finished (or failed) operation.
     ///
     /// # Panics
-    /// Panics on [`Outcome::BlockedOnAtomic`] — callers that can receive
-    /// that outcome must use [`Outcome::try_done_at`] (or park and retry,
-    /// as the machine coordinator does) instead of asserting.
+    /// Panics on [`Outcome::BlockedOnAtomic`], which has no completion
+    /// time until the holder's `release_sub_page`: callers that can
+    /// receive it park and retry, as the machine coordinator does.
     #[must_use]
     pub fn done_at(&self) -> Cycles {
-        self.try_done_at().unwrap_or_else(|e| {
-            panic!("invariant (operation cannot block on an atomic sub-page) broken: {e}")
-        })
-    }
-
-    /// Completion time of a finished (or failed) operation, or a typed
-    /// [`ksr_core::Error::Protocol`] for an access blocked on a sub-page
-    /// another cell holds atomic.
-    pub fn try_done_at(&self) -> Result<Cycles> {
         match self {
-            Self::Done { done_at } | Self::AtomicFailed { done_at } => Ok(*done_at),
-            Self::BlockedOnAtomic { subpage } => Err(ksr_core::Error::Protocol(format!(
-                "access blocked on sub-page {subpage} held atomic by another cell: \
-                 no completion time exists until release_sub_page"
-            ))),
+            Self::Done { done_at, .. } | Self::AtomicFailed { done_at } => *done_at,
+            Self::BlockedOnAtomic { subpage } => panic!(
+                "invariant (operation cannot block on an atomic sub-page) broken: \
+                 protocol invariant violated: access blocked on sub-page {subpage} \
+                 held atomic by another cell: no completion time exists until \
+                 release_sub_page"
+            ),
         }
     }
-}
-
-/// A visibility event on a watched sub-page (used by the machine layer to
-/// wake fast-forwarded spinners at the correct virtual time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemEvent {
-    /// The sub-page whose value or lock state changed.
-    pub subpage: u64,
-    /// When the change becomes visible.
-    pub at: Cycles,
 }
 
 /// What a coherence fetch wants to end up holding.
@@ -211,9 +227,6 @@ pub struct MemorySystem {
     options: ProtocolOptions,
     data: SvaStore,
     perf: Vec<PerfMon>,
-    /// Sub-pages whose visibility events are kept for the coordinator.
-    watched: FxHashSet<u64>,
-    events: Vec<MemEvent>,
     /// Reusable buffer for the holder snapshot `warm` takes before it
     /// steals a sub-page, kept so warm-up does not allocate a fresh `Vec`
     /// per sub-page. (The request path's sweeps update the holder list in
@@ -310,8 +323,6 @@ impl MemorySystem {
             options,
             data: SvaStore::new(),
             perf: vec![PerfMon::default(); n_cells],
-            watched: FxHashSet::default(),
-            events: Vec::new(),
             scratch_holders: Vec::new(),
             coherent,
             n_cells,
@@ -433,30 +444,6 @@ impl MemorySystem {
         &self.dir
     }
 
-    /// Start emitting [`MemEvent`]s for a sub-page (idempotent).
-    pub fn watch(&mut self, subpage: u64) {
-        self.watched.insert(subpage);
-    }
-
-    /// Stop emitting [`MemEvent`]s for a sub-page.
-    pub fn unwatch(&mut self, subpage: u64) {
-        self.watched.remove(&subpage);
-    }
-
-    /// Drain pending visibility events into a caller-owned buffer,
-    /// keeping both buffers' capacity. The coordinator calls this once
-    /// per scheduled request, so it stops allocating once the buffers
-    /// reach their high-water mark.
-    pub fn drain_events_into(&mut self, out: &mut Vec<MemEvent>) {
-        out.append(&mut self.events);
-    }
-
-    fn emit(&mut self, subpage: u64, at: Cycles) {
-        if self.watched.contains(&subpage) {
-            self.events.push(MemEvent { subpage, at });
-        }
-    }
-
     /// Pre-install a range of addresses as `Exclusive` in `cell`'s local
     /// cache with no simulated cost. Stands in for untimed setup (e.g. the
     /// OS zeroing freshly allocated pages, or a workload's untimed
@@ -545,7 +532,7 @@ impl MemorySystem {
                 }
             }
         }
-        Outcome::Done { done_at }
+        Outcome::done(done_at)
     }
 
     // ----- coherent read/write -------------------------------------------------
@@ -577,11 +564,7 @@ impl MemorySystem {
             } else {
                 self.timing.subcache_read
             };
-            let done_at = now + cost;
-            if is_write {
-                self.emit(sp, done_at);
-            }
-            return Outcome::Done { done_at };
+            return Outcome::data(now + cost, is_write);
         }
         self.perf[cell].subcache_misses += 1;
 
@@ -616,10 +599,7 @@ impl MemorySystem {
                 self.perf[cell].block_allocations += 1;
             }
         }
-        if is_write {
-            self.emit(sp, t);
-        }
-        Outcome::Done { done_at: t }
+        Outcome::data(t, is_write)
     }
 
     /// One ring (or bus) coherence transaction ending with `cell` holding
@@ -878,9 +858,7 @@ impl MemorySystem {
         if let (Some(h), Some(owner)) = (holders, holders.and_then(Holders::atomic_holder)) {
             if owner == cell {
                 // Re-acquire by the holder is a cheap local test.
-                return Outcome::Done {
-                    done_at: now + self.timing.subcache_read,
-                };
+                return Outcome::done(now + self.timing.subcache_read);
             }
             // Rejected: the request still circulates the ring and still
             // serializes against other same-sub-page traffic.
@@ -913,10 +891,10 @@ impl MemorySystem {
             let done_at = now + self.timing.atomic_overhead;
             self.set_state(sp, cell, SubpageState::Atomic, done_at);
             self.debug_check_subpage(sp);
-            return Outcome::Done { done_at };
+            return Outcome::done(done_at);
         }
         let done = self.coherence_fetch(cell, sp, now, Want::Atomic) + self.timing.atomic_overhead;
-        Outcome::Done { done_at: done }
+        Outcome::done(done)
     }
 
     fn release_sub_page(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
@@ -929,12 +907,12 @@ impl MemorySystem {
              sub-page {sp}"
         );
         let done_at = now + self.timing.localcache_write;
-        if st == SubpageState::Atomic {
-            self.set_state(sp, cell, SubpageState::Exclusive, done_at);
-            self.emit(sp, done_at);
-            self.debug_check_subpage(sp);
+        if st != SubpageState::Atomic {
+            return Outcome::done(done_at);
         }
-        Outcome::Done { done_at }
+        self.set_state(sp, cell, SubpageState::Exclusive, done_at);
+        self.debug_check_subpage(sp);
+        Outcome::done_visible(done_at)
     }
 
     // ----- prefetch / poststore -------------------------------------------------
@@ -944,9 +922,7 @@ impl MemorySystem {
         let (owner, st) = self.atomic_holder_and_state(sp, cell);
         if owner.is_some_and(|owner| owner != cell) {
             // Prefetching a locked sub-page quietly does nothing.
-            return Outcome::Done {
-                done_at: issue_done,
-            };
+            return Outcome::done(issue_done);
         }
         let satisfied = if exclusive {
             st.writable()
@@ -954,9 +930,7 @@ impl MemorySystem {
             st.readable()
         };
         if satisfied || self.pending_fill.contains_key(&(cell, sp)) {
-            return Outcome::Done {
-                done_at: issue_done,
-            };
+            return Outcome::done(issue_done);
         }
         self.perf[cell].prefetches += 1;
         let want = if exclusive {
@@ -966,23 +940,19 @@ impl MemorySystem {
         };
         let ready = self.coherence_fetch(cell, sp, now, want);
         self.pending_fill.insert((cell, sp), ready);
-        Outcome::Done {
-            done_at: issue_done,
-        }
+        Outcome::done(issue_done)
     }
 
     fn poststore(&mut self, cell: usize, sp: u64, now: Cycles) -> Outcome {
         if !self.options.poststore {
-            return Outcome::Done { done_at: now + 1 };
+            return Outcome::done(now + 1);
         }
         let st = self.dir.state_of(sp, cell);
         if st != SubpageState::Exclusive {
             // Nothing modified to broadcast — and a sub-page held *atomic*
             // must keep its lock: broadcasting it shared would silently
             // release `get_sub_page` (the hardware forbids this).
-            return Outcome::Done {
-                done_at: now + self.timing.poststore_issue,
-            };
+            return Outcome::done(now + self.timing.poststore_issue);
         }
         self.perf[cell].poststores += 1;
         let t0 = now.max(self.subpage_busy.get(&sp).copied().unwrap_or(0));
@@ -1024,11 +994,12 @@ impl MemorySystem {
                 SubpageState::Shared
             });
         self.subpage_busy.insert(sp, timing.response_at);
-        self.emit(sp, timing.response_at);
         self.debug_check_subpage(sp);
-        // The issuing processor stalls only until the packet is launched.
+        // The issuing processor stalls only until the packet is launched;
+        // the place holders see the update when it arrives.
         Outcome::Done {
             done_at: now + self.timing.poststore_issue + timing.slot_wait,
+            visible_at: Some(timing.response_at),
         }
     }
 
@@ -1058,10 +1029,7 @@ impl MemorySystem {
                     done_at += self.timing.remote_write_extra;
                 }
                 self.perf[cell].ring_latency_cycles += done_at - now;
-                if is_write {
-                    self.emit(sp, done_at);
-                }
-                Outcome::Done { done_at }
+                Outcome::data(done_at, is_write)
             }
             MemOp::GetSubPage => {
                 if let Some(owner) = self.dir.holders(sp).and_then(|h| h.atomic_holder()) {
@@ -1070,7 +1038,7 @@ impl MemorySystem {
                     self.perf[cell].ring_transactions += 1;
                     let done_at = timing.response_at + self.timing.atomic_overhead;
                     if owner == cell {
-                        return Outcome::Done { done_at };
+                        return Outcome::done(done_at);
                     }
                     self.perf[cell].atomic_rejections += 1;
                     self.tracer.emit_with(|| TraceEvent::AtomicRejection {
@@ -1084,7 +1052,7 @@ impl MemorySystem {
                 self.perf[cell].ring_transactions += 1;
                 let done_at = timing.response_at + self.timing.atomic_overhead;
                 self.set_state(sp, cell, SubpageState::Atomic, done_at);
-                Outcome::Done { done_at }
+                Outcome::done(done_at)
             }
             MemOp::ReleaseSubPage => {
                 debug_assert_eq!(
@@ -1099,14 +1067,11 @@ impl MemorySystem {
                 self.perf[cell].ring_transactions += 1;
                 let done_at = timing.response_at;
                 self.set_state(sp, cell, SubpageState::Missing, done_at);
-                self.emit(sp, done_at);
-                Outcome::Done { done_at }
+                Outcome::done_visible(done_at)
             }
             MemOp::Prefetch { .. } | MemOp::SubcachePrefetch => {
                 // No caches to prefetch into.
-                Outcome::Done {
-                    done_at: now + self.timing.prefetch_issue,
-                }
+                Outcome::done(now + self.timing.prefetch_issue)
             }
         }
     }
@@ -1485,33 +1450,120 @@ mod tests {
         assert_eq!(m.directory().state_of(0, 0), SubpageState::Invalid);
     }
 
+    /// When `o`'s change to its sub-page becomes visible.
+    fn visible(o: Outcome) -> Option<Cycles> {
+        match o {
+            Outcome::Done { visible_at, .. } => visible_at,
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+
+    /// A holder's release is the wake-up event for processors parked on
+    /// its sub-page: it is visible as it completes.
     #[test]
     fn release_emits_event_for_watchers() {
         let mut m = ksr(2);
-        m.watch(0);
         m.access(0, 0, MemOp::GetSubPage, 0);
-        m.access(0, 0, MemOp::ReleaseSubPage, 500);
-        let mut ev = Vec::new();
-        m.drain_events_into(&mut ev);
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].subpage, 0);
-        assert!(ev[0].at >= 500);
-        m.unwatch(0);
-        m.access(0, 0, MemOp::GetSubPage, 1000);
-        m.access(0, 0, MemOp::ReleaseSubPage, 2000);
-        ev.clear();
-        m.drain_events_into(&mut ev);
-        assert!(ev.is_empty(), "unwatched sub-pages stay silent");
+        let release = m.access(0, 0, MemOp::ReleaseSubPage, 500);
+        let at = visible(release).expect("a release is visible");
+        assert!(at >= 500, "{release:?}");
+        assert_eq!(at, release.done_at());
     }
 
+    /// A write is the wake-up event for processors parked on its
+    /// sub-page: it is visible as it completes, whether it is a first
+    /// touch, a remote miss or a sub-cache hit, and so is a native
+    /// read-modify-write.
     #[test]
     fn writes_emit_events_for_watchers() {
-        let mut m = ksr(1);
-        m.watch(subpage_of(256));
-        m.access(0, 256, MemOp::Write, 0);
-        let mut ev = Vec::new();
-        m.drain_events_into(&mut ev);
-        assert_eq!(ev.len(), 1);
+        let mut m = ksr(2);
+        let first = m.access(0, 256, MemOp::Write, 0);
+        let remote = m.access(1, 256, MemOp::Write, first.done_at());
+        let hit = m.access(1, 256, MemOp::Write, remote.done_at());
+        let rmw = m.access(1, 256, MemOp::AtomicRmw, hit.done_at());
+        assert_eq!(m.perfmon(1).ring_transactions, 1, "the remote write missed");
+        assert_eq!(m.perfmon(1).subcache_hits, 2, "then two sub-cache hits");
+        for o in [first, remote, hit, rmw] {
+            assert_eq!(visible(o), Some(o.done_at()), "{o:?}");
+        }
+    }
+
+    /// A poststore of an `Exclusive` copy is visible when its broadcast
+    /// reaches the place holders, after the issuer has moved on.
+    #[test]
+    fn poststore_is_visible_when_the_broadcast_arrives() {
+        let mut m = ksr(2);
+        m.warm(0, 0, 128);
+        m.access(1, 0, MemOp::Read, 0);
+        m.access(0, 0, MemOp::Write, 10_000); // cell 1 is a place holder
+        let o = m.access(0, 0, MemOp::Poststore, 20_000);
+        let arrival = visible(o).expect("the broadcast is visible");
+        assert!(arrival > o.done_at(), "{o:?}");
+        assert_eq!(m.directory().state_of(0, 1), SubpageState::Shared);
+    }
+
+    /// Operations that change nothing a spinner could see report no
+    /// visibility: reads, prefetches, a successful `get_sub_page`, a
+    /// poststore of a copy that is not `Exclusive`, and any poststore
+    /// when the broadcast is turned off.
+    #[test]
+    fn reads_prefetches_and_quiet_poststores_are_not_visible() {
+        let mut m = ksr(2);
+        m.warm(0, 0, 384);
+        let mut t = 0;
+        for (cell, addr, op) in [
+            (1, 0, MemOp::Read),
+            (1, 0, MemOp::Read),
+            (1, 128, MemOp::Prefetch { exclusive: false }),
+            (1, 256, MemOp::Prefetch { exclusive: true }),
+            (1, 0, MemOp::SubcachePrefetch),
+            (0, 0, MemOp::Poststore), // Shared since cell 1 read it
+            (1, 0, MemOp::GetSubPage),
+            (1, 0, MemOp::Poststore), // Atomic keeps its lock
+        ] {
+            let o = m.access(cell, addr, op, t);
+            assert_eq!(visible(o), None, "{op:?} by cell {cell}: {o:?}");
+            t = o.done_at() + 1_000;
+        }
+
+        let mut off = MemorySystem::with_options(
+            MemGeometry::ksr1(),
+            CacheTiming::ksr1(),
+            Topology::ksr1_32().build(2).unwrap(),
+            2,
+            42,
+            ProtocolOptions {
+                poststore: false,
+                ..ProtocolOptions::default()
+            },
+        )
+        .unwrap();
+        off.warm(0, 0, 128);
+        off.access(1, 0, MemOp::Read, 0);
+        off.access(0, 0, MemOp::Write, 10_000);
+        assert_eq!(visible(off.access(0, 0, MemOp::Poststore, 20_000)), None);
+    }
+
+    /// On the cache-less Butterfly, a write and a release are visible as
+    /// they complete; a read and a `get_sub_page` are not.
+    #[test]
+    fn butterfly_writes_and_releases_are_visible() {
+        let mut m = MemorySystem::new(
+            MemGeometry::ksr1(),
+            CacheTiming::butterfly(),
+            Topology::butterfly(4).build(4).unwrap(),
+            4,
+            1,
+        )
+        .unwrap();
+        let write = m.access(0, 128, MemOp::Write, 0);
+        let read = m.access(1, 128, MemOp::Read, write.done_at());
+        let gsp = m.access(0, 0, MemOp::GetSubPage, read.done_at());
+        let release = m.access(0, 0, MemOp::ReleaseSubPage, gsp.done_at());
+        assert_eq!(visible(write), Some(write.done_at()));
+        assert_eq!(visible(read), None);
+        assert_eq!(visible(gsp), None);
+        assert_eq!(visible(release), Some(release.done_at()));
     }
 
     #[test]

@@ -48,6 +48,13 @@ echo "==> cargo test --manifest-path benchmark/Cargo.toml (8-cell benchmark work
 # here rather than in the next benchmark run.
 cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 
+echo "==> benchmark: cargo fmt --check and clippy -D warnings"
+# The benchmark is the one user of the simulator's public API that the
+# workspace build never compiles, and the workspace's lints do not reach
+# it, so it gets its own format and lint checks.
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "==> benchmark at full size: every workload at --seed 0 must reproduce benchmark/digests.txt"
 # The digests are pinned at full size (1024-cell storms, 32-cell apps),
 # which the 8-cell tests above never reach. A seed-0 run compares every
